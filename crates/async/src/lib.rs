@@ -350,7 +350,9 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
         }
         // Notifier half of the lost-wakeup protocol: the operation that
         // freed capacity/items happens-before this fence, the fence
-        // before the registry scan.
+        // before the registry's waiting count. With no waiter counted,
+        // the first `wake_one` returns at once: no head swap, no banked
+        // token.
         dekker_fence();
         let mut woke = 0u64;
         for _ in 0..n {
@@ -387,7 +389,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     /// beat the cancellation, the consumed token is passed to a peer so
     /// no other sender sleeps through the freed capacity.
     pub(crate) fn resolve_sender_slot(&self, slot: Arc<WaiterSlot>) {
-        if !slot.cancel() {
+        if !self.senders.cancel(&slot) {
             Self::notify(&self.senders, 1, self.stats());
         } else if self.is_closed() {
             self.drain_after_close(&self.senders);
@@ -396,7 +398,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
 
     /// Receiver-side analogue of [`AsyncQueue::resolve_sender_slot`].
     pub(crate) fn resolve_receiver_slot(&self, slot: Arc<WaiterSlot>) {
-        if !slot.cancel() {
+        if !self.receivers.cancel(&slot) {
             Self::notify(&self.receivers, 1, self.stats());
         } else if self.is_closed() {
             self.drain_after_close(&self.receivers);
@@ -412,7 +414,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     pub(crate) fn resolve_prior_sender(&self, slot: &mut Option<Arc<WaiterSlot>>) -> bool {
         match slot.take() {
             Some(prior) => {
-                if prior.cancel() && self.is_closed() {
+                if self.senders.cancel(&prior) && self.is_closed() {
                     self.drain_after_close(&self.senders);
                 }
                 true
@@ -425,7 +427,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     pub(crate) fn resolve_prior_receiver(&self, slot: &mut Option<Arc<WaiterSlot>>) -> bool {
         match slot.take() {
             Some(prior) => {
-                if prior.cancel() && self.is_closed() {
+                if self.receivers.cancel(&prior) && self.is_closed() {
                     self.drain_after_close(&self.receivers);
                 }
                 true

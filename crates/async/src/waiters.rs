@@ -56,9 +56,29 @@
 //! Both halves put an SC fence between their store (bank / splice) and
 //! their load (head / bank), so at least one side observes the other:
 //! either the banker sees the spliced chain and reclaims its token, or
-//! the splicer sees the deposit and delivers it. A token banked when no
-//! waiter exists anywhere is a stale credit; at worst it causes one
-//! spurious wake later, which futures tolerate by re-checking the queue.
+//! the splicer sees the deposit and delivers it.
+//!
+//! ## The no-waiter fast path
+//!
+//! Each registry counts its `WAITING` slots. `register` raises the count
+//! before it publishes the slot; whichever path moves a slot out of
+//! `WAITING` (a wake's claim or the owner's cancel) lowers it. A wake
+//! path reads the count first and returns at once when it is zero: no
+//! head swap, no banked token. This is the notifier's half of the
+//! lost-wakeup pairing (see [`dekker_fence`]): a waiter runs `count++ →
+//! publish → fence → re-try`, a notifier `op → fence → read count`, so
+//! either the notifier sees the count or the waiter's re-try sees the
+//! operation.
+//!
+//! The count also keeps the bank honest: a token is banked only while
+//! some slot is counted as waiting, i.e. when a waiter may really be
+//! hidden in a concurrent traversal. Were every wake that finds nobody
+//! parked to bank its token, the bank would grow by one per uncontended
+//! operation, and each later splice would adopt one of those stale
+//! tokens and wake a second waiter for nothing. A banked token can still
+//! go stale if the hidden waiter is claimed or cancelled before the
+//! token reaches it; at worst it causes one spurious wake later, which
+//! futures tolerate by re-checking the queue.
 
 use nbq_util::CachePadded;
 use std::cell::UnsafeCell;
@@ -119,12 +139,17 @@ relaxable! {
     /// pairing purely through the explicit SC fences around it, so the
     /// operations themselves can be relaxed.
     TOKEN_RMW = Relaxed;
+    /// The waiting count's RMWs and the notifier's read of it: like the
+    /// bank, the count takes part in the lost-wakeup pairing only
+    /// through the SC fences on either side (`dekker_fence`).
+    WAITING_COUNT = Relaxed;
 }
 
 /// The SC fence closing the registry's store-buffering race. Waiter side:
-/// `push slot → fence → re-try op`. Notifier side: `op succeeded → fence →
-/// scan stack`. At least one side must observe the other, so either the
-/// re-try succeeds or the scan finds the slot.
+/// `count++ → push slot → fence → re-try op`. Notifier side: `op
+/// succeeded → fence → read count → scan stack`. At least one side must
+/// observe the other, so either the re-try succeeds or the notifier sees
+/// the count and its scan finds the slot.
 #[inline]
 pub(crate) fn dekker_fence() {
     std::sync::atomic::fence(Ordering::SeqCst);
@@ -150,19 +175,6 @@ pub(crate) struct WaiterSlot {
 unsafe impl Send for WaiterSlot {}
 unsafe impl Sync for WaiterSlot {}
 
-impl WaiterSlot {
-    /// Cancels the slot from the owning future.
-    ///
-    /// Returns `false` if a wake path got there first — the caller now
-    /// holds a wake token it must either act on (retry the operation) or
-    /// pass on (`wake_one` its own side) before discarding.
-    pub(crate) fn cancel(&self) -> bool {
-        self.state
-            .compare_exchange(WAITING, CANCELLED, STATE_CAS, STATE_CAS_FAIL)
-            .is_ok()
-    }
-}
-
 impl Drop for WaiterSlot {
     fn drop(&mut self) {
         self.live.fetch_sub(1, Ordering::Relaxed);
@@ -176,6 +188,11 @@ pub(crate) struct WaiterRegistry {
     /// traversal (see module docs, "Wake tokens and the hidden-chain
     /// race").
     tokens: AtomicUsize,
+    /// Slots in `WAITING`: raised before a slot is published, lowered
+    /// by whichever path moves it out of `WAITING`. A notifier that
+    /// reads zero after its fence has nobody to wake (module docs, "The
+    /// no-waiter fast path").
+    waiting: AtomicUsize,
     live: Arc<AtomicUsize>,
 }
 
@@ -184,6 +201,7 @@ impl WaiterRegistry {
         Self {
             head: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
             tokens: AtomicUsize::new(0),
+            waiting: AtomicUsize::new(0),
             live,
         }
     }
@@ -191,6 +209,9 @@ impl WaiterRegistry {
     /// Creates a slot armed with `waker` and publishes it.
     pub(crate) fn register(&self, waker: Waker) -> Arc<WaiterSlot> {
         self.live.fetch_add(1, Ordering::Relaxed);
+        // Counted before it is published, so a notifier that can reach
+        // the slot can also see the count.
+        self.waiting.fetch_add(1, WAITING_COUNT);
         let slot = Arc::new(WaiterSlot {
             state: AtomicU8::new(WAITING),
             waker: UnsafeCell::new(Some(waker)),
@@ -213,6 +234,28 @@ impl WaiterRegistry {
         }
     }
 
+    /// Cancels `slot` from the owning future.
+    ///
+    /// Returns `false` if a wake path got there first — the caller now
+    /// holds a wake token it must either act on (retry the operation) or
+    /// pass on (`wake_one` its own side) before discarding.
+    pub(crate) fn cancel(&self, slot: &WaiterSlot) -> bool {
+        self.claim(slot, CANCELLED)
+    }
+
+    /// Moves `slot` out of `WAITING` into `to` and uncounts it if this
+    /// call won the transition.
+    fn claim(&self, slot: &WaiterSlot, to: u8) -> bool {
+        let won = slot
+            .state
+            .compare_exchange(WAITING, to, STATE_CAS, STATE_CAS_FAIL)
+            .is_ok();
+        if won {
+            self.waiting.fetch_sub(1, WAITING_COUNT);
+        }
+        won
+    }
+
     /// Detaches the whole chain; the caller becomes its sole owner.
     fn take_all(&self) -> *mut WaiterSlot {
         self.head.swap(ptr::null_mut(), HEAD_SWAP)
@@ -228,9 +271,18 @@ impl WaiterRegistry {
     /// Delivers one wake token: wakes a parked waiter, or banks the token
     /// if none is visible (it may be hidden in a concurrent traversal —
     /// see module docs). Prunes cancelled slots on the way. Returns
-    /// whether a waker fired *in this call*; `false` still means the
-    /// token was conserved, not dropped.
+    /// whether a waker fired *in this call*; `false` means either that
+    /// no slot was waiting, or that the token was banked, not dropped.
+    ///
+    /// The caller must have issued [`dekker_fence`] after the operation
+    /// this token announces: the waiting count read first is the
+    /// notifier's half of the lost-wakeup pairing.
     pub(crate) fn wake_one(&self) -> bool {
+        if self.waiting.load(WAITING_COUNT) == 0 {
+            // No slot is waiting, visible or hidden, and any registrant
+            // the count does not show yet re-tries after this operation.
+            return false;
+        }
         let mut woke = false;
         // Tokens this call is responsible for: its own, plus any it
         // adopts from the bank after re-exposing hidden waiters.
@@ -257,10 +309,8 @@ impl WaiterRegistry {
                 let slot = chain;
                 // SAFETY: we own the detached chain.
                 chain = unsafe { *(*slot).next.get() } as *mut WaiterSlot;
-                let claimed = held > 0
-                    && unsafe { &(*slot).state }
-                        .compare_exchange(WAITING, NOTIFIED, STATE_CAS, STATE_CAS_FAIL)
-                        .is_ok();
+                // SAFETY: the slot is alive while we hold the stack's Arc.
+                let claimed = held > 0 && self.claim(unsafe { &*slot }, NOTIFIED);
                 if claimed {
                     held -= 1;
                     // SAFETY: winning the CAS grants exclusive waker
@@ -313,10 +363,8 @@ impl WaiterRegistry {
             let slot = chain;
             // SAFETY: we own the detached chain.
             chain = unsafe { *(*slot).next.get() } as *mut WaiterSlot;
-            if unsafe { &(*slot).state }
-                .compare_exchange(WAITING, NOTIFIED, STATE_CAS, STATE_CAS_FAIL)
-                .is_ok()
-            {
+            // SAFETY: the slot is alive while we hold the stack's Arc.
+            if self.claim(unsafe { &*slot }, NOTIFIED) {
                 // SAFETY: see `wake_one`.
                 let waker = unsafe { (*(*slot).waker.get()).take() };
                 if let Some(w) = waker {
@@ -377,9 +425,9 @@ mod tests {
         assert_eq!(live.load(Ordering::Relaxed), 2);
         // Cancel the most recent; wake must skip it, prune it, and claim
         // the older one.
-        assert!(b.cancel());
+        assert!(r.cancel(&b));
         assert!(r.wake_one());
-        assert!(!a.cancel(), "a was notified, not cancellable");
+        assert!(!r.cancel(&a), "a was notified, not cancellable");
         drop((a, b));
         assert_eq!(live.load(Ordering::Relaxed), 0, "all slots reclaimed");
         assert!(!r.wake_one(), "stack drained");
@@ -389,7 +437,7 @@ mod tests {
     fn wake_all_claims_every_waiting_slot() {
         let (r, live) = registry();
         let slots: Vec<_> = (0..5).map(|_| r.register(Waker::noop().clone())).collect();
-        assert!(slots[2].cancel());
+        assert!(r.cancel(&slots[2]));
         assert_eq!(r.wake_all(), 4);
         drop(slots);
         assert_eq!(live.load(Ordering::Relaxed), 0);
@@ -406,6 +454,51 @@ mod tests {
         assert_eq!(live.load(Ordering::Relaxed), 0);
     }
 
+    /// Counts how often it is woken.
+    struct CountingWaker(AtomicUsize);
+
+    impl std::task::Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn wakes_with_no_waiter_bank_no_tokens() {
+        let (r, _live) = registry();
+        for _ in 0..1000 {
+            dekker_fence();
+            assert!(!r.wake_one());
+        }
+        assert_eq!(r.tokens.load(Ordering::Relaxed), 0, "no stale credit");
+        assert_eq!(r.waiting.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn one_wake_with_two_parked_waiters_wakes_exactly_one() {
+        let (r, live) = registry();
+        // Wakes with nobody parked first: these must leave nothing behind
+        // for the wake below to hand to the second waiter.
+        for _ in 0..3 {
+            dekker_fence();
+            r.wake_one();
+        }
+        let fired = Arc::new(CountingWaker(AtomicUsize::new(0)));
+        let a = r.register(Waker::from(fired.clone()));
+        let b = r.register(Waker::from(fired.clone()));
+        assert_eq!(r.waiting.load(Ordering::Relaxed), 2);
+        dekker_fence();
+        assert!(r.wake_one());
+        assert_eq!(fired.0.load(Ordering::Relaxed), 1, "exactly one woke");
+        assert_eq!(r.waiting.load(Ordering::Relaxed), 1);
+        let cancelled = [r.cancel(&a), r.cancel(&b)];
+        assert_eq!(cancelled.iter().filter(|&&c| c).count(), 1);
+        assert_eq!(r.waiting.load(Ordering::Relaxed), 0);
+        drop(r);
+        drop((a, b));
+        assert_eq!(live.load(Ordering::Relaxed), 0);
+    }
+
     #[test]
     fn concurrent_push_and_wake_never_lose_a_slot() {
         let (r, live) = registry();
@@ -419,7 +512,7 @@ mod tests {
                     for i in 0..500 {
                         let slot = r.register(Waker::noop().clone());
                         if i % 3 == 0 {
-                            if !slot.cancel() {
+                            if !r.cancel(&slot) {
                                 woken.fetch_add(1, Ordering::Relaxed);
                             }
                         } else {
@@ -434,6 +527,7 @@ mod tests {
             }
         });
         woken.fetch_add(r.wake_all() as usize, Ordering::Relaxed);
+        assert_eq!(r.waiting.load(Ordering::Relaxed), 0, "count balanced");
         drop(r);
         assert_eq!(live.load(Ordering::Relaxed), 0, "no leaked slots");
     }

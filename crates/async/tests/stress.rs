@@ -7,10 +7,15 @@
 //!   is either received or still in the queue at the end, and
 //! * **no waker slot leaks** — `live_waiters() == 0` once every future
 //!   is resolved or dropped.
+//!
+//! The ping-pong tests at the end guard the registry's no-waiter fast
+//! path: 100 000 round trips through capacity-1 channels, on a two-worker
+//! runtime and across two OS threads, under a watchdog that turns a lost
+//! wake (a side parked forever) into a failure instead of a hang.
 
 use futures::future::{select, Either};
 use nbq_async::AsyncQueue;
-use nbq_core::CasQueue;
+use nbq_core::{CasQueue, ShardedConfig, ShardedQueue};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -232,4 +237,148 @@ fn timeout_churn_on_a_tiny_queue() {
         );
         assert_eq!(q.live_waiters(), 0, "iteration {iter}: no leaked slots");
     }
+}
+
+/// Round trips per ping-pong run: every one parks both sides at least
+/// once on a capacity-1 channel, so each is a chance to lose a wake.
+const ROUND_TRIPS: u64 = 100_000;
+
+/// Fails the test if `body` has not finished within `secs`: a lost wake
+/// parks a side forever, and this turns that hang into a failure.
+fn watchdog(secs: u64, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(secs)) {
+        Ok(()) => worker.join().expect("ping-pong body"),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            // The body panicked: re-raise its panic.
+            worker.join().expect("ping-pong body");
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("ping-pong stalled for {secs} s: a wake was lost")
+        }
+    }
+}
+
+type Lane = ShardedQueue<u64, CasQueue<u64>>;
+
+/// The broker's topic-lane shape at capacity 1: one `MpscFastPath` lane,
+/// driven through lane-pinned handles.
+fn pinned_lane() -> Arc<AsyncQueue<u64, Lane>> {
+    Arc::new(AsyncQueue::new(ShardedQueue::with_config(
+        ShardedConfig::with_lanes(1).mpsc_fast_path(),
+        |_| CasQueue::with_capacity(1),
+    )))
+}
+
+/// Two tasks on a two-worker runtime bounce a counter through two
+/// capacity-1 channels with fresh pinned handles per operation, so most
+/// operations take the no-waiter fast path while the peer is between
+/// parks.
+#[test]
+fn ping_pong_on_a_two_worker_runtime_never_loses_a_wake() {
+    watchdog(120, || {
+        let rt = tokio::runtime::Builder::new_multi_thread()
+            .worker_threads(2)
+            .enable_all()
+            .build()
+            .expect("building runtime");
+        let (ping, pong) = (pinned_lane(), pinned_lane());
+        rt.block_on(async {
+            let echo = {
+                let (ping, pong) = (ping.clone(), pong.clone());
+                tokio::spawn(async move {
+                    while let Some(v) = ping.recv_with_handle(ping.inner().handle_pinned(0)).await {
+                        pong.send_with_handle(pong.inner().handle_pinned(0), v + 1)
+                            .await
+                            .expect("pong open");
+                    }
+                    pong.close();
+                })
+            };
+            let serve = {
+                let (ping, pong) = (ping.clone(), pong.clone());
+                tokio::spawn(async move {
+                    let mut v = 0;
+                    for _ in 0..ROUND_TRIPS {
+                        ping.send_with_handle(ping.inner().handle_pinned(0), v)
+                            .await
+                            .expect("ping open");
+                        let back = pong.recv_with_handle(pong.inner().handle_pinned(0)).await;
+                        assert_eq!(back, Some(v + 1), "echo returns the next value");
+                        v += 2;
+                    }
+                    ping.close();
+                })
+            };
+            serve.await.expect("serve task");
+            echo.await.expect("echo task");
+        });
+        assert_eq!(
+            ping.live_waiters() + pong.live_waiters(),
+            0,
+            "no leaked slots"
+        );
+    });
+}
+
+/// Drives one future to completion on the calling OS thread, parking it
+/// between polls.
+fn block_on<F: std::future::Future>(fut: F) -> F::Output {
+    struct Unpark(std::thread::Thread);
+    impl std::task::Wake for Unpark {
+        fn wake(self: Arc<Self>) {
+            self.0.unpark();
+        }
+    }
+    let waker = std::task::Waker::from(Arc::new(Unpark(std::thread::current())));
+    let mut cx = std::task::Context::from_waker(&waker);
+    let mut fut = std::pin::pin!(fut);
+    loop {
+        match fut.as_mut().poll(&mut cx) {
+            std::task::Poll::Ready(v) => return v,
+            std::task::Poll::Pending => std::thread::park(),
+        }
+    }
+}
+
+/// The same ping-pong with each side's futures driven from its own OS
+/// thread, over plain capacity-1 `CasQueue`s: wakes cross threads on
+/// every hand-off, with no executor in between.
+#[test]
+fn ping_pong_across_os_threads_never_loses_a_wake() {
+    watchdog(120, || {
+        type Chan = Arc<AsyncQueue<u64, CasQueue<u64>>>;
+        let ping: Chan = Arc::new(AsyncQueue::new(CasQueue::with_capacity(1)));
+        let pong: Chan = Arc::new(AsyncQueue::new(CasQueue::with_capacity(1)));
+        let echo = {
+            let (ping, pong) = (ping.clone(), pong.clone());
+            std::thread::spawn(move || {
+                while let Some(v) = block_on(ping.recv()) {
+                    block_on(pong.send(v + 1)).expect("pong open");
+                }
+                pong.close();
+            })
+        };
+        let mut v = 0;
+        for _ in 0..ROUND_TRIPS {
+            block_on(ping.send(v)).expect("ping open");
+            assert_eq!(
+                block_on(pong.recv()),
+                Some(v + 1),
+                "echo returns the next value"
+            );
+            v += 2;
+        }
+        ping.close();
+        echo.join().expect("echo thread");
+        assert_eq!(
+            ping.live_waiters() + pong.live_waiters(),
+            0,
+            "no leaked slots"
+        );
+    });
 }

@@ -754,7 +754,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> ShardedQueue<T, Q> {
 
     fn make_handle(&self, cursor: usize, steal_attempts: usize) -> ShardedHandle<'_, T, Q> {
         ShardedHandle {
-            handles: self.lanes.iter().map(|l| l.mpmc.handle()).collect(),
+            handles: self.lanes.iter().map(|_| None).collect(),
             roles: self.lanes.iter().map(|_| LaneRole::default()).collect(),
             lanes: &self.lanes,
             cursor,
@@ -832,10 +832,15 @@ impl Default for LaneRole {
 }
 
 /// Per-thread handle to a [`ShardedQueue`]: one inner MPMC handle per
-/// lane, the per-lane fast-path roles, and the affinity cursor steering
-/// lane selection.
+/// lane (built on first use), the per-lane fast-path roles, and the
+/// affinity cursor steering lane selection.
 pub struct ShardedHandle<'q, T: Send, Q: ConcurrentQueue<T> + 'q> {
-    handles: Vec<Q::Handle<'q>>,
+    /// Each lane's inner MPMC handle, built the first time an operation
+    /// falls through to that lane's MPMC queue. A handle that stays on
+    /// its fast-path ring never builds one, and so never pays for what
+    /// the inner queue's handle sets up (a `CasQueue` handle registers
+    /// an LL/SC variable and a node-pool cache).
+    handles: Box<[Option<Q::Handle<'q>>]>,
     roles: Box<[LaneRole]>,
     lanes: &'q [CachePadded<ShardLane<T, Q>>],
     /// Affinity lane; migrates to the serving lane on successful steals.
@@ -855,10 +860,16 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
         self.cursor
     }
 
+    /// The inner MPMC handle on `lane`, built on first use.
+    fn mpmc(&mut self, lane: usize) -> &mut Q::Handle<'q> {
+        let lanes = self.lanes;
+        self.handles[lane].get_or_insert_with(|| lanes[lane].mpmc.handle())
+    }
+
     /// Lane probe order: affinity lane first, then up to
     /// `steal_attempts` neighbors, wrapping.
     fn probe_order(&self) -> impl Iterator<Item = usize> {
-        let lanes = self.handles.len();
+        let lanes = self.lanes.len();
         let cursor = self.cursor;
         let probes = self.steal_attempts.min(lanes - 1);
         (0..=probes).map(move |i| (cursor + i) % lanes)
@@ -1026,7 +1037,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
             }
             _ => {}
         }
-        self.handles[lane].enqueue(value)
+        self.mpmc(lane).enqueue(value)
     }
 
     /// Batch enqueue on one specific lane; the ring paths publish the
@@ -1102,7 +1113,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
             }
             _ => {}
         }
-        self.handles[lane].enqueue_batch(items)
+        self.mpmc(lane).enqueue_batch(items)
     }
 
     /// Dequeue from a lane this handle is merely probing (stealing into
@@ -1149,7 +1160,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                 return Some(v);
             }
         }
-        self.handles[lane].dequeue()
+        self.mpmc(lane).dequeue()
     }
 
     /// Dequeue from one specific lane, routed by this handle's role
@@ -1192,7 +1203,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                     if let Some(v) = self.lanes[lane].scavenge(RING_BIT_SPSC) {
                         return Some(v);
                     }
-                    return self.handles[lane].dequeue();
+                    return self.mpmc(lane).dequeue();
                 }
                 if !ring.arity().producer_claimed() {
                     // Re-poll *after* observing the released claim: a
@@ -1210,7 +1221,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                         dead: RING_BIT_SPSC,
                     };
                 }
-                self.handles[lane].dequeue()
+                self.mpmc(lane).dequeue()
             }
             ConsRole::Mpsc(cur) => {
                 let ring = self.lanes[lane]
@@ -1227,7 +1238,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                     if let Some(v) = self.lanes[lane].scavenge(RING_BIT_MPSC) {
                         return Some(v);
                     }
-                    return self.handles[lane].dequeue();
+                    return self.mpmc(lane).dequeue();
                 }
                 if ring.arity().multi_count() == 0 {
                     // Every fan-in producer released its registration —
@@ -1244,7 +1255,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                         dead: RING_BIT_MPSC,
                     };
                 }
-                self.handles[lane].dequeue()
+                self.mpmc(lane).dequeue()
             }
             ConsRole::Spmc => {
                 let ring = self.lanes[lane]
@@ -1260,7 +1271,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                     if let Some(v) = self.lanes[lane].scavenge(RING_BIT_SPMC) {
                         return Some(v);
                     }
-                    return self.handles[lane].dequeue();
+                    return self.mpmc(lane).dequeue();
                 }
                 if !ring.arity().producer_claimed() {
                     // Re-poll after observing the released producer
@@ -1274,7 +1285,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                         dead: RING_BIT_SPMC,
                     };
                 }
-                self.handles[lane].dequeue()
+                self.mpmc(lane).dequeue()
             }
             ConsRole::Mpmc { dead } => {
                 let mut dead = *dead;
@@ -1294,7 +1305,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                                 if popped.is_some() {
                                     return popped;
                                 }
-                                return self.handles[lane].dequeue();
+                                return self.mpmc(lane).dequeue();
                             }
                         } else if producer_gone {
                             dead |= RING_BIT_SPSC;
@@ -1314,7 +1325,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                                 if popped.is_some() {
                                     return popped;
                                 }
-                                return self.handles[lane].dequeue();
+                                return self.mpmc(lane).dequeue();
                             }
                         } else if producers_gone {
                             dead |= RING_BIT_MPSC;
@@ -1340,9 +1351,9 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                 } else {
                     ConsRole::Mpmc { dead }
                 };
-                self.handles[lane].dequeue()
+                self.mpmc(lane).dequeue()
             }
-            ConsRole::RingDead => self.handles[lane].dequeue(),
+            ConsRole::RingDead => self.mpmc(lane).dequeue(),
             ConsRole::Unknown => unreachable!("resolved above"),
         }
     }
@@ -1384,7 +1395,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
             }
         }
         if taken < max {
-            taken += self.handles[lane].dequeue_batch(out, max - taken);
+            taken += self.mpmc(lane).dequeue_batch(out, max - taken);
         }
         taken
     }
@@ -1417,7 +1428,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                     if got == max {
                         return got;
                     }
-                    return got + self.handles[lane].dequeue_batch(out, max - got);
+                    return got + self.mpmc(lane).dequeue_batch(out, max - got);
                 }
                 if !ring.arity().producer_claimed() {
                     // Re-poll after observing the released claim (the
@@ -1433,7 +1444,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                         dead: RING_BIT_SPSC,
                     };
                 }
-                got + self.handles[lane].dequeue_batch(out, max - got)
+                got + self.mpmc(lane).dequeue_batch(out, max - got)
             }
             ConsRole::Mpsc(cur) => {
                 let ring = self.lanes[lane]
@@ -1451,7 +1462,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                     if got == max {
                         return got;
                     }
-                    return got + self.handles[lane].dequeue_batch(out, max - got);
+                    return got + self.mpmc(lane).dequeue_batch(out, max - got);
                 }
                 if ring.arity().multi_count() == 0 {
                     // SAFETY: as above.
@@ -1464,7 +1475,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                         dead: RING_BIT_MPSC,
                     };
                 }
-                got + self.handles[lane].dequeue_batch(out, max - got)
+                got + self.mpmc(lane).dequeue_batch(out, max - got)
             }
             ConsRole::Spmc => {
                 let ring = self.lanes[lane]
@@ -1481,7 +1492,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                     if got == max {
                         return got;
                     }
-                    return got + self.handles[lane].dequeue_batch(out, max - got);
+                    return got + self.mpmc(lane).dequeue_batch(out, max - got);
                 }
                 if !ring.arity().producer_claimed() {
                     got += ring.pop_batch(out, max - got);
@@ -1493,7 +1504,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                         dead: RING_BIT_SPMC,
                     };
                 }
-                got + self.handles[lane].dequeue_batch(out, max - got)
+                got + self.mpmc(lane).dequeue_batch(out, max - got)
             }
             ConsRole::Mpmc { dead } => {
                 let mut dead = *dead;
@@ -1509,7 +1520,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                                 taken = unsafe { ring.pop_batch(&mut cur, out, max) };
                                 self.roles[lane].cons = ConsRole::Spsc(cur);
                                 if taken < max {
-                                    taken += self.handles[lane].dequeue_batch(out, max - taken);
+                                    taken += self.mpmc(lane).dequeue_batch(out, max - taken);
                                 }
                                 return taken;
                             }
@@ -1529,7 +1540,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                                 taken = unsafe { ring.pop_batch(&mut cur, out, max) };
                                 self.roles[lane].cons = ConsRole::Mpsc(cur);
                                 if taken < max {
-                                    taken += self.handles[lane].dequeue_batch(out, max - taken);
+                                    taken += self.mpmc(lane).dequeue_batch(out, max - taken);
                                 }
                                 return taken;
                             }
@@ -1555,11 +1566,11 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                     ConsRole::Mpmc { dead }
                 };
                 if taken < max {
-                    taken += self.handles[lane].dequeue_batch(out, max - taken);
+                    taken += self.mpmc(lane).dequeue_batch(out, max - taken);
                 }
                 taken
             }
-            ConsRole::RingDead => self.handles[lane].dequeue_batch(out, max),
+            ConsRole::RingDead => self.mpmc(lane).dequeue_batch(out, max),
             ConsRole::Unknown => unreachable!("resolved above"),
         }
     }
@@ -1710,7 +1721,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> QueueHandle<T> for ShardedHandle<'
                 // Contiguous chunks round-robined across all lanes
                 // starting at the affinity lane. Leftovers of filled
                 // lanes come back in their original relative order.
-                let lanes = self.handles.len();
+                let lanes = self.lanes.len();
                 let len = items.len();
                 if len == 0 {
                     return Ok(0);
@@ -2300,6 +2311,76 @@ mod tests {
         b.enqueue(8).unwrap();
         assert_eq!(b.dequeue(), Some(8));
         assert_eq!(q.lane_promoted(0), Some(false));
+    }
+
+    #[test]
+    fn ring_only_handles_never_build_inner_handles() {
+        let q = mpsc_cas(1, 8);
+        let mut p = q.handle_pinned(0);
+        let mut c = q.handle_pinned(0);
+        for round in 0..3u64 {
+            for v in 0..8 {
+                p.enqueue(round * 8 + v).unwrap();
+            }
+            for v in 0..8 {
+                assert_eq!(c.dequeue(), Some(round * 8 + v));
+            }
+        }
+        assert_eq!(q.lane(0).vars_allocated(), 0, "both stayed on the ring");
+        // An empty ring falls through to the MPMC queue: that dequeue is
+        // the first to need the consumer's inner handle.
+        assert_eq!(c.dequeue(), None);
+        assert_eq!(q.lane(0).vars_allocated(), 1);
+    }
+
+    #[test]
+    fn inner_handles_built_after_promotion_conserve_values() {
+        const N: u64 = 200;
+        let q = mpsc_cas(1, 8);
+        let mut p = q.handle_pinned(0);
+        let mut c1 = q.handle_pinned(0);
+        let mut got = Vec::new();
+        for v in 0..4 {
+            p.enqueue(v).unwrap();
+        }
+        got.extend(c1.dequeue()); // c1 claims the ring's consumer side
+        assert_eq!(q.lane(0).vars_allocated(), 0, "ring only so far");
+        // A second consumer promotes the lane. From here on each handle
+        // builds its inner handle when it first falls through to MPMC:
+        // p once its ring residue drains, c1 once the ring is dead.
+        let mut c2 = q.handle_pinned(0);
+        for v in 4..N {
+            p.enqueue(v).unwrap();
+            // c1 drains faster than p fills, so p's residue runs out.
+            got.extend(c2.dequeue());
+            got.extend(c1.dequeue());
+            got.extend(c1.dequeue());
+        }
+        while let Some(v) = c1.dequeue().or_else(|| c2.dequeue()) {
+            got.push(v);
+        }
+        assert_eq!(q.lane_promoted(0), Some(true));
+        assert_eq!(q.lane(0).vars_allocated(), 3, "all three built one");
+        got.sort_unstable();
+        assert_eq!(got, (0..N).collect::<Vec<_>>(), "no loss, no duplicate");
+    }
+
+    #[test]
+    fn dropping_a_ring_only_handle_releases_its_claims() {
+        let q = mixed_cas(1, 8);
+        {
+            let mut a = q.handle_pinned(0);
+            a.enqueue(7).unwrap();
+            assert_eq!(a.dequeue(), Some(7));
+            assert_eq!(q.lane(0).vars_allocated(), 0, "no inner handle");
+        }
+        // Both endpoints came back: a fresh handle claims them without
+        // promoting the lane.
+        let mut b = q.handle_pinned(0);
+        b.enqueue(8).unwrap();
+        assert_eq!(b.dequeue(), Some(8));
+        assert_eq!(q.lane_promoted(0), Some(false));
+        assert_eq!(q.lane(0).vars_allocated(), 0);
     }
 
     #[test]
