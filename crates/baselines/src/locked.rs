@@ -1,6 +1,6 @@
 //! Reference queues outside the non-blocking design space.
 //!
-//! * [`MutexQueue`] — a bounded `VecDeque` behind a `parking_lot` mutex:
+//! * [`MutexQueue`] — a bounded `VecDeque` behind a `std` mutex:
 //!   the "critical section" design the paper's introduction argues
 //!   against. Included so benchmarks can show the blocking/non-blocking
 //!   contrast, especially under preemption (one descheduled lock holder
@@ -11,10 +11,10 @@
 //!   order to evaluate the overhead imposed by our implementations").
 
 use nbq_util::{ConcurrentQueue, Full, QueueHandle};
-use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Bounded FIFO behind a mutex.
 pub struct MutexQueue<T> {
@@ -43,6 +43,13 @@ impl<T: Send> MutexQueue<T> {
     pub fn handle(&self) -> MutexHandle<'_, T> {
         MutexHandle { queue: self }
     }
+
+    /// Takes the lock. A panic in an earlier holder leaves the deque
+    /// itself consistent (every critical section is one `VecDeque`
+    /// call), so poison is recovered rather than propagated.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Per-thread handle for [`MutexQueue`].
@@ -52,7 +59,7 @@ pub struct MutexHandle<'q, T> {
 
 impl<T: Send> QueueHandle<T> for MutexHandle<'_, T> {
     fn enqueue(&mut self, value: T) -> Result<(), Full<T>> {
-        let mut g = self.queue.inner.lock();
+        let mut g = self.queue.lock();
         if g.len() >= self.queue.capacity {
             return Err(Full(value));
         }
@@ -61,7 +68,7 @@ impl<T: Send> QueueHandle<T> for MutexHandle<'_, T> {
     }
 
     fn dequeue(&mut self) -> Option<T> {
-        self.queue.inner.lock().pop_front()
+        self.queue.lock().pop_front()
     }
 }
 

@@ -64,11 +64,9 @@ pub mod spsc;
 
 pub use cas_queue::{CasHandle, CasQueue, CasQueueConfig, GatePolicy};
 pub use llsc_queue::{LlScHandle, LlScQueue, LlScQueueConfig};
-pub use mpsc::{MpscConsumerCursor, MpscProducerCursor, MpscRing, MpscRingHandle};
+pub use mpsc::{MpscConsumer, MpscProducer, MpscRing, MpscRingHandle};
 pub use opstats::{OpStats, OpStatsSnapshot};
 pub use registry::ArityRegistry;
-pub use sharded::{
-    BatchPolicy, LaneObservation, LanePolicy, ShardedConfig, ShardedHandle, ShardedQueue,
-};
-pub use spmc::{SpmcProducerCursor, SpmcRing, SpmcRingHandle};
-pub use spsc::{SpscConsumerCursor, SpscProducerCursor, SpscRing, SpscRingHandle};
+pub use sharded::{BatchPolicy, LanePolicy, ShardedConfig, ShardedHandle, ShardedQueue};
+pub use spmc::{SpmcConsumer, SpmcProducer, SpmcRing, SpmcRingHandle};
+pub use spsc::{SpscConsumer, SpscProducer, SpscRing, SpscRingHandle};

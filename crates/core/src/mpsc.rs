@@ -27,12 +27,12 @@
 //! sequence) → our slot write. Both RMW sites are therefore `AcqRel`
 //! ([`mem::RING_GATE`], [`mem::RING_TICKET`]).
 //!
-//! Like the SPSC ring, the type exposes raw `unsafe` endpoint calls for
-//! the sharded frontend (which enforces single-consumer through
-//! [`ArityRegistry`]) plus a safe [`ConcurrentQueue`] facade that
-//! claims endpoints per handle and treats a second concurrent consumer
-//! as a contract violation (loud panic; the sharded frontend instead
-//! *promotes*).
+//! Like the SPSC ring, the type hands out owned endpoints —
+//! [`MpscProducer`] registrations and the single [`MpscConsumer`] claim,
+//! each released on drop — for the sharded frontend, plus a safe
+//! [`ConcurrentQueue`] facade that holds endpoints per handle and treats
+//! a second concurrent consumer as a contract violation (loud panic; the
+//! sharded frontend instead *promotes*).
 //!
 //! Emptiness is slot-local: the consumer polls `seq` of the head slot
 //! only. A stalled producer holding ticket `h` makes `pop` return `None`
@@ -65,7 +65,7 @@ struct Slot<T> {
 /// (per-producer FIFO across the switch needs only *our own* residue
 /// gone, and `head` monotonicity makes that exactly checkable).
 #[derive(Debug, Clone)]
-pub struct MpscProducerCursor {
+struct MpscProducerCursor {
     last_ticket: u64,
 }
 
@@ -91,16 +91,16 @@ impl MpscProducerCursor {
 /// deadness checks, and producer drain detection — never re-read on the
 /// hot path).
 #[derive(Debug, Clone)]
-pub struct MpscConsumerCursor {
+struct MpscConsumerCursor {
     head: u64,
 }
 
 /// Bounded MPSC ring: any number of producers, exactly one consumer.
 ///
-/// See the module docs for the layout and the gate/ticket protocol. The
-/// raw `push`/`pop` calls leave endpoint discipline to the caller — the
-/// ring itself never blocks, never allocates after construction, and
-/// never spins.
+/// See the module docs for the layout and the gate/ticket protocol.
+/// Pushes and pops go through the owned endpoints ([`MpscProducer`],
+/// [`MpscConsumer`]); the ring itself never blocks, never allocates
+/// after construction, and never spins.
 pub struct MpscRing<T> {
     /// Consumer's monotone cursor (next position to pop).
     head: CachePadded<AtomicU64>,
@@ -165,21 +165,58 @@ impl<T> MpscRing<T> {
         self.len() == 0
     }
 
-    /// The lane-arity registration word shared with the sharded
-    /// frontend: consumer = the claimable single side, producers = the
-    /// multi-side registrant count.
-    pub fn arity(&self) -> &ArityRegistry {
-        &self.arity
+    /// Sets the sticky promotion flag (see [`ArityRegistry::promote`]).
+    pub(crate) fn promote(&self) {
+        self.arity.promote();
+    }
+
+    /// Whether the ring's lane has been promoted.
+    pub(crate) fn promoted(&self) -> bool {
+        self.arity.promoted()
+    }
+
+    /// Whether no producer can ever push again: the lane promoted (so
+    /// producer registration is blocked) and every producer registration
+    /// released. Emptiness observed *after* this holds forever.
+    pub(crate) fn writers_gone(&self) -> bool {
+        self.arity.promoted() && self.arity.multi_count() == 0
+    }
+
+    /// Registers one producer on the multi side; `None` once the ring's
+    /// lane was promoted (see [`ArityRegistry::try_register_multi`]).
+    pub fn register_producer(&self) -> Option<MpscProducer<'_, T>> {
+        self.arity.try_register_multi().then(|| MpscProducer {
+            ring: self,
+            cur: self.producer_cursor(),
+        })
+    }
+
+    /// Claims the single consumer endpoint; `None` if it is held or the
+    /// ring's lane was promoted.
+    pub fn claim_consumer(&self) -> Option<MpscConsumer<'_, T>> {
+        self.arity.try_claim_consumer().then(|| MpscConsumer {
+            ring: self,
+            cur: self.consumer_cursor(),
+        })
+    }
+
+    /// Claims the consumer endpoint even on a promoted lane, to drain
+    /// residue; `None` only if it is held.
+    pub fn reclaim_consumer(&self) -> Option<MpscConsumer<'_, T>> {
+        self.arity.try_reclaim_consumer().then(|| MpscConsumer {
+            ring: self,
+            cur: self.consumer_cursor(),
+        })
     }
 
     /// A fresh producer-side cursor (no ticket taken yet).
-    pub fn producer_cursor(&self) -> MpscProducerCursor {
+    fn producer_cursor(&self) -> MpscProducerCursor {
         MpscProducerCursor::new()
     }
 
     /// A consumer cursor synced to the ring's current `head`. Callers
     /// must hold the consumer claim before *using* it.
-    pub fn consumer_cursor(&self) -> MpscConsumerCursor {
+    fn consumer_cursor(&self) -> MpscConsumerCursor {
         MpscConsumerCursor {
             head: self.head.load(mem::SPSC_CURSOR_LOAD),
         }
@@ -189,13 +226,13 @@ impl<T> MpscRing<T> {
     /// consumed — the self-observed drained instant that makes the
     /// post-promotion switch to the MPMC lane preserve per-producer
     /// FIFO. Monotone `head` makes this exact, never speculative.
-    pub fn producer_drained(&self, cur: &MpscProducerCursor) -> bool {
+    fn producer_drained(&self, cur: &MpscProducerCursor) -> bool {
         cur.last_ticket == NO_TICKET || self.head.load(mem::SPSC_CURSOR_LOAD) > cur.last_ticket
     }
 
     /// Producer push: one gate RMW, one ticket FAA, one slot write, one
     /// publication store — wait-free, any number of callers.
-    pub fn push(&self, cur: &mut MpscProducerCursor, value: T) -> Result<(), Full<T>> {
+    fn push(&self, cur: &mut MpscProducerCursor, value: T) -> Result<(), Full<T>> {
         let before = self.credits.fetch_sub(1, mem::RING_GATE);
         if before <= 0 {
             self.credits.fetch_add(1, mem::RING_GATE);
@@ -225,7 +262,7 @@ impl<T> MpscRing<T> {
     /// run covers only items actually in hand; an `ExactSizeIterator`
     /// whose `len()` over-reports yields a short batch (unused credits
     /// refunded), never a stalled ring.
-    pub fn push_batch<I>(&self, cur: &mut MpscProducerCursor, items: &mut I) -> usize
+    fn push_batch<I>(&self, cur: &mut MpscProducerCursor, items: &mut I) -> usize
     where
         I: ExactSizeIterator<Item = T>,
     {
@@ -289,7 +326,7 @@ impl<T> MpscRing<T> {
     /// The caller must be the ring's only concurrent consumer (hold the
     /// [`ArityRegistry`] consumer claim) and `cur` must be the cursor
     /// state for that claim.
-    pub unsafe fn pop(&self, cur: &mut MpscConsumerCursor) -> Option<T> {
+    unsafe fn pop(&self, cur: &mut MpscConsumerCursor) -> Option<T> {
         let head = cur.head;
         let slot = &self.slots[(head & self.mask) as usize];
         if slot.seq.load(mem::SLOT_LOAD) != head.wrapping_add(1) {
@@ -311,7 +348,7 @@ impl<T> MpscRing<T> {
     /// # Safety
     ///
     /// As for [`MpscRing::pop`].
-    pub unsafe fn pop_batch(
+    unsafe fn pop_batch(
         &self,
         cur: &mut MpscConsumerCursor,
         out: &mut Vec<T>,
@@ -354,58 +391,111 @@ impl<T> Drop for MpscRing<T> {
     }
 }
 
+/// A producer registration on an [`MpscRing`]'s multi side: releases
+/// the registration on drop. Any number may be live at once.
+pub struct MpscProducer<'q, T> {
+    ring: &'q MpscRing<T>,
+    cur: MpscProducerCursor,
+}
+
+impl<T> MpscProducer<'_, T> {
+    /// Pushes `value`, or returns it in `Full` when the ring is full.
+    pub fn push(&mut self, value: T) -> Result<(), Full<T>> {
+        self.ring.push(&mut self.cur, value)
+    }
+
+    /// Pushes up to `items.len()` values; returns how many were taken.
+    pub fn push_batch<I: ExactSizeIterator<Item = T>>(&mut self, items: &mut I) -> usize {
+        self.ring.push_batch(&mut self.cur, items)
+    }
+
+    /// Whether everything this producer pushed has been consumed (see
+    /// [`MpscRing`]'s module docs on the self-observed drained instant).
+    pub fn drained(&self) -> bool {
+        self.ring.producer_drained(&self.cur)
+    }
+}
+
+impl<T> Drop for MpscProducer<'_, T> {
+    fn drop(&mut self) {
+        self.ring.arity.release_multi();
+    }
+}
+
+/// The single consumer endpoint of an [`MpscRing`]: holds the consumer
+/// claim for its lifetime and releases it on drop.
+pub struct MpscConsumer<'q, T> {
+    ring: &'q MpscRing<T>,
+    cur: MpscConsumerCursor,
+}
+
+impl<T> MpscConsumer<'_, T> {
+    /// Pops the oldest published value, or `None`.
+    pub fn pop(&mut self) -> Option<T> {
+        // SAFETY: this endpoint holds the consumer claim.
+        unsafe { self.ring.pop(&mut self.cur) }
+    }
+
+    /// Pops up to `max` published values into `out`.
+    pub fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        // SAFETY: this endpoint holds the consumer claim.
+        unsafe { self.ring.pop_batch(&mut self.cur, out, max) }
+    }
+}
+
+impl<T> Drop for MpscConsumer<'_, T> {
+    fn drop(&mut self) {
+        self.ring.arity.release_consumer();
+    }
+}
+
 /// Per-thread handle for the safe facade: registers as a producer on
 /// first enqueue, claims the consumer side on first dequeue.
 pub struct MpscRingHandle<'q, T> {
     ring: &'q MpscRing<T>,
-    prod: Option<MpscProducerCursor>,
-    cons: Option<MpscConsumerCursor>,
+    prod: Option<MpscProducer<'q, T>>,
+    cons: Option<MpscConsumer<'q, T>>,
+}
+
+impl<'q, T> MpscRingHandle<'q, T> {
+    fn producer(&mut self) -> &mut MpscProducer<'q, T> {
+        let ring = self.ring;
+        self.prod.get_or_insert_with(|| {
+            ring.register_producer().expect(
+                "producer registration on a promoted MPSC ring; standalone rings never \
+                 promote, so this handle outlived a sharded lane protocol it was not part of",
+            )
+        })
+    }
+
+    fn consumer(&mut self) -> &mut MpscConsumer<'q, T> {
+        let ring = self.ring;
+        self.cons.get_or_insert_with(|| {
+            ring.claim_consumer().expect(
+                "second concurrent consumer on a wait-free-consumer MPSC ring; \
+                 use `ShardedQueue` with `LanePolicy::MpscFastPath` if consumer \
+                 arity is not statically single",
+            )
+        })
+    }
 }
 
 impl<T: Send> QueueHandle<T> for MpscRingHandle<'_, T> {
     fn enqueue(&mut self, value: T) -> Result<(), Full<T>> {
-        if self.prod.is_none() {
-            assert!(
-                self.ring.arity.try_register_multi(),
-                "producer registration on a promoted MPSC ring; standalone rings never \
-                 promote, so this handle outlived a sharded lane protocol it was not part of"
-            );
-            self.prod = Some(self.ring.producer_cursor());
-        }
-        self.ring.push(self.prod.as_mut().unwrap(), value)
+        self.producer().push(value)
     }
 
     fn dequeue(&mut self) -> Option<T> {
-        if self.cons.is_none() {
-            assert!(
-                self.ring.arity.try_claim_consumer(),
-                "second concurrent consumer on a wait-free-consumer MPSC ring; \
-                 use `ShardedQueue` with `LanePolicy::MpscFastPath` if consumer \
-                 arity is not statically single"
-            );
-            self.cons = Some(self.ring.consumer_cursor());
-        }
-        // SAFETY: the arity claim above makes this handle the only
-        // consumer for the cursor's lifetime.
-        unsafe { self.ring.pop(self.cons.as_mut().unwrap()) }
+        self.consumer().pop()
     }
 
     fn enqueue_batch(
         &mut self,
         items: impl ExactSizeIterator<Item = T>,
     ) -> Result<usize, nbq_util::BatchFull<T>> {
-        if self.prod.is_none() {
-            assert!(
-                self.ring.arity.try_register_multi(),
-                "producer registration on a promoted MPSC ring"
-            );
-            self.prod = Some(self.ring.producer_cursor());
-        }
         let mut items = items;
         let total = items.len();
-        let pushed = self
-            .ring
-            .push_batch(self.prod.as_mut().unwrap(), &mut items);
+        let pushed = self.producer().push_batch(&mut items);
         if pushed == total {
             Ok(pushed)
         } else {
@@ -417,26 +507,7 @@ impl<T: Send> QueueHandle<T> for MpscRingHandle<'_, T> {
     }
 
     fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        if self.cons.is_none() {
-            assert!(
-                self.ring.arity.try_claim_consumer(),
-                "second concurrent consumer on a wait-free-consumer MPSC ring"
-            );
-            self.cons = Some(self.ring.consumer_cursor());
-        }
-        // SAFETY: single consumer by the claim above.
-        unsafe { self.ring.pop_batch(self.cons.as_mut().unwrap(), out, max) }
-    }
-}
-
-impl<T> Drop for MpscRingHandle<'_, T> {
-    fn drop(&mut self) {
-        if self.prod.is_some() {
-            self.ring.arity.release_multi();
-        }
-        if self.cons.is_some() {
-            self.ring.arity.release_consumer();
-        }
+        self.consumer().pop_batch(out, max)
     }
 }
 
@@ -474,6 +545,12 @@ impl<T: Send> ConcurrentQueue<T> for MpscRing<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> MpscRing<T> {
+        fn arity(&self) -> &ArityRegistry {
+            &self.arity
+        }
+    }
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Barrier};
 

@@ -58,16 +58,16 @@ struct Slot<T> {
 /// the shadow says full — the same cache discipline as the SPSC ring's
 /// producer.
 #[derive(Debug, Clone)]
-pub struct SpmcProducerCursor {
+struct SpmcProducerCursor {
     tail: u64,
     head_cache: u64,
 }
 
 /// Bounded SPMC ring: exactly one producer, any number of consumers.
 ///
-/// See the module docs for the layout and the gate/ticket protocol. The
-/// raw `push` calls leave single-producer discipline to the caller —
-/// `pop` is safe for any number of threads by construction.
+/// See the module docs for the layout and the gate/ticket protocol.
+/// Pushes go through the claimed [`SpmcProducer`] endpoint; `pop` is
+/// safe for any number of threads by construction.
 pub struct SpmcRing<T> {
     /// Consumers' monotone ticket counter (next position to claim).
     head: CachePadded<AtomicU64>,
@@ -140,16 +140,42 @@ impl<T> SpmcRing<T> {
         self.head.load(mem::SPSC_CURSOR_LOAD) == self.tail.load(mem::SPSC_OWN_CURSOR)
     }
 
-    /// The lane-arity registration word shared with the sharded
-    /// frontend: producer = the claimable single side, consumers = the
-    /// (drain-safe) multi-side registrant count.
-    pub fn arity(&self) -> &ArityRegistry {
-        &self.arity
+    /// Sets the sticky promotion flag (see [`ArityRegistry::promote`]).
+    pub(crate) fn promote(&self) {
+        self.arity.promote();
+    }
+
+    /// Whether the ring's lane has been promoted.
+    pub(crate) fn promoted(&self) -> bool {
+        self.arity.promoted()
+    }
+
+    /// Whether the producer can never push again: the lane promoted (so
+    /// the producer claim is blocked) and the producer claim released.
+    /// Emptiness observed *after* this holds forever.
+    pub(crate) fn writers_gone(&self) -> bool {
+        self.arity.promoted() && !self.arity.producer_claimed()
+    }
+
+    /// Claims the single producer endpoint; `None` if it is held or the
+    /// ring's lane was promoted.
+    pub fn claim_producer(&self) -> Option<SpmcProducer<'_, T>> {
+        self.arity.try_claim_producer().then(|| SpmcProducer {
+            ring: self,
+            cur: self.producer_cursor(),
+        })
+    }
+
+    /// Registers one consumer on the drain side. Never fails and never
+    /// promotes: popping needs no claim, the registration is bookkeeping.
+    pub fn register_consumer(&self) -> SpmcConsumer<'_, T> {
+        self.arity.register_multi_drain();
+        SpmcConsumer { ring: self }
     }
 
     /// A producer cursor synced to the ring's current `tail`. Callers
     /// must hold the producer claim before *using* it.
-    pub fn producer_cursor(&self) -> SpmcProducerCursor {
+    fn producer_cursor(&self) -> SpmcProducerCursor {
         SpmcProducerCursor {
             tail: self.tail.load(mem::SPSC_CURSOR_LOAD),
             head_cache: self.head.load(mem::SPSC_CURSOR_LOAD),
@@ -163,7 +189,7 @@ impl<T> SpmcRing<T> {
     /// The caller must be the ring's only concurrent producer (hold the
     /// [`ArityRegistry`] producer claim) and `cur` must be the cursor
     /// state for that claim.
-    pub unsafe fn push(&self, cur: &mut SpmcProducerCursor, value: T) -> Result<(), Full<T>> {
+    unsafe fn push(&self, cur: &mut SpmcProducerCursor, value: T) -> Result<(), Full<T>> {
         let tail = cur.tail;
         if tail.wrapping_sub(cur.head_cache) >= self.cap as u64 {
             cur.head_cache = self.head.load(mem::SPSC_CURSOR_LOAD);
@@ -196,7 +222,7 @@ impl<T> SpmcRing<T> {
     /// # Safety
     ///
     /// As for [`SpmcRing::push`].
-    pub unsafe fn push_batch<I>(&self, cur: &mut SpmcProducerCursor, items: &mut I) -> usize
+    unsafe fn push_batch<I>(&self, cur: &mut SpmcProducerCursor, items: &mut I) -> usize
     where
         I: Iterator<Item = T>,
     {
@@ -288,56 +314,106 @@ impl<T> Drop for SpmcRing<T> {
     }
 }
 
+/// The single producer endpoint of an [`SpmcRing`]: holds the producer
+/// claim for its lifetime and releases it on drop.
+pub struct SpmcProducer<'q, T> {
+    ring: &'q SpmcRing<T>,
+    cur: SpmcProducerCursor,
+}
+
+impl<T> SpmcProducer<'_, T> {
+    /// Pushes `value`, or returns it in `Full` when no slot is free.
+    pub fn push(&mut self, value: T) -> Result<(), Full<T>> {
+        // SAFETY: this endpoint holds the producer claim.
+        unsafe { self.ring.push(&mut self.cur, value) }
+    }
+
+    /// Pushes as many of `items` as fit; returns how many were taken.
+    pub fn push_batch<I: Iterator<Item = T>>(&mut self, items: &mut I) -> usize {
+        // SAFETY: this endpoint holds the producer claim.
+        unsafe { self.ring.push_batch(&mut self.cur, items) }
+    }
+
+    /// Whether everything this producer pushed has been claimed: as the
+    /// sole producer it sees the ring's emptiness exactly (see
+    /// [`SpmcRing::producer_sees_empty`]).
+    pub fn drained(&self) -> bool {
+        self.ring.producer_sees_empty()
+    }
+}
+
+impl<T> Drop for SpmcProducer<'_, T> {
+    fn drop(&mut self) {
+        self.ring.arity.release_producer();
+    }
+}
+
+/// A consumer registration on an [`SpmcRing`]'s drain side: releases
+/// the registration on drop. Any number may be live at once.
+pub struct SpmcConsumer<'q, T> {
+    ring: &'q SpmcRing<T>,
+}
+
+impl<T> SpmcConsumer<'_, T> {
+    /// Pops one value (see [`SpmcRing::pop`]).
+    pub fn pop(&mut self) -> Option<T> {
+        self.ring.pop()
+    }
+
+    /// Pops up to `max` values into `out` (see [`SpmcRing::pop_batch`]).
+    pub fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        self.ring.pop_batch(out, max)
+    }
+}
+
+impl<T> Drop for SpmcConsumer<'_, T> {
+    fn drop(&mut self) {
+        self.ring.arity.release_multi();
+    }
+}
+
 /// Per-thread handle for the safe facade: claims the producer side on
 /// first enqueue, registers as a (drain-safe) consumer on first dequeue.
 pub struct SpmcRingHandle<'q, T> {
     ring: &'q SpmcRing<T>,
-    prod: Option<SpmcProducerCursor>,
-    cons_registered: bool,
+    prod: Option<SpmcProducer<'q, T>>,
+    cons: Option<SpmcConsumer<'q, T>>,
+}
+
+impl<'q, T> SpmcRingHandle<'q, T> {
+    fn producer(&mut self) -> &mut SpmcProducer<'q, T> {
+        let ring = self.ring;
+        self.prod.get_or_insert_with(|| {
+            ring.claim_producer().expect(
+                "second concurrent producer on a wait-free-producer SPMC ring; \
+                 use `ShardedQueue` with `LanePolicy::SpmcFastPath` if producer \
+                 arity is not statically single",
+            )
+        })
+    }
+
+    fn consumer(&mut self) -> &mut SpmcConsumer<'q, T> {
+        let ring = self.ring;
+        self.cons.get_or_insert_with(|| ring.register_consumer())
+    }
 }
 
 impl<T: Send> QueueHandle<T> for SpmcRingHandle<'_, T> {
     fn enqueue(&mut self, value: T) -> Result<(), Full<T>> {
-        if self.prod.is_none() {
-            assert!(
-                self.ring.arity.try_claim_producer(),
-                "second concurrent producer on a wait-free-producer SPMC ring; \
-                 use `ShardedQueue` with `LanePolicy::SpmcFastPath` if producer \
-                 arity is not statically single"
-            );
-            self.prod = Some(self.ring.producer_cursor());
-        }
-        // SAFETY: the arity claim above makes this handle the only
-        // producer for the cursor's lifetime.
-        unsafe { self.ring.push(self.prod.as_mut().unwrap(), value) }
+        self.producer().push(value)
     }
 
     fn dequeue(&mut self) -> Option<T> {
-        if !self.cons_registered {
-            self.ring.arity.register_multi_drain();
-            self.cons_registered = true;
-        }
-        self.ring.pop()
+        self.consumer().pop()
     }
 
     fn enqueue_batch(
         &mut self,
         items: impl ExactSizeIterator<Item = T>,
     ) -> Result<usize, nbq_util::BatchFull<T>> {
-        if self.prod.is_none() {
-            assert!(
-                self.ring.arity.try_claim_producer(),
-                "second concurrent producer on a wait-free-producer SPMC ring"
-            );
-            self.prod = Some(self.ring.producer_cursor());
-        }
         let mut items = items;
         let total = items.len();
-        // SAFETY: single producer by the claim above.
-        let pushed = unsafe {
-            self.ring
-                .push_batch(self.prod.as_mut().unwrap(), &mut items)
-        };
+        let pushed = self.producer().push_batch(&mut items);
         if pushed == total {
             Ok(pushed)
         } else {
@@ -349,22 +425,7 @@ impl<T: Send> QueueHandle<T> for SpmcRingHandle<'_, T> {
     }
 
     fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        if !self.cons_registered {
-            self.ring.arity.register_multi_drain();
-            self.cons_registered = true;
-        }
-        self.ring.pop_batch(out, max)
-    }
-}
-
-impl<T> Drop for SpmcRingHandle<'_, T> {
-    fn drop(&mut self) {
-        if self.prod.is_some() {
-            self.ring.arity.release_producer();
-        }
-        if self.cons_registered {
-            self.ring.arity.release_multi();
-        }
+        self.consumer().pop_batch(out, max)
     }
 }
 
@@ -378,7 +439,7 @@ impl<T: Send> ConcurrentQueue<T> for SpmcRing<T> {
         SpmcRingHandle {
             ring: self,
             prod: None,
-            cons_registered: false,
+            cons: None,
         }
     }
 
@@ -402,6 +463,12 @@ impl<T: Send> ConcurrentQueue<T> for SpmcRing<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> SpmcRing<T> {
+        fn arity(&self) -> &ArityRegistry {
+            &self.arity
+        }
+    }
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::{Arc, Barrier};
 

@@ -14,7 +14,7 @@
 //!   (producer-owned) live in [`CachePadded`] cells so the two endpoints
 //!   never false-share.
 //! * **Local shadow indices.** Each endpoint caches the *opposite* cursor
-//!   ([`SpscProducerCursor`]/[`SpscConsumerCursor`]) and only reloads it
+//!   (inside [`SpscProducer`]/[`SpscConsumer`]) and only reloads it
 //!   when the shadow says full/empty. In steady state an operation
 //!   touches one foreign cache line roughly once per `capacity` ops, not
 //!   once per op.
@@ -44,8 +44,10 @@
 //!
 //! The ring's [`QueueKind`] is [`QueueKind::spsc_wait_free`]: one
 //! concurrent pusher, one concurrent popper. Endpoint exclusivity is
-//! enforced at runtime by an [`ArityRegistry`] claim per side. The
-//! standalone [`ConcurrentQueue`] impl **panics** when a second thread
+//! enforced at runtime by an [`ArityRegistry`] claim per side, held as an
+//! owned endpoint value ([`SpscProducer`], [`SpscConsumer`]) that
+//! releases its claim on drop; the endpoints are the only way to push or
+//! pop. The standalone [`ConcurrentQueue`] impl **panics** when a second thread
 //! races for an endpoint (misuse, caught loudly rather than corrupting
 //! the ring); inside [`crate::ShardedQueue`] the same claim failure
 //! instead *promotes* the lane to its MPMC fallback — see
@@ -66,7 +68,7 @@ use nbq_util::{mem, BatchFull, CachePadded, ConcurrentQueue, Full, QueueHandle, 
 /// monotone), so staleness is conservative: the worst it causes is a
 /// spurious reload, never an overwrite of an unconsumed slot.
 #[derive(Debug, Clone)]
-pub struct SpscProducerCursor {
+struct SpscProducerCursor {
     head_cache: u64,
 }
 
@@ -74,7 +76,7 @@ pub struct SpscProducerCursor {
 /// producer's `tail` cursor. Staleness is conservative (a spurious
 /// reload or `None`), never unsafe — see [`SpscProducerCursor`].
 #[derive(Debug, Clone)]
-pub struct SpscConsumerCursor {
+struct SpscConsumerCursor {
     tail_cache: u64,
 }
 
@@ -157,20 +159,60 @@ impl<T: Send> SpscRing<T> {
         pos >> (self.mask.count_ones())
     }
 
-    /// The endpoint claim/promotion registry for this ring.
-    pub fn arity(&self) -> &ArityRegistry {
-        &self.arity
+    /// Sets the sticky promotion flag (see [`ArityRegistry::promote`]).
+    pub(crate) fn promote(&self) {
+        self.arity.promote();
+    }
+
+    /// Whether the ring's lane has been promoted.
+    pub(crate) fn promoted(&self) -> bool {
+        self.arity.promoted()
+    }
+
+    /// Whether no producer can ever push again: the lane promoted (so
+    /// producer claims are blocked) and the producer claim released.
+    /// Emptiness observed *after* this holds forever.
+    pub(crate) fn writers_gone(&self) -> bool {
+        self.arity.promoted() && !self.arity.producer_claimed()
+    }
+
+    /// Claims the producer endpoint; `None` if it is held or the ring's
+    /// lane was promoted (see [`ArityRegistry::try_claim_producer`]).
+    pub fn claim_producer(&self) -> Option<SpscProducer<'_, T>> {
+        self.arity.try_claim_producer().then(|| SpscProducer {
+            ring: self,
+            cur: self.producer_cursor(),
+        })
+    }
+
+    /// Claims the consumer endpoint; `None` if it is held or the ring's
+    /// lane was promoted.
+    pub fn claim_consumer(&self) -> Option<SpscConsumer<'_, T>> {
+        self.arity.try_claim_consumer().then(|| SpscConsumer {
+            ring: self,
+            cur: self.consumer_cursor(),
+        })
+    }
+
+    /// Claims the consumer endpoint even on a promoted lane, to drain
+    /// residue; `None` only if it is held (see
+    /// [`ArityRegistry::try_reclaim_consumer`]).
+    pub fn reclaim_consumer(&self) -> Option<SpscConsumer<'_, T>> {
+        self.arity.try_reclaim_consumer().then(|| SpscConsumer {
+            ring: self,
+            cur: self.consumer_cursor(),
+        })
     }
 
     /// A fresh producer-side cursor, shadowing the current `head`.
-    pub fn producer_cursor(&self) -> SpscProducerCursor {
+    fn producer_cursor(&self) -> SpscProducerCursor {
         SpscProducerCursor {
             head_cache: self.head.load(mem::SPSC_CURSOR_LOAD),
         }
     }
 
     /// A fresh consumer-side cursor, shadowing the current `tail`.
-    pub fn consumer_cursor(&self) -> SpscConsumerCursor {
+    fn consumer_cursor(&self) -> SpscConsumerCursor {
         SpscConsumerCursor {
             tail_cache: self.tail.load(mem::SPSC_CURSOR_LOAD),
         }
@@ -183,7 +225,7 @@ impl<T: Send> SpscRing<T> {
     ///
     /// The caller must be the ring's only concurrent pusher (hold the
     /// [`ArityRegistry`] producer claim, or otherwise serialize pushes).
-    pub unsafe fn push(&self, cur: &mut SpscProducerCursor, value: T) -> Result<(), Full<T>> {
+    unsafe fn push(&self, cur: &mut SpscProducerCursor, value: T) -> Result<(), Full<T>> {
         let tail = self.tail.load(mem::SPSC_OWN_CURSOR);
         if tail.wrapping_sub(cur.head_cache) >= self.cap as u64 {
             cur.head_cache = self.head.load(mem::SPSC_CURSOR_LOAD);
@@ -207,7 +249,7 @@ impl<T: Send> SpscRing<T> {
     /// # Safety
     ///
     /// As [`SpscRing::push`].
-    pub unsafe fn push_batch<I>(&self, cur: &mut SpscProducerCursor, items: &mut I) -> usize
+    unsafe fn push_batch<I>(&self, cur: &mut SpscProducerCursor, items: &mut I) -> usize
     where
         I: ExactSizeIterator<Item = T>,
     {
@@ -238,7 +280,7 @@ impl<T: Send> SpscRing<T> {
     ///
     /// The caller must be the ring's only concurrent popper (hold the
     /// [`ArityRegistry`] consumer claim, or otherwise serialize pops).
-    pub unsafe fn pop(&self, cur: &mut SpscConsumerCursor) -> Option<T> {
+    unsafe fn pop(&self, cur: &mut SpscConsumerCursor) -> Option<T> {
         let head = self.head.load(mem::SPSC_OWN_CURSOR);
         if head == cur.tail_cache {
             cur.tail_cache = self.tail.load(mem::SPSC_CURSOR_LOAD);
@@ -261,7 +303,7 @@ impl<T: Send> SpscRing<T> {
     /// # Safety
     ///
     /// As [`SpscRing::pop`].
-    pub unsafe fn pop_batch(
+    unsafe fn pop_batch(
         &self,
         cur: &mut SpscConsumerCursor,
         out: &mut Vec<T>,
@@ -314,6 +356,69 @@ impl<T: Send> fmt::Debug for SpscRing<T> {
     }
 }
 
+/// The producer endpoint of an [`SpscRing`]: holds the ring's producer
+/// claim for its lifetime and releases it on drop. Holding one is what
+/// makes pushing safe, so it is the only way to push.
+pub struct SpscProducer<'q, T: Send> {
+    ring: &'q SpscRing<T>,
+    cur: SpscProducerCursor,
+}
+
+impl<T: Send> SpscProducer<'_, T> {
+    /// Pushes `value`, or returns it in `Full` when the ring is full.
+    pub fn push(&mut self, value: T) -> Result<(), Full<T>> {
+        // SAFETY: this endpoint holds the producer claim.
+        unsafe { self.ring.push(&mut self.cur, value) }
+    }
+
+    /// Pushes up to `items.len()` values, publishing `tail` once;
+    /// returns how many were taken from the iterator.
+    pub fn push_batch<I: ExactSizeIterator<Item = T>>(&mut self, items: &mut I) -> usize {
+        // SAFETY: this endpoint holds the producer claim.
+        unsafe { self.ring.push_batch(&mut self.cur, items) }
+    }
+
+    /// Whether everything this producer pushed has been consumed: as
+    /// the sole producer it sees the ring's emptiness exactly (see
+    /// [`SpscRing::producer_sees_empty`]).
+    pub fn drained(&self) -> bool {
+        self.ring.producer_sees_empty()
+    }
+}
+
+impl<T: Send> Drop for SpscProducer<'_, T> {
+    fn drop(&mut self) {
+        self.ring.arity.release_producer();
+    }
+}
+
+/// The consumer endpoint of an [`SpscRing`]: holds the ring's consumer
+/// claim for its lifetime and releases it on drop.
+pub struct SpscConsumer<'q, T: Send> {
+    ring: &'q SpscRing<T>,
+    cur: SpscConsumerCursor,
+}
+
+impl<T: Send> SpscConsumer<'_, T> {
+    /// Pops the oldest value, or `None` when empty.
+    pub fn pop(&mut self) -> Option<T> {
+        // SAFETY: this endpoint holds the consumer claim.
+        unsafe { self.ring.pop(&mut self.cur) }
+    }
+
+    /// Pops up to `max` values into `out`, publishing `head` once.
+    pub fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        // SAFETY: this endpoint holds the consumer claim.
+        unsafe { self.ring.pop_batch(&mut self.cur, out, max) }
+    }
+}
+
+impl<T: Send> Drop for SpscConsumer<'_, T> {
+    fn drop(&mut self) {
+        self.ring.arity.release_consumer();
+    }
+}
+
 /// Standalone per-thread handle to an [`SpscRing`].
 ///
 /// Endpoint roles are claimed lazily: the first `enqueue` claims the
@@ -323,63 +428,53 @@ impl<T: Send> fmt::Debug for SpscRing<T> {
 /// existing holder* panics — loud misuse detection; use
 /// [`crate::ShardedQueue`] with [`crate::LanePolicy::SpscFastPath`] when
 /// a dynamic fallback to MPMC is wanted instead. Dropping the handle
-/// releases its claims, so strictly sequential handle turnover works.
+/// drops its endpoints, releasing their claims, so strictly sequential
+/// handle turnover works.
 pub struct SpscRingHandle<'q, T: Send> {
     ring: &'q SpscRing<T>,
-    prod: Option<SpscProducerCursor>,
-    cons: Option<SpscConsumerCursor>,
+    prod: Option<SpscProducer<'q, T>>,
+    cons: Option<SpscConsumer<'q, T>>,
 }
 
-impl<T: Send> SpscRingHandle<'_, T> {
-    fn claim_producer(&mut self) {
-        if self.prod.is_none() {
-            assert!(
-                self.ring.arity.try_claim_producer(),
+impl<'q, T: Send> SpscRingHandle<'q, T> {
+    fn producer(&mut self) -> &mut SpscProducer<'q, T> {
+        let ring = self.ring;
+        self.prod.get_or_insert_with(|| {
+            ring.claim_producer().expect(
                 "second concurrent producer on a wait-free SPSC ring; the ring admits exactly \
                  one pusher — use ShardedQueue's SPSC fast-path lanes for dynamic promotion \
-                 to MPMC instead"
-            );
-            self.prod = Some(self.ring.producer_cursor());
-        }
+                 to MPMC instead",
+            )
+        })
     }
 
-    fn claim_consumer(&mut self) {
-        if self.cons.is_none() {
-            assert!(
-                self.ring.arity.try_claim_consumer(),
+    fn consumer(&mut self) -> &mut SpscConsumer<'q, T> {
+        let ring = self.ring;
+        self.cons.get_or_insert_with(|| {
+            ring.claim_consumer().expect(
                 "second concurrent consumer on a wait-free SPSC ring; the ring admits exactly \
                  one popper — use ShardedQueue's SPSC fast-path lanes for dynamic promotion \
-                 to MPMC instead"
-            );
-            self.cons = Some(self.ring.consumer_cursor());
-        }
+                 to MPMC instead",
+            )
+        })
     }
 }
 
 impl<T: Send> QueueHandle<T> for SpscRingHandle<'_, T> {
     fn enqueue(&mut self, value: T) -> Result<(), Full<T>> {
-        self.claim_producer();
-        // SAFETY: this handle holds the producer claim.
-        unsafe { self.ring.push(self.prod.as_mut().expect("claimed"), value) }
+        self.producer().push(value)
     }
 
     fn dequeue(&mut self) -> Option<T> {
-        self.claim_consumer();
-        // SAFETY: this handle holds the consumer claim.
-        unsafe { self.ring.pop(self.cons.as_mut().expect("claimed")) }
+        self.consumer().pop()
     }
 
     fn enqueue_batch(
         &mut self,
         items: impl ExactSizeIterator<Item = T>,
     ) -> Result<usize, BatchFull<T>> {
-        self.claim_producer();
         let mut items = items;
-        // SAFETY: this handle holds the producer claim.
-        let pushed = unsafe {
-            self.ring
-                .push_batch(self.prod.as_mut().expect("claimed"), &mut items)
-        };
+        let pushed = self.producer().push_batch(&mut items);
         if items.len() == 0 {
             Ok(pushed)
         } else {
@@ -391,23 +486,7 @@ impl<T: Send> QueueHandle<T> for SpscRingHandle<'_, T> {
     }
 
     fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        self.claim_consumer();
-        // SAFETY: this handle holds the consumer claim.
-        unsafe {
-            self.ring
-                .pop_batch(self.cons.as_mut().expect("claimed"), out, max)
-        }
-    }
-}
-
-impl<T: Send> Drop for SpscRingHandle<'_, T> {
-    fn drop(&mut self) {
-        if self.prod.is_some() {
-            self.ring.arity.release_producer();
-        }
-        if self.cons.is_some() {
-            self.ring.arity.release_consumer();
-        }
+        self.consumer().pop_batch(out, max)
     }
 }
 
@@ -445,6 +524,12 @@ impl<T: Send> ConcurrentQueue<T> for SpscRing<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Send> SpscRing<T> {
+        fn arity(&self) -> &ArityRegistry {
+            &self.arity
+        }
+    }
 
     #[test]
     fn kind_is_spsc_wait_free() {

@@ -136,19 +136,6 @@ pub enum Algo {
         /// Number of independent lanes.
         lanes: usize,
     },
-    /// Adaptive lane planner on the pinned fan-in workload: lanes start
-    /// on the optimistic SPSC ring and an untimed warm-up + replan step
-    /// selects the MPSC ring from observed registrations.
-    ShardedAdaptiveFanIn {
-        /// Number of independent lanes.
-        lanes: usize,
-    },
-    /// Adaptive lane planner on the pinned fan-out workload (selects the
-    /// SPMC ring).
-    ShardedAdaptiveFanOut {
-        /// Number of independent lanes.
-        lanes: usize,
-    },
 }
 
 impl Algo {
@@ -249,37 +236,18 @@ impl Algo {
                 8 => "Sharded pinned MPMC fan-out x8",
                 _ => "Sharded pinned MPMC fan-out",
             },
-            Algo::ShardedAdaptiveFanIn { lanes } => match lanes {
-                1 => "Sharded adaptive fan-in x1",
-                2 => "Sharded adaptive fan-in x2",
-                4 => "Sharded adaptive fan-in x4",
-                8 => "Sharded adaptive fan-in x8",
-                _ => "Sharded adaptive fan-in",
-            },
-            Algo::ShardedAdaptiveFanOut { lanes } => match lanes {
-                1 => "Sharded adaptive fan-out x1",
-                2 => "Sharded adaptive fan-out x2",
-                4 => "Sharded adaptive fan-out x4",
-                8 => "Sharded adaptive fan-out x8",
-                _ => "Sharded adaptive fan-out",
-            },
         }
     }
 
     /// Capability envelope of the queue as the harness drives it — the
     /// kind column in report tables. Sharded fast-path entries report the
-    /// per-lane kind their workload keeps the lanes on (the adaptive
-    /// entries: the kind the planner selects after its warm-up); plain
-    /// MPMC machinery reports [`QueueKind::mpmc`].
+    /// per-lane kind their workload keeps the lanes on; plain MPMC
+    /// machinery reports [`QueueKind::mpmc`].
     pub fn kind(self) -> QueueKind {
         match self {
             Algo::SpscRingPipe | Algo::ShardedMixed { .. } => QueueKind::spsc_wait_free(),
-            Algo::MpscRingFan | Algo::ShardedMpsc { .. } | Algo::ShardedAdaptiveFanIn { .. } => {
-                QueueKind::mpsc_wait_free()
-            }
-            Algo::SpmcRingFan | Algo::ShardedSpmc { .. } | Algo::ShardedAdaptiveFanOut { .. } => {
-                QueueKind::spmc_wait_free()
-            }
+            Algo::MpscRingFan | Algo::ShardedMpsc { .. } => QueueKind::mpsc_wait_free(),
+            Algo::SpmcRingFan | Algo::ShardedSpmc { .. } => QueueKind::spmc_wait_free(),
             _ => QueueKind::mpmc(),
         }
     }
@@ -323,14 +291,6 @@ impl Algo {
         if let Some(lanes) = s.strip_prefix("sharded-fan-out-ctl-") {
             let lanes = lanes.parse().ok().filter(|&l| l > 0)?;
             return Some(Algo::ShardedFanOutCtl { lanes });
-        }
-        if let Some(lanes) = s.strip_prefix("sharded-adaptive-in-") {
-            let lanes = lanes.parse().ok().filter(|&l| l > 0)?;
-            return Some(Algo::ShardedAdaptiveFanIn { lanes });
-        }
-        if let Some(lanes) = s.strip_prefix("sharded-adaptive-out-") {
-            let lanes = lanes.parse().ok().filter(|&l| l > 0)?;
-            return Some(Algo::ShardedAdaptiveFanOut { lanes });
         }
         Some(match s {
             "cas" | "cas-queue" => Algo::CasQueue,
@@ -510,7 +470,6 @@ impl Algo {
                         )
                     },
                     config,
-                    false,
                 )
             }
             Algo::ShardedSpmc { lanes } => {
@@ -523,7 +482,6 @@ impl Algo {
                         )
                     },
                     config,
-                    false,
                 )
             }
             Algo::ShardedFanInCtl { lanes } => {
@@ -535,7 +493,6 @@ impl Algo {
                         })
                     },
                     config,
-                    false,
                 )
             }
             Algo::ShardedFanOutCtl { lanes } => {
@@ -547,33 +504,6 @@ impl Algo {
                         })
                     },
                     config,
-                    false,
-                )
-            }
-            Algo::ShardedAdaptiveFanIn { lanes } => {
-                let per_lane = cap.div_ceil(lanes);
-                run_workload_fan_in_pinned(
-                    || {
-                        ShardedQueue::with_config(
-                            ShardedConfig::with_lanes(lanes).adaptive(),
-                            |_| CasQueue::<u64>::with_capacity(per_lane),
-                        )
-                    },
-                    config,
-                    true,
-                )
-            }
-            Algo::ShardedAdaptiveFanOut { lanes } => {
-                let per_lane = cap.div_ceil(lanes);
-                run_workload_fan_out_pinned(
-                    || {
-                        ShardedQueue::with_config(
-                            ShardedConfig::with_lanes(lanes).adaptive(),
-                            |_| CasQueue::<u64>::with_capacity(per_lane),
-                        )
-                    },
-                    config,
-                    true,
                 )
             }
         }
@@ -873,14 +803,6 @@ mod tests {
             ("sharded-spmc-4", Algo::ShardedSpmc { lanes: 4 }),
             ("sharded-fan-in-ctl-2", Algo::ShardedFanInCtl { lanes: 2 }),
             ("sharded-fan-out-ctl-2", Algo::ShardedFanOutCtl { lanes: 2 }),
-            (
-                "sharded-adaptive-in-2",
-                Algo::ShardedAdaptiveFanIn { lanes: 2 },
-            ),
-            (
-                "sharded-adaptive-out-2",
-                Algo::ShardedAdaptiveFanOut { lanes: 2 },
-            ),
         ] {
             assert_eq!(Algo::parse(s), Some(a));
         }
@@ -891,7 +813,6 @@ mod tests {
         assert_eq!(Algo::parse("sharded-mixed-0"), None, "zero lanes rejected");
         assert_eq!(Algo::parse("sharded-pinned-x"), None);
         assert_eq!(Algo::parse("sharded-mpsc-0"), None, "zero lanes rejected");
-        assert_eq!(Algo::parse("sharded-adaptive-in-x"), None);
     }
 
     #[test]
@@ -953,8 +874,6 @@ mod tests {
             Algo::ShardedSpmc { lanes: 2 },
             Algo::ShardedFanInCtl { lanes: 2 },
             Algo::ShardedFanOutCtl { lanes: 2 },
-            Algo::ShardedAdaptiveFanIn { lanes: 1 },
-            Algo::ShardedAdaptiveFanOut { lanes: 1 },
         ] {
             let s = algo.run(&cfg);
             assert!(s.mean > 0.0, "{} returned zero time", algo.name());
@@ -966,7 +885,7 @@ mod tests {
         assert_eq!(Algo::MpscRingFan.kind(), QueueKind::mpsc_wait_free());
         assert_eq!(Algo::SpmcRingFan.kind(), QueueKind::spmc_wait_free());
         assert_eq!(
-            Algo::ShardedAdaptiveFanIn { lanes: 2 }.kind(),
+            Algo::ShardedMpsc { lanes: 2 }.kind(),
             QueueKind::mpsc_wait_free()
         );
         assert_eq!(

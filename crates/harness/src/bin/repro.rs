@@ -38,8 +38,7 @@
 //!                                    isolated 1p/1c acceptance table
 //!   arity                            extension: wait-free MPSC fan-in and
 //!                                    SPMC fan-out lanes vs pinned-MPMC
-//!                                    controls (--threads >= 4 only), plus
-//!                                    the planner-conformance table
+//!                                    controls (--threads >= 4 only)
 //!   net                              extension: the epoll message broker
 //!                                    under loopback traffic — delivered
 //!                                    throughput and e2e/ACK-RTT quantiles
@@ -329,8 +328,7 @@ fn run_spsc(args: &Args) {
 
 /// The `arity` experiment: the fan-in/fan-out throughput sweep (thread
 /// counts >= 4 only; every 2-lane entry needs one single-side endpoint
-/// per lane plus at least one multi-side endpoint per lane) and the
-/// planner-conformance fraction table behind it.
+/// per lane plus at least one multi-side endpoint per lane).
 fn run_arity(args: &Args) {
     let threads: Vec<usize> = args.threads.iter().copied().filter(|&t| t >= 4).collect();
     if threads.len() < args.threads.len() {
@@ -345,12 +343,10 @@ fn run_arity(args: &Args) {
         return;
     }
     emit(&experiments::arity(&threads, &args.config), &args.csv);
-    emit(&experiments::arity_ops(&threads, &args.config), &args.csv);
     println!(
         "fan rows pin one single-arity endpoint per lane (the claimed \
-         side) while the opposite side fans over the lane's FAA ticket; \
-         the adaptive rows let the planner pick each lane's ring from \
-         observed registrations after an untimed warm-up (DESIGN.md §13)"
+         side) while the opposite side fans over the lane's FAA ticket \
+         (DESIGN.md §13)"
     );
 }
 

@@ -1306,12 +1306,8 @@ fn fan_producers(algo: Algo, threads: usize) -> usize {
     match algo {
         Algo::MpscRingFan | Algo::FanInCas => threads - 1,
         Algo::SpmcRingFan | Algo::FanOutCas => 1,
-        Algo::ShardedMpsc { lanes }
-        | Algo::ShardedFanInCtl { lanes }
-        | Algo::ShardedAdaptiveFanIn { lanes } => threads - lanes,
-        Algo::ShardedSpmc { lanes }
-        | Algo::ShardedFanOutCtl { lanes }
-        | Algo::ShardedAdaptiveFanOut { lanes } => lanes,
+        Algo::ShardedMpsc { lanes } | Algo::ShardedFanInCtl { lanes } => threads - lanes,
+        Algo::ShardedSpmc { lanes } | Algo::ShardedFanOutCtl { lanes } => lanes,
         _ => unreachable!("not a fan algorithm"),
     }
 }
@@ -1323,8 +1319,7 @@ fn fan_producers(algo: Algo, threads: usize) -> usize {
 /// rows bound what the half-relaxed protocols can do; the pinned-MPMC
 /// control rows pay the full CAS protocol for the identical load shape,
 /// so each fast path's gain reads directly off its margin over the
-/// control. The adaptive rows start every lane on the optimistic SPSC
-/// ring and let the planner pick the ring from observed registrations.
+/// control.
 ///
 /// Every row label carries the capability-kind column (`[mpsc+wf]`,
 /// `[mpmc]`, ...) from [`Algo::kind`]. Reported in Mops/s (higher is
@@ -1348,12 +1343,10 @@ pub fn arity(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
         Algo::FanInCas,
         Algo::ShardedMpsc { lanes: 2 },
         Algo::ShardedFanInCtl { lanes: 2 },
-        Algo::ShardedAdaptiveFanIn { lanes: 2 },
         Algo::SpmcRingFan,
         Algo::FanOutCas,
         Algo::ShardedSpmc { lanes: 2 },
         Algo::ShardedFanOutCtl { lanes: 2 },
-        Algo::ShardedAdaptiveFanOut { lanes: 2 },
     ] {
         let cells: Vec<Cell> = thread_counts
             .iter()
@@ -1368,96 +1361,6 @@ pub fn arity(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
             })
             .collect();
         table.push_row(&format!("{} [{}]", algo.name(), algo.kind()), cells);
-    }
-    table
-}
-
-/// `ext-arity-ops`: the planner-conformance table behind [`arity`] —
-/// the fraction of lanes still serving a wait-free fast path once the
-/// fan run finishes and every claim is released. The static rows pin
-/// their declared kind (a fraction below 1 would mean a lane demoted —
-/// a second single-side registrant slipped in); the adaptive rows show
-/// the planner landing on *some* observed-arity fast path (SPSC when a
-/// lane saw one feeder, MPSC/SPMC when it saw several); the MPMC
-/// control row has no rings and reads 0 by construction.
-pub fn arity_ops(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
-    use crate::workload::{run_once_fan_in_pinned, run_once_fan_out_pinned};
-    use nbq_core::{CasQueue, ShardedConfig, ShardedQueue};
-
-    assert!(
-        thread_counts.iter().all(|&t| t >= 4),
-        "2-lane fan entries need >= 4 threads"
-    );
-    let lanes = 2;
-    let mut table = Table::new(
-        "ext-arity-ops",
-        "Lane planner conformance: wait-free lane fraction after fan runs",
-        "threads",
-        "fraction",
-        thread_counts.iter().map(|&t| t as u64).collect(),
-    );
-    let wait_free_fraction = |q: &ShardedQueue<u64, CasQueue<u64>>| {
-        let wf = (0..q.lanes()).filter(|&l| q.lane_kind(l).wait_free).count();
-        Cell {
-            mean: wf as f64 / q.lanes() as f64,
-            stddev: 0.0,
-        }
-    };
-    type LaneCfg = fn(usize) -> ShardedConfig;
-    let rows: [(&str, LaneCfg, bool, bool); 5] = [
-        (
-            "MPSC fast-path lanes [fan-in]",
-            |l| ShardedConfig::with_lanes(l).mpsc_fast_path(),
-            true,
-            false,
-        ),
-        (
-            "SPMC fast-path lanes [fan-out]",
-            |l| ShardedConfig::with_lanes(l).spmc_fast_path(),
-            false,
-            false,
-        ),
-        (
-            "adaptive planner [fan-in]",
-            |l| ShardedConfig::with_lanes(l).adaptive(),
-            true,
-            true,
-        ),
-        (
-            "adaptive planner [fan-out]",
-            |l| ShardedConfig::with_lanes(l).adaptive(),
-            false,
-            true,
-        ),
-        (
-            "pinned MPMC control [fan-in]",
-            ShardedConfig::with_lanes,
-            true,
-            false,
-        ),
-    ];
-    for (label, lane_cfg, fan_in, plan) in rows {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig {
-                    threads,
-                    runs: 1,
-                    ..*base
-                };
-                let per_lane = cfg.capacity.div_ceil(lanes);
-                let q = ShardedQueue::with_config(lane_cfg(lanes), |_| {
-                    CasQueue::<u64>::with_capacity(per_lane)
-                });
-                if fan_in {
-                    run_once_fan_in_pinned(&q, &cfg, plan);
-                } else {
-                    run_once_fan_out_pinned(&q, &cfg, plan);
-                }
-                wait_free_fraction(&q)
-            })
-            .collect();
-        table.push_row(label, cells);
     }
     table
 }
@@ -1905,7 +1808,7 @@ mod tests {
         };
         let t = arity(&[4], &cfg);
         assert_eq!(t.id, "ext-arity");
-        assert_eq!(t.rows.len(), 10);
+        assert_eq!(t.rows.len(), 8);
         assert!(t
             .cell("Wait-free MPSC ring (fan-in) [mpsc+wf]", 4)
             .is_some());
@@ -1913,7 +1816,7 @@ mod tests {
             .cell("Wait-free SPMC ring (fan-out) [spmc+wf]", 4)
             .is_some());
         assert!(t.cell("Sharded pinned MPMC fan-in x2 [mpmc]", 4).is_some());
-        assert!(t.cell("Sharded adaptive fan-out x2 [spmc+wf]", 4).is_some());
+        assert!(t.cell("Sharded SPMC fan-out x2 [spmc+wf]", 4).is_some());
         for (label, cells) in &t.rows {
             assert!(
                 label.contains('[') && label.ends_with(']'),
@@ -1947,33 +1850,5 @@ mod tests {
             let p999 = lat.cell(&format!("{name} e2e p999 (us)"), 8).unwrap();
             assert!(p50.mean <= p999.mean, "{name} quantiles out of order");
         }
-    }
-
-    #[test]
-    fn arity_ops_fractions_separate_rings_from_the_control() {
-        let cfg = WorkloadConfig {
-            threads: 4,
-            ..tiny()
-        };
-        let t = arity_ops(&[4], &cfg);
-        assert_eq!(t.id, "ext-arity-ops");
-        assert_eq!(t.rows.len(), 5);
-        for label in [
-            "MPSC fast-path lanes [fan-in]",
-            "SPMC fast-path lanes [fan-out]",
-            "adaptive planner [fan-in]",
-            "adaptive planner [fan-out]",
-        ] {
-            assert_eq!(
-                t.cell(label, 4).unwrap().mean,
-                1.0,
-                "{label}: every lane must end the run on a wait-free ring"
-            );
-        }
-        assert_eq!(
-            t.cell("pinned MPMC control [fan-in]", 4).unwrap().mean,
-            0.0,
-            "the control has no rings to be wait-free on"
-        );
     }
 }

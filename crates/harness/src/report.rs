@@ -145,6 +145,10 @@ impl Table {
         let cols: Vec<String> = self.columns.iter().map(|c| c.to_string()).collect();
         let _ = writeln!(s, "  \"columns\": [{}],", cols.join(", "));
         let _ = writeln!(s, "  \"unit\": {},", json_str(&self.unit));
+        // The host the rows were measured on: timings only compare
+        // across runs with the same CPU count.
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let _ = writeln!(s, "  \"host_cpus\": {cpus},");
         s.push_str("  \"rows\": [\n");
         for (i, (label, cells)) in self.rows.iter().enumerate() {
             let _ = writeln!(s, "    [");

@@ -492,49 +492,14 @@ pub fn run_once_fan<Q: ConcurrentQueue<u64>>(
     thread_secs.iter().sum::<f64>() / config.threads as f64
 }
 
-/// Single-threaded, untimed warm-up for the adaptive planner: replicate
-/// one lane's role pattern with throwaway pinned handles so the lane's
-/// observation word records its true arity, drain the probe values, and
-/// release every claim by dropping the handles. A [`ShardedQueue::replan`]
-/// call afterwards can then flip the lane onto the matching fast path
-/// before the timed phase starts.
-fn warm_lane_roles<Q: ConcurrentQueue<u64>>(
-    queue: &ShardedQueue<u64, Q>,
-    lane: usize,
-    producers: usize,
-    consumers: usize,
-) {
-    let mut prods: Vec<_> = (0..producers).map(|_| queue.handle_pinned(lane)).collect();
-    for (i, h) in prods.iter_mut().enumerate() {
-        while h.enqueue(i as u64).is_err() {
-            std::thread::yield_now();
-        }
-    }
-    let mut cons: Vec<_> = (0..consumers).map(|_| queue.handle_pinned(lane)).collect();
-    let mut drained = 0;
-    while drained < producers {
-        for h in cons.iter_mut() {
-            if h.dequeue().is_some() {
-                drained += 1;
-            }
-        }
-    }
-}
-
 /// Fan-in over a [`ShardedQueue`] with *pinned* handles: every lane gets
 /// exactly one consumer (consumer `c` pins lane `c`) and the remaining
 /// `threads - lanes` producers spread round-robin (producer `p` pins lane
 /// `p % lanes`) — the arrangement an MPSC fast-path lane serves wait-free
 /// on its consumer side.
-///
-/// With `plan = true` (for [`nbq_core::LanePolicy::Adaptive`] queues) an
-/// untimed warm-up first replays each lane's role pattern and calls
-/// [`ShardedQueue::replan`], so the planner selects the MPSC ring from
-/// observed registrations before the clock starts.
 pub fn run_once_fan_in_pinned<Q: ConcurrentQueue<u64>>(
     queue: &ShardedQueue<u64, Q>,
     config: &WorkloadConfig,
-    plan: bool,
 ) -> f64 {
     let lanes = queue.lanes();
     assert!(
@@ -553,13 +518,6 @@ pub fn run_once_fan_in_pinned<Q: ConcurrentQueue<u64>>(
             AtomicU64::new(feeders * per_producer)
         })
         .collect();
-    if plan {
-        for l in 0..lanes {
-            let feeders = (0..producers).filter(|p| p % lanes == l).count();
-            warm_lane_roles(queue, l, feeders, 1);
-        }
-        queue.replan();
-    }
     let barrier = Barrier::new(config.threads);
     let mut thread_secs = vec![0.0f64; config.threads];
     std::thread::scope(|s| {
@@ -611,7 +569,6 @@ pub fn run_once_fan_in_pinned<Q: ConcurrentQueue<u64>>(
 pub fn run_once_fan_out_pinned<Q: ConcurrentQueue<u64>>(
     queue: &ShardedQueue<u64, Q>,
     config: &WorkloadConfig,
-    plan: bool,
 ) -> f64 {
     let lanes = queue.lanes();
     assert!(
@@ -620,17 +577,9 @@ pub fn run_once_fan_out_pinned<Q: ConcurrentQueue<u64>>(
          per lane ({} threads < 2 x {lanes} lanes)",
         config.threads
     );
-    let consumers = config.threads - lanes;
     let per_producer = (config.iterations * config.burst) as u64;
     // One producer per lane; the lane's consumers share its countdown.
     let counts: Vec<AtomicU64> = (0..lanes).map(|_| AtomicU64::new(per_producer)).collect();
-    if plan {
-        for l in 0..lanes {
-            let drainers = (0..consumers).filter(|c| c % lanes == l).count();
-            warm_lane_roles(queue, l, 1, drainers);
-        }
-        queue.replan();
-    }
     let barrier = Barrier::new(config.threads);
     let mut thread_secs = vec![0.0f64; config.threads];
     std::thread::scope(|s| {
@@ -734,7 +683,7 @@ where
 
 /// [`run_workload`] over the pinned fan-in body; the factory builds a
 /// fresh [`ShardedQueue`] per run.
-pub fn run_workload_fan_in_pinned<Q, F>(factory: F, config: &WorkloadConfig, plan: bool) -> Summary
+pub fn run_workload_fan_in_pinned<Q, F>(factory: F, config: &WorkloadConfig) -> Summary
 where
     Q: ConcurrentQueue<u64>,
     F: Fn() -> ShardedQueue<u64, Q>,
@@ -742,7 +691,7 @@ where
     let samples: Vec<f64> = (0..config.runs)
         .map(|_| {
             let queue = factory();
-            run_once_fan_in_pinned(&queue, config, plan)
+            run_once_fan_in_pinned(&queue, config)
         })
         .collect();
     Summary::of(&samples)
@@ -750,7 +699,7 @@ where
 
 /// [`run_workload`] over the pinned fan-out body; the factory builds a
 /// fresh [`ShardedQueue`] per run.
-pub fn run_workload_fan_out_pinned<Q, F>(factory: F, config: &WorkloadConfig, plan: bool) -> Summary
+pub fn run_workload_fan_out_pinned<Q, F>(factory: F, config: &WorkloadConfig) -> Summary
 where
     Q: ConcurrentQueue<u64>,
     F: Fn() -> ShardedQueue<u64, Q>,
@@ -758,7 +707,7 @@ where
     let samples: Vec<f64> = (0..config.runs)
         .map(|_| {
             let queue = factory();
-            run_once_fan_out_pinned(&queue, config, plan)
+            run_once_fan_out_pinned(&queue, config)
         })
         .collect();
     Summary::of(&samples)
@@ -1508,7 +1457,7 @@ mod tests {
             nbq_core::ShardedConfig::with_lanes(2).mpsc_fast_path(),
             |_| CasQueue::<u64>::with_capacity(cfg.capacity),
         );
-        assert!(run_once_fan_in_pinned(&q, &cfg, false) > 0.0);
+        assert!(run_once_fan_in_pinned(&q, &cfg) > 0.0);
         assert_eq!(q.len(), Some(0), "consumers must drain their lanes");
         for lane in 0..q.lanes() {
             assert_eq!(
@@ -1533,7 +1482,7 @@ mod tests {
             nbq_core::ShardedConfig::with_lanes(2).spmc_fast_path(),
             |_| CasQueue::<u64>::with_capacity(cfg.capacity),
         );
-        assert!(run_once_fan_out_pinned(&q, &cfg, false) > 0.0);
+        assert!(run_once_fan_out_pinned(&q, &cfg) > 0.0);
         assert_eq!(q.len(), Some(0), "consumers must drain their lanes");
         for lane in 0..q.lanes() {
             assert_eq!(
@@ -1542,49 +1491,6 @@ mod tests {
                 "one producer per lane must stay on the wait-free SPMC ring"
             );
             assert_eq!(q.lane_kind(lane), nbq_util::QueueKind::spmc_wait_free());
-        }
-    }
-
-    #[test]
-    fn planned_fan_runs_flip_adaptive_lanes_to_the_matching_ring() {
-        // 6 threads / 2 lanes: every lane observes 2 producers (fan-in)
-        // or 2 consumers (fan-out) — with only one, the planner would
-        // correctly keep the optimistic SPSC ring.
-        let cfg = WorkloadConfig {
-            threads: 6,
-            iterations: 50,
-            runs: 1,
-            capacity: 256,
-            burst: 5,
-        };
-        // Adaptive lanes start on the optimistic SPSC ring; the warm-up +
-        // replan step must move them onto the observed-arity fast path
-        // before the timed phase.
-        let q = nbq_core::ShardedQueue::with_config(
-            nbq_core::ShardedConfig::with_lanes(2).adaptive(),
-            |_| CasQueue::<u64>::with_capacity(cfg.capacity),
-        );
-        assert!(run_once_fan_in_pinned(&q, &cfg, true) > 0.0);
-        assert_eq!(q.len(), Some(0));
-        for lane in 0..q.lanes() {
-            assert_eq!(
-                q.lane_kind(lane),
-                nbq_util::QueueKind::mpsc_wait_free(),
-                "planner must select the MPSC ring from fan-in observations"
-            );
-        }
-        let q = nbq_core::ShardedQueue::with_config(
-            nbq_core::ShardedConfig::with_lanes(2).adaptive(),
-            |_| CasQueue::<u64>::with_capacity(cfg.capacity),
-        );
-        assert!(run_once_fan_out_pinned(&q, &cfg, true) > 0.0);
-        assert_eq!(q.len(), Some(0));
-        for lane in 0..q.lanes() {
-            assert_eq!(
-                q.lane_kind(lane),
-                nbq_util::QueueKind::spmc_wait_free(),
-                "planner must select the SPMC ring from fan-out observations"
-            );
         }
     }
 

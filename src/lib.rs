@@ -139,8 +139,8 @@ pub use nbq_async as aio;
 pub use nbq_async::AsyncQueue;
 pub use nbq_baselines as baselines;
 pub use nbq_core::{
-    ArityRegistry, BatchPolicy, CasQueue, LaneObservation, LanePolicy, LlScQueue, MpscRing,
-    ShardedConfig, ShardedQueue, SpmcRing, SpscRing,
+    ArityRegistry, BatchPolicy, CasQueue, LanePolicy, LlScQueue, MpscRing, ShardedConfig,
+    ShardedQueue, SpmcRing, SpscRing,
 };
 pub use nbq_harness as harness;
 pub use nbq_hazard as hazard;

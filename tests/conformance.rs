@@ -7,8 +7,8 @@ use nbq::baselines::{
     ShannQueue, TreiberQueue, TsigasZhangQueue, ValoisQueue, WcqQueue,
 };
 use nbq::{
-    CasQueue, ConcurrentQueue, LanePolicy, LlScQueue, MpscRing, QueueHandle, QueueKind,
-    ShardedConfig, ShardedQueue, SpmcRing, SpscRing,
+    CasQueue, ConcurrentQueue, LanePolicy, LlScQueue, MpscRing, QueueHandle, ShardedConfig,
+    ShardedQueue, SpmcRing, SpscRing,
 };
 
 /// FIFO order, empty semantics, interleaving, value ownership.
@@ -354,15 +354,6 @@ fn sharded_spmc_lane_conformance() {
 }
 
 #[test]
-fn sharded_adaptive_lane_conformance() {
-    conformance_suite(|cap| sharded_kind::<String>(1, LanePolicy::Adaptive, cap));
-    batch_suite(|cap| sharded_kind::<String>(1, LanePolicy::Adaptive, cap));
-    bounded_suite(|cap| sharded_kind::<String>(1, LanePolicy::Adaptive, cap));
-    bounded_batch_suite(|cap| sharded_kind::<String>(1, LanePolicy::Adaptive, cap));
-    drop_suite(|cap| sharded_kind::<DropCounter>(1, LanePolicy::Adaptive, cap));
-}
-
-#[test]
 fn mpsc_ring_conformance() {
     // The raw half-relaxed ring: any number of producers, one consumer.
     // The single-threaded suites exercise its 1p/1c corner.
@@ -516,86 +507,6 @@ fn second_producer_on_an_spmc_lane_demotes_not_corrupts() {
     assert_eq!(got, vec![1, 2, 3, 4], "no value lost or duplicated");
     assert_eq!(ConcurrentQueue::len(&q), Some(0));
     assert_eq!(q.lane_promoted(0), Some(true), "demotion is sticky");
-}
-
-/// Acceptance: the planner selects each fast-path kind purely from
-/// observed registrations, and a later demotion loses or duplicates
-/// nothing.
-#[test]
-fn planner_selects_each_kind_and_demotes_without_losing_values() {
-    let warm = |q: &ShardedQueue<u64, CasQueue<u64>>, producers: usize, consumers: usize| {
-        let mut prods: Vec<_> = (0..producers).map(|_| q.handle_pinned(0)).collect();
-        for (i, h) in prods.iter_mut().enumerate() {
-            h.enqueue(i as u64).unwrap();
-        }
-        let mut cons: Vec<_> = (0..consumers).map(|_| q.handle_pinned(0)).collect();
-        let mut drained = 0;
-        while drained < producers {
-            for h in cons.iter_mut() {
-                if h.dequeue().is_some() {
-                    drained += 1;
-                }
-            }
-        }
-    };
-    // Each observed registration pattern maps to its fast-path kind once
-    // every claim is released and the planner re-plans.
-    for (producers, consumers, want) in [
-        (1, 1, QueueKind::spsc_wait_free()),
-        (3, 1, QueueKind::mpsc_wait_free()),
-        (1, 3, QueueKind::spmc_wait_free()),
-    ] {
-        let q = sharded_kind::<u64>(1, LanePolicy::Adaptive, 64);
-        assert_eq!(
-            q.lane_kind(0),
-            QueueKind::spsc_wait_free(),
-            "adaptive lanes start on the optimistic SPSC ring"
-        );
-        warm(&q, producers, consumers);
-        q.replan();
-        assert_eq!(
-            q.lane_kind(0),
-            want,
-            "{producers}p/{consumers}c must plan to {want}"
-        );
-    }
-    // Demotion path: plan a lane to MPSC, stream values through it from
-    // two fan-in producers, then trip a second consumer mid-stream.
-    let q = sharded_kind::<u64>(1, LanePolicy::Adaptive, 64);
-    warm(&q, 3, 1);
-    q.replan();
-    assert_eq!(q.lane_kind(0), QueueKind::mpsc_wait_free());
-    let mut p1 = q.handle_pinned(0);
-    let mut p2 = q.handle_pinned(0);
-    for i in 0..10 {
-        p1.enqueue(i).unwrap();
-        p2.enqueue(100 + i).unwrap();
-    }
-    let mut c1 = q.handle_pinned(0);
-    let mut got = Vec::new();
-    for _ in 0..5 {
-        got.push(c1.dequeue().unwrap());
-    }
-    let mut c2 = q.handle_pinned(0); // second single-side registrant
-    got.extend(c2.dequeue());
-    assert_eq!(q.lane_promoted(0), Some(true), "mid-stream demotion");
-    assert_eq!(
-        q.lane_kind(0),
-        QueueKind::mpmc(),
-        "a demoted lane reports the MPMC envelope"
-    );
-    while let Some(v) = c1.dequeue() {
-        got.push(v);
-    }
-    drop(c1);
-    while let Some(v) = c2.dequeue() {
-        got.push(v);
-    }
-    got.sort_unstable();
-    let mut expected: Vec<u64> = (0..10).chain(100..110).collect();
-    expected.sort_unstable();
-    assert_eq!(got, expected, "demotion lost or duplicated values");
-    assert_eq!(ConcurrentQueue::len(&q), Some(0));
 }
 
 #[test]

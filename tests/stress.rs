@@ -988,3 +988,131 @@ fn spmc_ring_recorded_history_keeps_consumer_streams_ascending() {
     let h = nbq::lincheck::record_fan_run(&q, 1, 3, 6_000);
     nbq::lincheck::check_spmc_fan_out(&h).unwrap_or_else(|v| panic!("spmc ring fan-out: {v}"));
 }
+
+// ---------------------------------------------------------------------
+// Mid-stream promotion under a spinning ring-role consumer, one test per
+// static fast-path policy: the ring-role consumer drains the first part
+// of the stream and spins on the empty ring, then a second registrant of
+// the lane's single side arrives and promotes the lane. An empty,
+// unpromoted ring is the consumer's proof that the lane is empty, so if
+// any MPMC value could land before the promotion is visible it would be
+// stranded; the watchdog turns that into a failure instead of a hang.
+
+type LaneHandle<'q> = <ShardedQueue<u64, CasQueue<u64>> as ConcurrentQueue<u64>>::Handle<'q>;
+
+/// Which side the late, promoting registrant joins.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum LateSide {
+    Producer,
+    Consumer,
+}
+
+fn promotion_mid_stream(config: ShardedConfig, late: LateSide) {
+    use std::sync::atomic::AtomicU64;
+    use std::time::{Duration, Instant};
+    const PER_PRODUCER: u64 = 4_000;
+    const WATCHDOG: Duration = Duration::from_secs(30);
+    let start = Instant::now();
+    let watchdog = |what: &str, taken: &AtomicU64| {
+        assert!(
+            start.elapsed() < WATCHDOG,
+            "{what} stuck: {} values arrived, the rest are stranded",
+            taken.load(Ordering::Relaxed)
+        );
+        std::thread::yield_now();
+    };
+    let producers: u64 = if late == LateSide::Producer { 2 } else { 1 };
+    let total = producers * PER_PRODUCER;
+    let q = ShardedQueue::with_config(config, |_| CasQueue::<u64>::with_capacity(64));
+    let taken = AtomicU64::new(0);
+    let collected = std::sync::Mutex::new(Vec::with_capacity(total as usize));
+    let consume = |h: &mut LaneHandle<'_>| {
+        let mut got = Vec::new();
+        while taken.load(Ordering::Acquire) < total {
+            match h.dequeue() {
+                Some(v) => {
+                    got.push(v);
+                    taken.fetch_add(1, Ordering::AcqRel);
+                }
+                None => watchdog("consumer", &taken),
+            }
+        }
+        collected.lock().unwrap().extend(got);
+    };
+    let produce = |h: &mut LaneHandle<'_>, id: u64, seqs: std::ops::Range<u64>| {
+        for seq in seqs {
+            while h.enqueue((id << 40) | seq).is_err() {
+                watchdog("producer", &taken);
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        // The ring-role consumer: its first dequeue claims (or, on the
+        // fan-out ring, registers on) the ring's consumer side.
+        let mut ring_consumer = q.handle_pinned(0);
+        assert_eq!(ring_consumer.dequeue(), None);
+        s.spawn(move || consume(&mut ring_consumer));
+        // The first producer takes the ring's producer side and its
+        // first half drains completely: the consumer now spins on an
+        // empty ring.
+        let mut first = q.handle_pinned(0);
+        produce(&mut first, 0, 0..PER_PRODUCER / 2);
+        while taken.load(Ordering::Acquire) < PER_PRODUCER / 2 {
+            watchdog("first half", &taken);
+        }
+        assert_eq!(q.lane_promoted(0), Some(false));
+        match late {
+            LateSide::Producer => {
+                let mut second = q.handle_pinned(0);
+                produce(&mut second, 1, 0..1);
+                s.spawn(move || produce(&mut second, 1, 1..PER_PRODUCER));
+            }
+            LateSide::Consumer => {
+                let mut second = q.handle_pinned(0);
+                if let Some(v) = second.dequeue() {
+                    collected.lock().unwrap().push(v);
+                    taken.fetch_add(1, Ordering::AcqRel);
+                }
+                s.spawn(move || consume(&mut second));
+            }
+        }
+        produce(&mut first, 0, PER_PRODUCER / 2..PER_PRODUCER);
+    });
+    let mut expected: Vec<u64> = (0..producers)
+        .flat_map(|id| (0..PER_PRODUCER).map(move |seq| (id << 40) | seq))
+        .collect();
+    expected.sort_unstable();
+    let mut collected = collected.into_inner().unwrap();
+    collected.sort_unstable();
+    assert_eq!(collected, expected, "values lost or duplicated");
+    assert_eq!(q.len(), Some(0));
+    assert_eq!(
+        q.lane_promoted(0),
+        Some(true),
+        "a second registrant on the single side must promote"
+    );
+}
+
+#[test]
+fn promotion_mid_stream_spsc_lane_conserves_values() {
+    promotion_mid_stream(
+        ShardedConfig::with_lanes(1).spsc_fast_path(),
+        LateSide::Producer,
+    );
+}
+
+#[test]
+fn promotion_mid_stream_mpsc_lane_conserves_values() {
+    promotion_mid_stream(
+        ShardedConfig::with_lanes(1).mpsc_fast_path(),
+        LateSide::Consumer,
+    );
+}
+
+#[test]
+fn promotion_mid_stream_spmc_lane_conserves_values() {
+    promotion_mid_stream(
+        ShardedConfig::with_lanes(1).spmc_fast_path(),
+        LateSide::Producer,
+    );
+}
