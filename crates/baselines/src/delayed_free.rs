@@ -76,10 +76,12 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    static FREED: AtomicUsize = AtomicUsize::new(0);
+    /// One free counter per test, so the tests can run in parallel: test
+    /// `N` frees through `count_free::<N>` and reads `FREED[N]`.
+    static FREED: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
 
-    unsafe fn count_free(p: *mut u8) {
-        FREED.fetch_add(1, Ordering::SeqCst);
+    unsafe fn count_free<const N: usize>(p: *mut u8) {
+        FREED[N].fetch_add(1, Ordering::SeqCst);
         // SAFETY: p came from Box::into_raw(Box<u64>) in the tests.
         drop(unsafe { Box::from_raw(p.cast::<u64>()) });
     }
@@ -90,25 +92,25 @@ mod tests {
 
     #[test]
     fn frees_are_delayed_by_the_configured_amount() {
-        FREED.store(0, Ordering::SeqCst);
+        let freed = &FREED[0];
         let g = DelayedFree::new(4);
         for i in 0..4 {
-            unsafe { g.defer(leak_u64(i), count_free) };
+            unsafe { g.defer(leak_u64(i), count_free::<0>) };
         }
-        assert_eq!(FREED.load(Ordering::SeqCst), 0, "all parked");
+        assert_eq!(freed.load(Ordering::SeqCst), 0, "all parked");
         assert_eq!(g.parked(), 4);
-        unsafe { g.defer(leak_u64(99), count_free) };
-        assert_eq!(FREED.load(Ordering::SeqCst), 1, "oldest released");
+        unsafe { g.defer(leak_u64(99), count_free::<0>) };
+        assert_eq!(freed.load(Ordering::SeqCst), 1, "oldest released");
         drop(g);
-        assert_eq!(FREED.load(Ordering::SeqCst), 5, "drop releases the rest");
+        assert_eq!(freed.load(Ordering::SeqCst), 5, "drop releases the rest");
     }
 
     #[test]
     fn zero_delay_frees_immediately() {
-        FREED.store(0, Ordering::SeqCst);
+        let freed = &FREED[1];
         let g = DelayedFree::new(0);
-        unsafe { g.defer(leak_u64(1), count_free) };
-        assert_eq!(FREED.load(Ordering::SeqCst), 1);
+        unsafe { g.defer(leak_u64(1), count_free::<1>) };
+        assert_eq!(freed.load(Ordering::SeqCst), 1);
         assert_eq!(g.parked(), 0);
     }
 }

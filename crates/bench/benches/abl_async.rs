@@ -5,18 +5,17 @@
 //!
 //! The three rows isolate the cost of *parking strategy* — spin
 //! (raw), mutex+condvar (blocking), lock-free waiter slot + executor
-//! reschedule (async) — over one identical queue. Two capacities are
+//! reschedule (async) — over one identical queue. The blocking and async
+//! rows go through the harness runner, which builds a fresh queue per run
+//! and times the workload threads or tasks themselves. Two capacities are
 //! swept: ample (the fast path never parks, measuring pure frontend
 //! overhead) and tight (senders park on Full constantly, measuring the
 //! waiter registry under load).
 
 use criterion::{BenchmarkId, Criterion};
-use nbq_async::AsyncQueue;
-use nbq_bench::criterion;
+use nbq_bench::{criterion, runner_time};
 use nbq_core::CasQueue;
-use nbq_harness::{run_once, run_once_async, run_once_blocking, WorkloadConfig};
-use nbq_util::BlockingQueue;
-use std::sync::Arc;
+use nbq_harness::{run_once, Frontend, Shape, Workload, WorkloadConfig};
 
 /// Concurrent paper threads (= tokio tasks for the async rows).
 const THREADS: usize = 4;
@@ -44,21 +43,21 @@ fn bench(c: &mut Criterion) {
             let q = CasQueue::<u64>::with_capacity(cfg.capacity);
             b.iter(|| run_once(&q, &cfg))
         });
-        group.bench_function(BenchmarkId::new("blocking frontend", label), |b| {
-            let q = BlockingQueue::new(CasQueue::<u64>::with_capacity(cfg.capacity));
-            b.iter(|| run_once_blocking(&q, &cfg))
-        });
-        group.bench_function(BenchmarkId::new("async frontend", label), |b| {
-            let rt = tokio::runtime::Builder::new_multi_thread()
-                .worker_threads(THREADS)
-                .enable_all()
-                .build()
-                .expect("building the tokio runtime");
-            let q = Arc::new(AsyncQueue::new(CasQueue::<u64>::with_capacity(
-                cfg.capacity,
-            )));
-            b.iter(|| run_once_async(&q, &rt, &cfg))
-        });
+        for (name, frontend) in [
+            ("blocking frontend", Frontend::Blocking),
+            (
+                "async frontend",
+                Frontend::Async {
+                    injection_only: false,
+                },
+            ),
+        ] {
+            let workload = Workload::raw(Shape::Mixed).via(frontend);
+            let queue = || CasQueue::<u64>::with_capacity(capacity);
+            group.bench_function(BenchmarkId::new(name, label), |b| {
+                b.iter_custom(|iters| runner_time(iters, &cfg, |cfg| workload.run(queue, cfg)))
+            });
+        }
     }
     group.finish();
 }

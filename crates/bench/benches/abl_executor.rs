@@ -19,11 +19,9 @@
 //! for the real comparison.
 
 use criterion::{BenchmarkId, Criterion};
-use nbq_async::AsyncQueue;
-use nbq_bench::criterion;
+use nbq_bench::{criterion, runner_time};
 use nbq_core::CasQueue;
-use nbq_harness::{run_once_async, run_once_async_split_latency, WorkloadConfig};
-use std::sync::Arc;
+use nbq_harness::{Frontend, Shape, Workload, WorkloadConfig};
 
 /// Worker threads for both runtimes (= concurrent paper tasks).
 const WORKERS: usize = 4;
@@ -56,33 +54,30 @@ fn config(capacity: usize) -> WorkloadConfig {
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("abl_executor");
     for &(label, injection_only) in MODES {
+        let asynchronous = Frontend::Async { injection_only };
         let balanced = config(1024);
         group.throughput(criterion::Throughput::Elements(balanced.total_ops()));
         group.bench_function(BenchmarkId::new("balanced burst", label), |b| {
-            let rt = runtime(injection_only);
-            let q = Arc::new(AsyncQueue::new(CasQueue::<u64>::with_capacity(
-                balanced.capacity,
-            )));
-            b.iter(|| run_once_async(&q, &rt, &balanced))
+            let workload = Workload::raw(Shape::Mixed).via(asynchronous);
+            let queue = || CasQueue::<u64>::with_capacity(balanced.capacity);
+            b.iter_custom(|iters| runner_time(iters, &balanced, |cfg| workload.run(queue, cfg)))
         });
 
         // Tight capacity = producer headroom only, so consumers gate
-        // progress and every value parks someone. close() is terminal,
-        // so the pipe needs a fresh queue per measured run.
-        let pipe = config(0);
-        let pipe = WorkloadConfig {
-            capacity: pipe.pipe_producers() * pipe.burst,
-            ..pipe
-        };
-        group.throughput(criterion::Throughput::Elements(pipe.pipe_total_ops()));
+        // progress and every value parks someone. Timed like the
+        // `ext-async-latency` pipe rows; each of the WORKERS / 2
+        // producers sends iterations x burst values, each sent and
+        // received once.
+        let producers = WORKERS / 2;
+        let pipe = config(producers * 5);
+        let values = (producers * pipe.iterations * pipe.burst) as u64;
+        group.throughput(criterion::Throughput::Elements(2 * values));
         group.bench_function(BenchmarkId::new("split pipe", label), |b| {
-            let rt = runtime(injection_only);
-            b.iter(|| {
-                let q = Arc::new(AsyncQueue::new(CasQueue::<u64>::with_capacity(
-                    pipe.capacity,
-                )));
-                run_once_async_split_latency(&q, &rt, &pipe)
-            })
+            let workload = Workload::raw(Shape::pipe(WORKERS))
+                .via(asynchronous)
+                .timed();
+            let queue = || CasQueue::<u64>::with_capacity(pipe.capacity);
+            b.iter_custom(|iters| runner_time(iters, &pipe, |cfg| workload.run(queue, cfg)))
         });
 
         group.throughput(criterion::Throughput::Elements(FANOUT as u64));

@@ -4,8 +4,8 @@
 //! prints them directly.)
 
 use criterion::{BenchmarkId, Criterion};
-use nbq_bench::{bench_config, criterion, BENCH_THREADS};
-use nbq_harness::{run_once, Algo, AMD_SET, POWERPC_SET};
+use nbq_bench::{bench_config, criterion, runner_time, BENCH_THREADS};
+use nbq_harness::{Algo, Shape, Workload, AMD_SET, POWERPC_SET};
 
 fn bench_set(c: &mut Criterion, group_name: &str, set: &[Algo]) {
     let mut group = c.benchmark_group(group_name);
@@ -17,45 +17,10 @@ fn bench_set(c: &mut Criterion, group_name: &str, set: &[Algo]) {
                 BenchmarkId::new(algo.name(), threads),
                 &threads,
                 |b, &threads| {
+                    // Fresh queue per run, as in the paper.
+                    let paper = Workload::raw(Shape::Mixed);
                     let cfg = bench_config(threads);
-                    b.iter_custom(|iters| {
-                        let mut total = std::time::Duration::ZERO;
-                        for _ in 0..iters {
-                            // Fresh queue per run, as in the paper.
-                            let secs = match algo {
-                                Algo::CasQueue => run_once(
-                                    &nbq_core::CasQueue::<u64>::with_capacity(cfg.capacity),
-                                    &cfg,
-                                ),
-                                Algo::LlScQueue => run_once(
-                                    &nbq_core::LlScQueue::<u64>::with_capacity(cfg.capacity),
-                                    &cfg,
-                                ),
-                                Algo::MsHpSorted => run_once(
-                                    &nbq_baselines::MsQueue::<u64>::new(
-                                        nbq_baselines::ScanMode::Sorted,
-                                    ),
-                                    &cfg,
-                                ),
-                                Algo::MsHpUnsorted => run_once(
-                                    &nbq_baselines::MsQueue::<u64>::new(
-                                        nbq_baselines::ScanMode::Unsorted,
-                                    ),
-                                    &cfg,
-                                ),
-                                Algo::MsDoherty => {
-                                    run_once(&nbq_baselines::MsDohertyQueue::<u64>::new(), &cfg)
-                                }
-                                Algo::Shann => run_once(
-                                    &nbq_baselines::ShannQueue::<u64>::with_capacity(cfg.capacity),
-                                    &cfg,
-                                ),
-                                _ => unreachable!("not in the figure sets"),
-                            };
-                            total += std::time::Duration::from_secs_f64(secs);
-                        }
-                        total
-                    });
+                    b.iter_custom(|iters| runner_time(iters, &cfg, |cfg| algo.run(&paper, cfg)));
                 },
             );
         }

@@ -1,11 +1,11 @@
 //! Extension bench `ext-modern`: the paper's 2008 algorithms against
-//! modern comparators (crossbeam's `ArrayQueue` — a Vyukov-style bounded
-//! MPMC queue — and `SegQueue`), plus the lock-based contrast, under the
-//! same §6 workload.
+//! modern comparators (crossbeam's `ArrayQueue`, a Vyukov-style bounded
+//! MPMC queue) and the related-work queues, plus the lock-based contrast,
+//! under the same §6 workload.
 
 use criterion::{BenchmarkId, Criterion};
-use nbq_bench::{bench_config, criterion};
-use nbq_harness::{run_once, Algo};
+use nbq_bench::{bench_config, criterion, runner_time};
+use nbq_harness::{Algo, Shape, Workload};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ext_modern");
@@ -21,74 +21,14 @@ fn bench(c: &mut Criterion) {
             Algo::Valois,
             Algo::Mutex,
             Algo::CrossbeamArray,
-            Algo::CrossbeamSeg,
         ] {
             group.bench_with_input(
                 BenchmarkId::new(algo.name(), threads),
                 &threads,
                 |b, &threads| {
+                    let paper = Workload::raw(Shape::Mixed);
                     let cfg = bench_config(threads);
-                    b.iter_custom(|iters| {
-                        let mut total = std::time::Duration::ZERO;
-                        for _ in 0..iters {
-                            let s = match algo {
-                                Algo::CasQueue => run_once(
-                                    &nbq_core::CasQueue::<u64>::with_capacity(cfg.capacity),
-                                    &cfg,
-                                ),
-                                Algo::LlScQueue => run_once(
-                                    &nbq_core::LlScQueue::<u64>::with_capacity(cfg.capacity),
-                                    &cfg,
-                                ),
-                                Algo::Shann => run_once(
-                                    &nbq_baselines::ShannQueue::<u64>::with_capacity(
-                                        cfg.capacity,
-                                    ),
-                                    &cfg,
-                                ),
-                                Algo::TsigasZhang => run_once(
-                                    // Reuse window sized to the run: see
-                                    // tsigas_zhang module docs.
-                                    &nbq_baselines::TsigasZhangQueue::<u64>::with_capacity_and_reuse_delay(
-                                        cfg.capacity,
-                                        cfg.threads * cfg.iterations * cfg.burst + 1024,
-                                    ),
-                                    &cfg,
-                                ),
-                                Algo::HerlihyWing => run_once(
-                                    &nbq_baselines::HerlihyWingQueue::<u64>::with_history_capacity(
-                                        cfg.threads * cfg.iterations * cfg.burst + 1024,
-                                    ),
-                                    &cfg,
-                                ),
-                                Algo::Valois => run_once(
-                                    &nbq_baselines::ValoisQueue::<u64>::with_capacity(
-                                        cfg.capacity,
-                                    ),
-                                    &cfg,
-                                ),
-                                Algo::Mutex => run_once(
-                                    &nbq_baselines::MutexQueue::<u64>::with_capacity(
-                                        cfg.capacity,
-                                    ),
-                                    &cfg,
-                                ),
-                                Algo::CrossbeamArray => run_once(
-                                    &nbq_harness::algos::CrossbeamArrayAdapter::new(
-                                        cfg.capacity,
-                                    ),
-                                    &cfg,
-                                ),
-                                Algo::CrossbeamSeg => run_once(
-                                    &nbq_harness::algos::CrossbeamSegAdapter::new(),
-                                    &cfg,
-                                ),
-                                _ => unreachable!(),
-                            };
-                            total += std::time::Duration::from_secs_f64(s);
-                        }
-                        total
-                    })
+                    b.iter_custom(|iters| runner_time(iters, &cfg, |cfg| algo.run(&paper, cfg)));
                 },
             );
         }

@@ -6,7 +6,8 @@
 //! tool for paper-scale runs.
 
 use criterion::Criterion;
-use nbq_harness::WorkloadConfig;
+use nbq_harness::{RunReport, WorkloadConfig};
+use std::time::Duration;
 
 /// Criterion tuned for multi-threaded workload benches: few samples,
 /// short measurement windows (each iteration is already thousands of
@@ -32,6 +33,23 @@ pub fn bench_config(threads: usize) -> WorkloadConfig {
         capacity: 1024,
         burst: 5,
     }
+}
+
+/// An `iter_custom` body over the harness runner: `run` measures `iters`
+/// runs of `config`, each on a fresh queue and timed by the runner itself
+/// (thread spawn and runtime startup excluded), and this returns their
+/// total time.
+pub fn runner_time(
+    iters: u64,
+    config: &WorkloadConfig,
+    run: impl FnOnce(&WorkloadConfig) -> RunReport,
+) -> Duration {
+    let config = WorkloadConfig {
+        runs: iters as usize,
+        ..*config
+    };
+    let s = run(&config).summary;
+    Duration::from_secs_f64(s.mean * s.n as f64)
 }
 
 #[cfg(test)]

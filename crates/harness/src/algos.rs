@@ -1,22 +1,24 @@
-//! Algorithm registry: every queue the experiments drive, keyed by an
+//! Algorithm registry: every queue the experiments build, keyed by an
 //! enum so the `repro` binary and the Criterion benches share one list.
+//!
+//! An [`Algo`] names only what gets built — the queue, and for the
+//! sharded frontend its lanes and lane policy. The experiment rows supply
+//! the [`Workload`] that drives it. [`Algo::visit`] is the one dispatch:
+//! it hands a [`Visit`]or a factory for the queue, generic over the queue
+//! type, so every algorithm runs monomorphized.
 
-use crate::workload::{
-    run_workload, run_workload_async, run_workload_fan, run_workload_fan_in_pinned,
-    run_workload_fan_out_pinned, run_workload_pipe, run_workload_pipe_pinned, WorkloadConfig,
-};
+use crate::workload::{Driven, RunReport, Workload, WorkloadConfig};
 use nbq_baselines::{
-    MsDohertyQueue, MsQueue, MutexQueue, ScanMode, ScqQueue, SeqQueue, ShannQueue,
-    TsigasZhangQueue, WcqQueue,
+    HerlihyWingQueue, LmsQueue, MsDohertyQueue, MsQueue, MutexQueue, ScanMode, ScqQueue, SeqQueue,
+    ShannQueue, TreiberQueue, TsigasZhangQueue, ValoisQueue, WcqQueue,
 };
 use nbq_core::{
-    CasQueue, CasQueueConfig, GatePolicy, LlScQueue, LlScQueueConfig, MpscRing, ShardedConfig,
-    ShardedQueue, SpmcRing, SpscRing,
+    CasQueue, CasQueueConfig, GatePolicy, LanePolicy, LlScQueue, LlScQueueConfig, MpscRing,
+    OpStats, ShardedConfig, ShardedQueue, SpmcRing, SpscRing,
 };
-use nbq_util::stats::Summary;
 use nbq_util::{ConcurrentQueue, Full, QueueHandle, QueueKind};
 
-/// Every benchmarkable algorithm.
+/// Every benchmarkable queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
     /// Paper Algorithm 2 (Fig. 5).
@@ -55,93 +57,65 @@ pub enum Algo {
     Wcq,
     /// crossbeam's bounded `ArrayQueue` (modern comparator extension).
     CrossbeamArray,
-    /// crossbeam's unbounded `SegQueue` (modern comparator extension).
-    CrossbeamSeg,
-    /// Sharded relaxed-FIFO frontend over `lanes` CAS-queue lanes
-    /// (scaling extension; total capacity split across lanes).
-    ShardedCas {
+    /// The raw wait-free SPSC ring: exactly one producer and one
+    /// consumer, so it only runs on 2 threads.
+    SpscRing,
+    /// The raw wait-free-consumer MPSC ring (FAA-ticketed producers, one
+    /// claimed consumer).
+    MpscRing,
+    /// The raw wait-free-producer SPMC ring (one claimed producer,
+    /// FAA-arbitrated consumers).
+    SpmcRing,
+    /// Sharded relaxed-FIFO frontend (total capacity split across lanes).
+    Sharded {
+        /// Queue each lane is built from.
+        lane: Lane,
         /// Number of independent lanes.
         lanes: usize,
-    },
-    /// Sharded relaxed-FIFO frontend over `lanes` LL/SC-queue lanes.
-    ShardedLlsc {
-        /// Number of independent lanes.
-        lanes: usize,
-    },
-    /// Async channel frontend (`nbq-async`) over the CAS queue, one tokio
-    /// task per paper thread (async extension).
-    AsyncCas,
-    /// Async channel frontend over the LL/SC queue.
-    AsyncLlsc,
-    /// Async channel frontend over a sharded CAS-lane queue.
-    AsyncSharded {
-        /// Number of independent lanes.
-        lanes: usize,
-    },
-    /// The wait-free SPSC ring on a 2-thread pipe (1 producer, 1
-    /// consumer) — the only arrangement the raw ring admits.
-    SpscRingPipe,
-    /// The paper's CAS queue on the split-role pipe workload (MPMC
-    /// machinery paying full price for a 1p/1c-shaped load).
-    SpscCasPipe,
-    /// The paper's LL/SC queue on the split-role pipe workload.
-    SpscLlscPipe,
-    /// Sharded frontend with SPSC fast-path lanes, driven by pinned
-    /// producer/consumer pairs (one pair per lane keeps every lane on its
-    /// wait-free ring).
-    ShardedMixed {
-        /// Number of independent lanes.
-        lanes: usize,
-    },
-    /// Control for [`Algo::ShardedMixed`]: identical pinned-pair pipe,
-    /// but plain MPMC lanes (no rings) — isolates the fast path's gain.
-    ShardedPinned {
-        /// Number of independent lanes.
-        lanes: usize,
-    },
-    /// The raw wait-free-consumer MPSC ring on the fan-in workload
-    /// (`threads - 1` FAA-ticketed producers, one claimed consumer).
-    MpscRingFan,
-    /// The raw wait-free-producer SPMC ring on the fan-out workload (one
-    /// claimed producer, `threads - 1` FAA-arbitrated consumers).
-    SpmcRingFan,
-    /// The paper's CAS queue on the fan-in shape (MPMC machinery paying
-    /// full price for an Np/1c-shaped load).
-    FanInCas,
-    /// The paper's CAS queue on the fan-out shape.
-    FanOutCas,
-    /// Sharded frontend with MPSC fast-path lanes on the pinned fan-in
-    /// workload: one consumer per lane keeps every lane wait-free on its
-    /// consumer side while producers fan in over the FAA ticket.
-    ShardedMpsc {
-        /// Number of independent lanes.
-        lanes: usize,
-    },
-    /// Sharded frontend with SPMC fast-path lanes on the pinned fan-out
-    /// workload: one producer per lane stays wait-free while consumers
-    /// fan out over the FAA drain ticket.
-    ShardedSpmc {
-        /// Number of independent lanes.
-        lanes: usize,
-    },
-    /// Control for [`Algo::ShardedMpsc`]: identical pinned fan-in, but
-    /// plain MPMC lanes (no rings) — isolates the MPSC ring's gain.
-    ShardedFanInCtl {
-        /// Number of independent lanes.
-        lanes: usize,
-    },
-    /// Control for [`Algo::ShardedSpmc`]: identical pinned fan-out over
-    /// plain MPMC lanes.
-    ShardedFanOutCtl {
-        /// Number of independent lanes.
-        lanes: usize,
+        /// Which fast-path ring fronts each lane.
+        policy: LanePolicy,
     },
 }
 
+/// The queue a sharded frontend's lanes are built from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// [`Algo::CasQueue`] lanes.
+    Cas,
+    /// [`Algo::LlScQueue`] lanes.
+    Llsc,
+}
+
+/// Receives the queue factory [`Algo::visit`] builds.
+pub trait Visit {
+    /// What the visit produces.
+    type Out;
+    /// Called once, with a factory for fresh queues of the visited
+    /// algorithm.
+    fn visit<Q: Driven>(self, factory: impl Fn() -> Q, cfg: &WorkloadConfig) -> Self::Out;
+}
+
+/// Visiting with a workload runs it.
+impl Visit for &Workload {
+    type Out = RunReport;
+    fn visit<Q: Driven>(self, factory: impl Fn() -> Q, cfg: &WorkloadConfig) -> RunReport {
+        self.run(factory, cfg)
+    }
+}
+
 impl Algo {
+    /// Sharded frontend over `lanes` CAS-queue lanes.
+    pub const fn sharded(lanes: usize, policy: LanePolicy) -> Algo {
+        Algo::Sharded {
+            lane: Lane::Cas,
+            lanes,
+            policy,
+        }
+    }
+
     /// Display name matching the paper's figure legends where applicable.
-    pub fn name(self) -> &'static str {
-        match self {
+    pub fn name(self) -> String {
+        let name = match self {
             Algo::CasQueue => "FIFO Array Simulated CAS",
             Algo::LlScQueue => "FIFO Array LL/SC",
             Algo::MsHpSorted => "MS-Hazard Pointers Sorted",
@@ -158,396 +132,142 @@ impl Algo {
             Algo::Scq => "SCQ (Nikolaev)",
             Algo::Wcq => "wCQ (helping ring)",
             Algo::CrossbeamArray => "crossbeam ArrayQueue",
-            Algo::CrossbeamSeg => "crossbeam SegQueue",
-            Algo::ShardedCas { lanes } => match lanes {
-                1 => "Sharded CAS x1",
-                2 => "Sharded CAS x2",
-                4 => "Sharded CAS x4",
-                8 => "Sharded CAS x8",
-                16 => "Sharded CAS x16",
-                _ => "Sharded CAS",
-            },
-            Algo::ShardedLlsc { lanes } => match lanes {
-                1 => "Sharded LL/SC x1",
-                2 => "Sharded LL/SC x2",
-                4 => "Sharded LL/SC x4",
-                8 => "Sharded LL/SC x8",
-                16 => "Sharded LL/SC x16",
-                _ => "Sharded LL/SC",
-            },
-            Algo::AsyncCas => "Async CAS frontend",
-            Algo::AsyncLlsc => "Async LL/SC frontend",
-            Algo::AsyncSharded { lanes } => match lanes {
-                1 => "Async Sharded CAS x1",
-                2 => "Async Sharded CAS x2",
-                4 => "Async Sharded CAS x4",
-                8 => "Async Sharded CAS x8",
-                16 => "Async Sharded CAS x16",
-                _ => "Async Sharded CAS",
-            },
-            Algo::SpscRingPipe => "Wait-free SPSC ring (pipe)",
-            Algo::SpscCasPipe => "FIFO Array Simulated CAS (pipe)",
-            Algo::SpscLlscPipe => "FIFO Array LL/SC (pipe)",
-            Algo::ShardedMixed { lanes } => match lanes {
-                1 => "Sharded mixed SPSC x1",
-                2 => "Sharded mixed SPSC x2",
-                4 => "Sharded mixed SPSC x4",
-                8 => "Sharded mixed SPSC x8",
-                16 => "Sharded mixed SPSC x16",
-                _ => "Sharded mixed SPSC",
-            },
-            Algo::ShardedPinned { lanes } => match lanes {
-                1 => "Sharded pinned MPMC x1",
-                2 => "Sharded pinned MPMC x2",
-                4 => "Sharded pinned MPMC x4",
-                8 => "Sharded pinned MPMC x8",
-                16 => "Sharded pinned MPMC x16",
-                _ => "Sharded pinned MPMC",
-            },
-            Algo::MpscRingFan => "Wait-free MPSC ring (fan-in)",
-            Algo::SpmcRingFan => "Wait-free SPMC ring (fan-out)",
-            Algo::FanInCas => "FIFO Array Simulated CAS (fan-in)",
-            Algo::FanOutCas => "FIFO Array Simulated CAS (fan-out)",
-            Algo::ShardedMpsc { lanes } => match lanes {
-                1 => "Sharded MPSC fan-in x1",
-                2 => "Sharded MPSC fan-in x2",
-                4 => "Sharded MPSC fan-in x4",
-                8 => "Sharded MPSC fan-in x8",
-                _ => "Sharded MPSC fan-in",
-            },
-            Algo::ShardedSpmc { lanes } => match lanes {
-                1 => "Sharded SPMC fan-out x1",
-                2 => "Sharded SPMC fan-out x2",
-                4 => "Sharded SPMC fan-out x4",
-                8 => "Sharded SPMC fan-out x8",
-                _ => "Sharded SPMC fan-out",
-            },
-            Algo::ShardedFanInCtl { lanes } => match lanes {
-                1 => "Sharded pinned MPMC fan-in x1",
-                2 => "Sharded pinned MPMC fan-in x2",
-                4 => "Sharded pinned MPMC fan-in x4",
-                8 => "Sharded pinned MPMC fan-in x8",
-                _ => "Sharded pinned MPMC fan-in",
-            },
-            Algo::ShardedFanOutCtl { lanes } => match lanes {
-                1 => "Sharded pinned MPMC fan-out x1",
-                2 => "Sharded pinned MPMC fan-out x2",
-                4 => "Sharded pinned MPMC fan-out x4",
-                8 => "Sharded pinned MPMC fan-out x8",
-                _ => "Sharded pinned MPMC fan-out",
-            },
-        }
-    }
-
-    /// Capability envelope of the queue as the harness drives it — the
-    /// kind column in report tables. Sharded fast-path entries report the
-    /// per-lane kind their workload keeps the lanes on; plain MPMC
-    /// machinery reports [`QueueKind::mpmc`].
-    pub fn kind(self) -> QueueKind {
-        match self {
-            Algo::SpscRingPipe | Algo::ShardedMixed { .. } => QueueKind::spsc_wait_free(),
-            Algo::MpscRingFan | Algo::ShardedMpsc { .. } => QueueKind::mpsc_wait_free(),
-            Algo::SpmcRingFan | Algo::ShardedSpmc { .. } => QueueKind::spmc_wait_free(),
-            _ => QueueKind::mpmc(),
-        }
-    }
-
-    /// Parses a CLI name (kebab-case). Sharded frontends take their lane
-    /// count as a suffix: `sharded-cas-4`, `sharded-llsc-8`,
-    /// `async-sharded-4`.
-    pub fn parse(s: &str) -> Option<Algo> {
-        if let Some(lanes) = s.strip_prefix("sharded-cas-") {
-            let lanes = lanes.parse().ok().filter(|&l| l > 0)?;
-            return Some(Algo::ShardedCas { lanes });
-        }
-        if let Some(lanes) = s.strip_prefix("sharded-llsc-") {
-            let lanes = lanes.parse().ok().filter(|&l| l > 0)?;
-            return Some(Algo::ShardedLlsc { lanes });
-        }
-        if let Some(lanes) = s.strip_prefix("async-sharded-") {
-            let lanes = lanes.parse().ok().filter(|&l| l > 0)?;
-            return Some(Algo::AsyncSharded { lanes });
-        }
-        if let Some(lanes) = s.strip_prefix("sharded-mixed-") {
-            let lanes = lanes.parse().ok().filter(|&l| l > 0)?;
-            return Some(Algo::ShardedMixed { lanes });
-        }
-        if let Some(lanes) = s.strip_prefix("sharded-pinned-") {
-            let lanes = lanes.parse().ok().filter(|&l| l > 0)?;
-            return Some(Algo::ShardedPinned { lanes });
-        }
-        if let Some(lanes) = s.strip_prefix("sharded-mpsc-") {
-            let lanes = lanes.parse().ok().filter(|&l| l > 0)?;
-            return Some(Algo::ShardedMpsc { lanes });
-        }
-        if let Some(lanes) = s.strip_prefix("sharded-spmc-") {
-            let lanes = lanes.parse().ok().filter(|&l| l > 0)?;
-            return Some(Algo::ShardedSpmc { lanes });
-        }
-        if let Some(lanes) = s.strip_prefix("sharded-fan-in-ctl-") {
-            let lanes = lanes.parse().ok().filter(|&l| l > 0)?;
-            return Some(Algo::ShardedFanInCtl { lanes });
-        }
-        if let Some(lanes) = s.strip_prefix("sharded-fan-out-ctl-") {
-            let lanes = lanes.parse().ok().filter(|&l| l > 0)?;
-            return Some(Algo::ShardedFanOutCtl { lanes });
-        }
-        Some(match s {
-            "cas" | "cas-queue" => Algo::CasQueue,
-            "llsc" | "llsc-queue" => Algo::LlScQueue,
-            "ms-hp-sorted" => Algo::MsHpSorted,
-            "ms-hp-unsorted" => Algo::MsHpUnsorted,
-            "ms-doherty" => Algo::MsDoherty,
-            "shann" => Algo::Shann,
-            "tsigas-zhang" | "tz" => Algo::TsigasZhang,
-            "mutex" => Algo::Mutex,
-            "seq" | "sequential" => Algo::Sequential,
-            "herlihy-wing" | "hw" => Algo::HerlihyWing,
-            "valois" => Algo::Valois,
-            "treiber" => Algo::Treiber,
-            "lms" | "optimistic" => Algo::Lms,
-            "scq" => Algo::Scq,
-            "wcq" => Algo::Wcq,
-            "crossbeam-array" => Algo::CrossbeamArray,
-            "crossbeam-seg" => Algo::CrossbeamSeg,
-            "async-cas" => Algo::AsyncCas,
-            "async-llsc" => Algo::AsyncLlsc,
-            "spsc-ring" => Algo::SpscRingPipe,
-            "spsc-cas" => Algo::SpscCasPipe,
-            "spsc-llsc" => Algo::SpscLlscPipe,
-            "mpsc-ring" => Algo::MpscRingFan,
-            "spmc-ring" => Algo::SpmcRingFan,
-            "fan-in-cas" => Algo::FanInCas,
-            "fan-out-cas" => Algo::FanOutCas,
-            _ => return None,
-        })
-    }
-
-    /// Runs the paper workload for this algorithm.
-    pub fn run(self, config: &WorkloadConfig) -> Summary {
-        let cap = config.capacity;
-        match self {
-            Algo::CasQueue => run_workload(|| CasQueue::<u64>::with_capacity(cap), config),
-            Algo::LlScQueue => run_workload(|| LlScQueue::<u64>::with_capacity(cap), config),
-            Algo::MsHpSorted => run_workload(|| MsQueue::<u64>::new(ScanMode::Sorted), config),
-            Algo::MsHpUnsorted => run_workload(|| MsQueue::<u64>::new(ScanMode::Unsorted), config),
-            Algo::MsDoherty => run_workload(MsDohertyQueue::<u64>::new, config),
-            Algo::Shann => run_workload(|| ShannQueue::<u64>::with_capacity(cap), config),
-            Algo::TsigasZhang => {
-                // TZ is only correct while no node address re-enters the
-                // queue within a preemption; realize its assumption by
-                // sizing the delayed-reuse window to the entire run.
-                let window = config.threads * config.iterations * config.burst + 1024;
-                run_workload(
-                    || TsigasZhangQueue::<u64>::with_capacity_and_reuse_delay(cap, window),
-                    config,
-                )
+            Algo::SpscRing => "Wait-free SPSC ring",
+            Algo::MpscRing => "Wait-free MPSC ring",
+            Algo::SpmcRing => "Wait-free SPMC ring",
+            Algo::Sharded {
+                lane,
+                lanes,
+                policy,
+            } => {
+                let lane = match lane {
+                    Lane::Cas => "CAS",
+                    Lane::Llsc => "LL/SC",
+                };
+                return match policy {
+                    LanePolicy::Mpmc => format!("Sharded {lane} x{lanes}"),
+                    _ => format!("Sharded {lane} x{lanes} [{}]", self.kind()),
+                };
             }
-            Algo::Mutex => run_workload(|| MutexQueue::<u64>::with_capacity(cap), config),
+        };
+        name.to_string()
+    }
+
+    /// Capability envelope of the queue: the kind column in report
+    /// tables. Fast-path sharded lanes report the kind their ring serves
+    /// while unpromoted; plain MPMC machinery reports [`QueueKind::mpmc`].
+    pub fn kind(self) -> QueueKind {
+        let policy = match self {
+            Algo::SpscRing => LanePolicy::SpscFastPath,
+            Algo::MpscRing => LanePolicy::MpscFastPath,
+            Algo::SpmcRing => LanePolicy::SpmcFastPath,
+            Algo::Sharded { policy, .. } => policy,
+            _ => LanePolicy::Mpmc,
+        };
+        match policy {
+            LanePolicy::Mpmc => QueueKind::mpmc(),
+            LanePolicy::SpscFastPath => QueueKind::spsc_wait_free(),
+            LanePolicy::MpscFastPath => QueueKind::mpsc_wait_free(),
+            LanePolicy::SpmcFastPath => QueueKind::spmc_wait_free(),
+        }
+    }
+
+    /// Runs `workload` on fresh queues of this algorithm.
+    pub fn run(self, workload: &Workload, cfg: &WorkloadConfig) -> RunReport {
+        self.visit(cfg, Tuning::default(), workload)
+    }
+
+    /// Hands the visitor `v` a factory for this algorithm's queue, sized for
+    /// `cfg` and built with `tuning`.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.threads` is one the queue cannot serve: the sequential
+    /// baseline is single-thread only, the raw SPSC ring two-thread only.
+    pub fn visit<V: Visit>(self, cfg: &WorkloadConfig, tuning: Tuning, v: V) -> V::Out {
+        let cap = cfg.capacity;
+        // Baselines whose budget is lifetime enqueues (Herlihy–Wing) or
+        // that are only correct while no node address re-enters the queue
+        // within a preemption (Tsigas–Zhang's delayed-reuse window) are
+        // sized to the whole run.
+        let lifetime = cfg.threads * cfg.iterations * cfg.burst + 1024;
+        match self {
+            Algo::CasQueue => v.visit(|| tuning.cas(cap), cfg),
+            Algo::LlScQueue => v.visit(|| tuning.llsc(cap), cfg),
+            Algo::MsHpSorted => v.visit(|| MsQueue::<u64>::new(ScanMode::Sorted), cfg),
+            Algo::MsHpUnsorted => v.visit(|| MsQueue::<u64>::new(ScanMode::Unsorted), cfg),
+            Algo::MsDoherty => v.visit(MsDohertyQueue::<u64>::new, cfg),
+            Algo::Shann => v.visit(|| ShannQueue::<u64>::with_capacity(cap), cfg),
+            Algo::TsigasZhang => v.visit(
+                || TsigasZhangQueue::<u64>::with_capacity_and_reuse_delay(cap, lifetime),
+                cfg,
+            ),
+            Algo::Mutex => v.visit(|| MutexQueue::<u64>::with_capacity(cap), cfg),
             Algo::Sequential => {
                 assert_eq!(
-                    config.threads, 1,
+                    cfg.threads, 1,
                     "the sequential baseline is single-thread only"
                 );
-                run_workload(|| SeqQueue::<u64>::with_capacity(cap), config)
+                v.visit(|| SeqQueue::<u64>::with_capacity(cap), cfg)
             }
-            Algo::HerlihyWing => {
-                // The HW queue's budget is *lifetime enqueues*; size it to
-                // the whole run.
-                let history = config.threads * config.iterations * config.burst + 1024;
-                run_workload(
-                    || nbq_baselines::HerlihyWingQueue::<u64>::with_history_capacity(history),
-                    config,
-                )
-            }
-            Algo::Valois => run_workload(
-                || nbq_baselines::ValoisQueue::<u64>::with_capacity(cap),
-                config,
+            Algo::HerlihyWing => v.visit(
+                || HerlihyWingQueue::<u64>::with_history_capacity(lifetime),
+                cfg,
             ),
-            Algo::Treiber => run_workload(nbq_baselines::TreiberQueue::<u64>::new, config),
-            Algo::Lms => run_workload(nbq_baselines::LmsQueue::<u64>::new, config),
-            Algo::Scq => run_workload(|| ScqQueue::<u64>::with_capacity(cap), config),
-            Algo::Wcq => run_workload(|| WcqQueue::<u64>::with_capacity(cap), config),
-            Algo::CrossbeamArray => run_workload(|| CrossbeamArrayAdapter::new(cap), config),
-            Algo::CrossbeamSeg => run_workload(CrossbeamSegAdapter::new, config),
-            Algo::ShardedCas { lanes } => {
-                let per_lane = cap.div_ceil(lanes);
-                run_workload(
-                    || {
-                        ShardedQueue::with_lanes(lanes, |_| {
-                            CasQueue::<u64>::with_capacity(per_lane)
-                        })
-                    },
-                    config,
-                )
-            }
-            Algo::ShardedLlsc { lanes } => {
-                let per_lane = cap.div_ceil(lanes);
-                run_workload(
-                    || {
-                        ShardedQueue::with_lanes(lanes, |_| {
-                            LlScQueue::<u64>::with_capacity(per_lane)
-                        })
-                    },
-                    config,
-                )
-            }
-            Algo::AsyncCas => run_workload_async(|| CasQueue::<u64>::with_capacity(cap), config),
-            Algo::AsyncLlsc => run_workload_async(|| LlScQueue::<u64>::with_capacity(cap), config),
-            Algo::AsyncSharded { lanes } => {
-                let per_lane = cap.div_ceil(lanes);
-                run_workload_async(
-                    || {
-                        ShardedQueue::with_lanes(lanes, |_| {
-                            CasQueue::<u64>::with_capacity(per_lane)
-                        })
-                    },
-                    config,
-                )
-            }
-            Algo::SpscRingPipe => {
+            Algo::Valois => v.visit(|| ValoisQueue::<u64>::with_capacity(cap), cfg),
+            Algo::Treiber => v.visit(TreiberQueue::<u64>::new, cfg),
+            Algo::Lms => v.visit(LmsQueue::<u64>::new, cfg),
+            Algo::Scq if tuning.stats => v.visit(|| ScqQueue::<u64>::with_stats(cap), cfg),
+            Algo::Scq => v.visit(|| ScqQueue::<u64>::with_capacity(cap), cfg),
+            Algo::Wcq if tuning.stats => v.visit(|| WcqQueue::<u64>::with_stats(cap), cfg),
+            Algo::Wcq => v.visit(|| WcqQueue::<u64>::with_capacity(cap), cfg),
+            Algo::CrossbeamArray => v.visit(|| CrossbeamArrayAdapter::new(cap), cfg),
+            Algo::SpscRing => {
                 assert_eq!(
-                    config.threads, 2,
+                    cfg.threads, 2,
                     "the raw SPSC ring admits exactly one producer and one consumer"
                 );
-                run_workload_pipe(|| SpscRing::<u64>::with_capacity(cap), config)
+                v.visit(|| SpscRing::<u64>::with_capacity(cap), cfg)
             }
-            Algo::SpscCasPipe => run_workload_pipe(|| CasQueue::<u64>::with_capacity(cap), config),
-            Algo::SpscLlscPipe => {
-                run_workload_pipe(|| LlScQueue::<u64>::with_capacity(cap), config)
-            }
-            Algo::ShardedMixed { lanes } => {
+            Algo::MpscRing => v.visit(|| MpscRing::<u64>::with_capacity(cap), cfg),
+            Algo::SpmcRing => v.visit(|| SpmcRing::<u64>::with_capacity(cap), cfg),
+            Algo::Sharded {
+                lane,
+                lanes,
+                policy,
+            } => {
                 let per_lane = cap.div_ceil(lanes);
-                run_workload_pipe_pinned(
-                    || {
-                        ShardedQueue::with_config(
-                            ShardedConfig::with_lanes(lanes).spsc_fast_path(),
-                            |_| CasQueue::<u64>::with_capacity(per_lane),
-                        )
-                    },
-                    config,
-                )
+                let config = ShardedConfig {
+                    lane_policy: policy,
+                    ..ShardedConfig::with_lanes(lanes)
+                };
+                match lane {
+                    Lane::Cas => v.visit(
+                        || ShardedQueue::with_config(config, |_| tuning.cas(per_lane)),
+                        cfg,
+                    ),
+                    Lane::Llsc => v.visit(
+                        || ShardedQueue::with_config(config, |_| tuning.llsc(per_lane)),
+                        cfg,
+                    ),
+                }
             }
-            Algo::ShardedPinned { lanes } => {
-                let per_lane = cap.div_ceil(lanes);
-                run_workload_pipe_pinned(
-                    || {
-                        ShardedQueue::with_lanes(lanes, |_| {
-                            CasQueue::<u64>::with_capacity(per_lane)
-                        })
-                    },
-                    config,
-                )
-            }
-            Algo::MpscRingFan => {
-                assert!(config.threads >= 2, "fan-in needs producers and a consumer");
-                run_workload_fan(
-                    || MpscRing::<u64>::with_capacity(cap),
-                    config,
-                    config.threads - 1,
-                )
-            }
-            Algo::SpmcRingFan => {
-                assert!(
-                    config.threads >= 2,
-                    "fan-out needs a producer and consumers"
-                );
-                run_workload_fan(|| SpmcRing::<u64>::with_capacity(cap), config, 1)
-            }
-            Algo::FanInCas => run_workload_fan(
-                || CasQueue::<u64>::with_capacity(cap),
-                config,
-                config.threads - 1,
-            ),
-            Algo::FanOutCas => run_workload_fan(|| CasQueue::<u64>::with_capacity(cap), config, 1),
-            Algo::ShardedMpsc { lanes } => {
-                let per_lane = cap.div_ceil(lanes);
-                run_workload_fan_in_pinned(
-                    || {
-                        ShardedQueue::with_config(
-                            ShardedConfig::with_lanes(lanes).mpsc_fast_path(),
-                            |_| CasQueue::<u64>::with_capacity(per_lane),
-                        )
-                    },
-                    config,
-                )
-            }
-            Algo::ShardedSpmc { lanes } => {
-                let per_lane = cap.div_ceil(lanes);
-                run_workload_fan_out_pinned(
-                    || {
-                        ShardedQueue::with_config(
-                            ShardedConfig::with_lanes(lanes).spmc_fast_path(),
-                            |_| CasQueue::<u64>::with_capacity(per_lane),
-                        )
-                    },
-                    config,
-                )
-            }
-            Algo::ShardedFanInCtl { lanes } => {
-                let per_lane = cap.div_ceil(lanes);
-                run_workload_fan_in_pinned(
-                    || {
-                        ShardedQueue::with_lanes(lanes, |_| {
-                            CasQueue::<u64>::with_capacity(per_lane)
-                        })
-                    },
-                    config,
-                )
-            }
-            Algo::ShardedFanOutCtl { lanes } => {
-                let per_lane = cap.div_ceil(lanes);
-                run_workload_fan_out_pinned(
-                    || {
-                        ShardedQueue::with_lanes(lanes, |_| {
-                            CasQueue::<u64>::with_capacity(per_lane)
-                        })
-                    },
-                    config,
-                )
-            }
-        }
-    }
-
-    /// Variant of [`Algo::run`] honoring tuning overrides (ablations).
-    pub fn run_tuned(self, config: &WorkloadConfig, tuning: Tuning) -> Summary {
-        let cap = config.capacity;
-        match self {
-            Algo::CasQueue => run_workload(
-                || {
-                    CasQueue::<u64>::with_config(
-                        cap,
-                        CasQueueConfig {
-                            backoff: tuning.backoff,
-                            gate: tuning.gate,
-                        },
-                    )
-                },
-                config,
-            ),
-            Algo::LlScQueue => run_workload(
-                || {
-                    LlScQueue::<u64>::with_config(
-                        cap,
-                        LlScQueueConfig {
-                            backoff: tuning.backoff,
-                        },
-                    )
-                },
-                config,
-            ),
-            _ => self.run(config),
         }
     }
 }
 
-/// Tuning overrides for the ablation experiments.
+/// Construction overrides for the ablation experiments. They reach the
+/// paper's two queues (and sharded lanes built from them) and, for
+/// `stats`, SCQ/wCQ; every other queue ignores them.
 #[derive(Debug, Clone, Copy)]
 pub struct Tuning {
     /// Exponential backoff on contended failures.
     pub backoff: bool,
     /// `LLSCvar` re-registration gate placement (CAS queue only).
     pub gate: GatePolicy,
+    /// Count synchronization instructions and backoff snoozes
+    /// ([`Driven::op_stats`]).
+    pub stats: bool,
 }
 
 impl Default for Tuning {
@@ -555,6 +275,32 @@ impl Default for Tuning {
         Self {
             backoff: true,
             gate: GatePolicy::PerLink,
+            stats: false,
+        }
+    }
+}
+
+impl Tuning {
+    fn cas(self, capacity: usize) -> CasQueue<u64> {
+        let config = CasQueueConfig {
+            backoff: self.backoff,
+            gate: self.gate,
+        };
+        if self.stats {
+            CasQueue::with_config_stats(capacity, config)
+        } else {
+            CasQueue::with_config(capacity, config)
+        }
+    }
+
+    fn llsc(self, capacity: usize) -> LlScQueue<u64> {
+        let config = LlScQueueConfig {
+            backoff: self.backoff,
+        };
+        if self.stats {
+            LlScQueue::with_config_stats(capacity, config)
+        } else {
+            LlScQueue::with_config(capacity, config)
         }
     }
 }
@@ -592,11 +338,60 @@ pub const MODERN_SET: &[Algo] = &[
     Algo::Lms,
     Algo::Mutex,
     Algo::CrossbeamArray,
-    Algo::CrossbeamSeg,
 ];
 
-// ---------------------------------------------------------------------
-// crossbeam adapters
+// Every queue the registry builds is a single lane to the runner, except
+// the sharded frontend; the paper's two queues and SCQ/wCQ count.
+macro_rules! single_lane {
+    ($($queue:ty),* $(,)?) => {
+        $(impl Driven for $queue {})*
+    };
+}
+
+single_lane!(
+    MsQueue<u64>,
+    MsDohertyQueue<u64>,
+    ShannQueue<u64>,
+    TsigasZhangQueue<u64>,
+    MutexQueue<u64>,
+    SeqQueue<u64>,
+    HerlihyWingQueue<u64>,
+    ValoisQueue<u64>,
+    TreiberQueue<u64>,
+    LmsQueue<u64>,
+    CrossbeamArrayAdapter,
+    SpscRing<u64>,
+    MpscRing<u64>,
+    SpmcRing<u64>,
+);
+
+macro_rules! counted {
+    ($($queue:ty),* $(,)?) => {
+        $(impl Driven for $queue {
+            fn op_stats(&self) -> Option<&OpStats> {
+                self.stats()
+            }
+        })*
+    };
+}
+
+counted!(CasQueue<u64>, LlScQueue<u64>, ScqQueue<u64>, WcqQueue<u64>);
+
+impl<L: ConcurrentQueue<u64> + 'static> Driven for ShardedQueue<u64, L> {
+    // Its batch calls follow the BatchPolicy across lanes, which no
+    // experiment drives through the paper loop; left out of the build, the
+    // batch paths keep the compiler inlining the lane helpers into the
+    // single-op fast path that `ext-spsc` measures.
+    const BATCHES: bool = false;
+
+    fn lanes(&self) -> usize {
+        ShardedQueue::lanes(self)
+    }
+
+    fn pinned(&self, lane: usize) -> Self::Handle<'_> {
+        self.handle_pinned(lane)
+    }
+}
 
 /// Bounded crossbeam queue behind the workspace trait.
 pub struct CrossbeamArrayAdapter {
@@ -650,68 +445,10 @@ impl ConcurrentQueue<u64> for CrossbeamArrayAdapter {
     }
 }
 
-/// Unbounded crossbeam queue behind the workspace trait.
-pub struct CrossbeamSegAdapter {
-    inner: crossbeam::queue::SegQueue<u64>,
-}
-
-impl CrossbeamSegAdapter {
-    /// Creates an empty adapter.
-    pub fn new() -> Self {
-        Self {
-            inner: crossbeam::queue::SegQueue::new(),
-        }
-    }
-}
-
-impl Default for CrossbeamSegAdapter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Handle for [`CrossbeamSegAdapter`].
-pub struct CrossbeamSegHandle<'q> {
-    queue: &'q crossbeam::queue::SegQueue<u64>,
-}
-
-impl QueueHandle<u64> for CrossbeamSegHandle<'_> {
-    fn enqueue(&mut self, value: u64) -> Result<(), Full<u64>> {
-        self.queue.push(value);
-        Ok(())
-    }
-
-    fn dequeue(&mut self) -> Option<u64> {
-        self.queue.pop()
-    }
-}
-
-impl ConcurrentQueue<u64> for CrossbeamSegAdapter {
-    type Handle<'q>
-        = CrossbeamSegHandle<'q>
-    where
-        Self: 'q;
-
-    fn handle(&self) -> Self::Handle<'_> {
-        CrossbeamSegHandle { queue: &self.inner }
-    }
-
-    fn capacity(&self) -> Option<usize> {
-        None
-    }
-
-    fn len(&self) -> Option<usize> {
-        Some(self.inner.len())
-    }
-
-    fn algorithm_name(&self) -> &'static str {
-        "crossbeam SegQueue"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::{Frontend, Shape};
 
     fn tiny() -> WorkloadConfig {
         WorkloadConfig {
@@ -721,6 +458,13 @@ mod tests {
             capacity: 128,
             burst: 5,
         }
+    }
+
+    const PAPER: Workload = Workload::raw(Shape::Mixed);
+
+    fn assert_runs(algo: Algo, workload: Workload, cfg: &WorkloadConfig) {
+        let r = algo.run(&workload, cfg);
+        assert!(r.summary.mean > 0.0, "{} returned zero time", algo.name());
     }
 
     #[test]
@@ -741,10 +485,8 @@ mod tests {
             Algo::Wcq,
             Algo::Mutex,
             Algo::CrossbeamArray,
-            Algo::CrossbeamSeg,
         ] {
-            let s = algo.run(&tiny());
-            assert!(s.mean > 0.0, "{} returned zero time", algo.name());
+            assert_runs(algo, PAPER, &tiny());
         }
     }
 
@@ -754,90 +496,42 @@ mod tests {
             threads: 1,
             ..tiny()
         };
-        let s = Algo::Sequential.run(&cfg);
-        assert!(s.mean > 0.0);
+        assert_runs(Algo::Sequential, PAPER, &cfg);
     }
 
     #[test]
     #[should_panic(expected = "single-thread only")]
     fn sequential_rejects_multi_thread() {
-        Algo::Sequential.run(&tiny());
-    }
-
-    #[test]
-    fn parse_round_trips_cli_names() {
-        for (s, a) in [
-            ("cas", Algo::CasQueue),
-            ("llsc", Algo::LlScQueue),
-            ("ms-hp-sorted", Algo::MsHpSorted),
-            ("ms-hp-unsorted", Algo::MsHpUnsorted),
-            ("ms-doherty", Algo::MsDoherty),
-            ("shann", Algo::Shann),
-            ("tz", Algo::TsigasZhang),
-            ("mutex", Algo::Mutex),
-            ("seq", Algo::Sequential),
-            ("hw", Algo::HerlihyWing),
-            ("valois", Algo::Valois),
-            ("treiber", Algo::Treiber),
-            ("lms", Algo::Lms),
-            ("scq", Algo::Scq),
-            ("wcq", Algo::Wcq),
-            ("crossbeam-array", Algo::CrossbeamArray),
-            ("crossbeam-seg", Algo::CrossbeamSeg),
-            ("sharded-cas-4", Algo::ShardedCas { lanes: 4 }),
-            ("sharded-llsc-2", Algo::ShardedLlsc { lanes: 2 }),
-            ("sharded-cas-16", Algo::ShardedCas { lanes: 16 }),
-            ("async-cas", Algo::AsyncCas),
-            ("async-llsc", Algo::AsyncLlsc),
-            ("async-sharded-4", Algo::AsyncSharded { lanes: 4 }),
-            ("spsc-ring", Algo::SpscRingPipe),
-            ("spsc-cas", Algo::SpscCasPipe),
-            ("spsc-llsc", Algo::SpscLlscPipe),
-            ("sharded-mixed-2", Algo::ShardedMixed { lanes: 2 }),
-            ("sharded-pinned-4", Algo::ShardedPinned { lanes: 4 }),
-            ("mpsc-ring", Algo::MpscRingFan),
-            ("spmc-ring", Algo::SpmcRingFan),
-            ("fan-in-cas", Algo::FanInCas),
-            ("fan-out-cas", Algo::FanOutCas),
-            ("sharded-mpsc-2", Algo::ShardedMpsc { lanes: 2 }),
-            ("sharded-spmc-4", Algo::ShardedSpmc { lanes: 4 }),
-            ("sharded-fan-in-ctl-2", Algo::ShardedFanInCtl { lanes: 2 }),
-            ("sharded-fan-out-ctl-2", Algo::ShardedFanOutCtl { lanes: 2 }),
-        ] {
-            assert_eq!(Algo::parse(s), Some(a));
-        }
-        assert_eq!(Algo::parse("nope"), None);
-        assert_eq!(Algo::parse("sharded-cas-0"), None, "zero lanes rejected");
-        assert_eq!(Algo::parse("sharded-cas-x"), None);
-        assert_eq!(Algo::parse("async-sharded-0"), None, "zero lanes rejected");
-        assert_eq!(Algo::parse("sharded-mixed-0"), None, "zero lanes rejected");
-        assert_eq!(Algo::parse("sharded-pinned-x"), None);
-        assert_eq!(Algo::parse("sharded-mpsc-0"), None, "zero lanes rejected");
+        Algo::Sequential.run(&PAPER, &tiny());
     }
 
     #[test]
     fn sharded_algos_run_the_tiny_workload() {
         for algo in [
-            Algo::ShardedCas { lanes: 2 },
-            Algo::ShardedCas { lanes: 4 },
-            Algo::ShardedLlsc { lanes: 2 },
+            Algo::sharded(2, LanePolicy::Mpmc),
+            Algo::sharded(4, LanePolicy::Mpmc),
+            Algo::Sharded {
+                lane: Lane::Llsc,
+                lanes: 2,
+                policy: LanePolicy::Mpmc,
+            },
         ] {
-            let s = algo.run(&tiny());
-            assert!(s.mean > 0.0, "{} returned zero time", algo.name());
+            assert_runs(algo, PAPER, &tiny());
         }
     }
 
     #[test]
     fn pipe_algos_run_the_tiny_workload() {
-        for algo in [
-            Algo::SpscRingPipe,
-            Algo::SpscCasPipe,
-            Algo::SpscLlscPipe,
-            Algo::ShardedMixed { lanes: 1 },
-            Algo::ShardedPinned { lanes: 1 },
+        let pipe = Workload::raw(Shape::pipe(2));
+        let pairs = Workload::raw(Shape::Pairs);
+        for (algo, workload) in [
+            (Algo::SpscRing, pipe),
+            (Algo::CasQueue, pipe),
+            (Algo::LlScQueue, pipe),
+            (Algo::sharded(1, LanePolicy::SpscFastPath), pairs),
+            (Algo::sharded(1, LanePolicy::Mpmc), pairs),
         ] {
-            let s = algo.run(&tiny());
-            assert!(s.mean > 0.0, "{} returned zero time", algo.name());
+            assert_runs(algo, workload, &tiny());
         }
     }
 
@@ -847,13 +541,13 @@ mod tests {
             threads: 4,
             ..tiny()
         };
-        for algo in [
-            Algo::SpscCasPipe,
-            Algo::ShardedMixed { lanes: 2 },
-            Algo::ShardedPinned { lanes: 2 },
+        let pairs = Workload::raw(Shape::Pairs);
+        for (algo, workload) in [
+            (Algo::CasQueue, Workload::raw(Shape::pipe(4))),
+            (Algo::sharded(2, LanePolicy::SpscFastPath), pairs),
+            (Algo::sharded(2, LanePolicy::Mpmc), pairs),
         ] {
-            let s = algo.run(&cfg);
-            assert!(s.mean > 0.0, "{} returned zero time", algo.name());
+            assert_runs(algo, workload, &cfg);
         }
     }
 
@@ -865,38 +559,66 @@ mod tests {
             threads: 4,
             ..tiny()
         };
-        for algo in [
-            Algo::MpscRingFan,
-            Algo::SpmcRingFan,
-            Algo::FanInCas,
-            Algo::FanOutCas,
-            Algo::ShardedMpsc { lanes: 2 },
-            Algo::ShardedSpmc { lanes: 2 },
-            Algo::ShardedFanInCtl { lanes: 2 },
-            Algo::ShardedFanOutCtl { lanes: 2 },
+        let fan_in = Workload::raw(Shape::Fan { producers: 3 });
+        let fan_out = Workload::raw(Shape::Fan { producers: 1 });
+        for (algo, workload) in [
+            (Algo::MpscRing, fan_in),
+            (Algo::SpmcRing, fan_out),
+            (Algo::CasQueue, fan_in),
+            (Algo::CasQueue, fan_out),
+            (
+                Algo::sharded(2, LanePolicy::MpscFastPath),
+                Workload::raw(Shape::FanIn),
+            ),
+            (
+                Algo::sharded(2, LanePolicy::SpmcFastPath),
+                Workload::raw(Shape::FanOut),
+            ),
+            (
+                Algo::sharded(2, LanePolicy::Mpmc),
+                Workload::raw(Shape::FanIn),
+            ),
+            (
+                Algo::sharded(2, LanePolicy::Mpmc),
+                Workload::raw(Shape::FanOut),
+            ),
         ] {
-            let s = algo.run(&cfg);
-            assert!(s.mean > 0.0, "{} returned zero time", algo.name());
+            assert_runs(algo, workload, &cfg);
         }
     }
 
     #[test]
-    fn kind_reports_the_workload_envelope() {
-        assert_eq!(Algo::MpscRingFan.kind(), QueueKind::mpsc_wait_free());
-        assert_eq!(Algo::SpmcRingFan.kind(), QueueKind::spmc_wait_free());
+    fn kind_reports_the_queue_envelope() {
+        assert_eq!(Algo::MpscRing.kind(), QueueKind::mpsc_wait_free());
+        assert_eq!(Algo::SpmcRing.kind(), QueueKind::spmc_wait_free());
         assert_eq!(
-            Algo::ShardedMpsc { lanes: 2 }.kind(),
+            Algo::sharded(2, LanePolicy::MpscFastPath).kind(),
             QueueKind::mpsc_wait_free()
         );
         assert_eq!(
-            Algo::ShardedMixed { lanes: 2 }.kind(),
+            Algo::sharded(2, LanePolicy::SpscFastPath).kind(),
             QueueKind::spsc_wait_free()
         );
-        assert_eq!(Algo::FanInCas.kind(), QueueKind::mpmc());
+        assert_eq!(Algo::sharded(2, LanePolicy::Mpmc).kind(), QueueKind::mpmc());
         assert_eq!(Algo::CasQueue.kind(), QueueKind::mpmc());
         // The Display impl drives the kind column in report tables.
-        assert_eq!(Algo::MpscRingFan.kind().to_string(), "mpsc+wf");
+        assert_eq!(Algo::MpscRing.kind().to_string(), "mpsc+wf");
         assert_eq!(Algo::CasQueue.kind().to_string(), "mpmc");
+    }
+
+    #[test]
+    fn sharded_names_carry_lane_count_and_kind() {
+        assert_eq!(Algo::sharded(4, LanePolicy::Mpmc).name(), "Sharded CAS x4");
+        let llsc = Algo::Sharded {
+            lane: Lane::Llsc,
+            lanes: 16,
+            policy: LanePolicy::Mpmc,
+        };
+        assert_eq!(llsc.name(), "Sharded LL/SC x16");
+        assert_eq!(
+            Algo::sharded(2, LanePolicy::MpscFastPath).name(),
+            "Sharded CAS x2 [mpsc+wf]"
+        );
     }
 
     #[test]
@@ -906,18 +628,20 @@ mod tests {
             threads: 4,
             ..tiny()
         };
-        Algo::SpscRingPipe.run(&cfg);
+        Algo::SpscRing.run(&Workload::raw(Shape::pipe(4)), &cfg);
     }
 
     #[test]
     fn async_algos_run_the_tiny_workload() {
+        let workload = PAPER.via(Frontend::Async {
+            injection_only: false,
+        });
         for algo in [
-            Algo::AsyncCas,
-            Algo::AsyncLlsc,
-            Algo::AsyncSharded { lanes: 2 },
+            Algo::CasQueue,
+            Algo::LlScQueue,
+            Algo::sharded(2, LanePolicy::Mpmc),
         ] {
-            let s = algo.run(&tiny());
-            assert!(s.mean > 0.0, "{} returned zero time", algo.name());
+            assert_runs(algo, workload, &tiny());
         }
     }
 
@@ -933,14 +657,32 @@ mod tests {
 
     #[test]
     fn tuned_run_honors_backoff_flag() {
-        let cfg = tiny();
-        let s = Algo::CasQueue.run_tuned(
-            &cfg,
-            Tuning {
-                backoff: false,
-                gate: GatePolicy::PerOperation,
-            },
-        );
-        assert!(s.mean > 0.0);
+        let tuning = Tuning {
+            backoff: false,
+            gate: GatePolicy::PerOperation,
+            stats: false,
+        };
+        let r = Algo::CasQueue.visit(&tiny(), tuning, &PAPER);
+        assert!(r.summary.mean > 0.0);
+    }
+
+    #[test]
+    fn stats_tuning_builds_counted_core_queues() {
+        struct Counted;
+        impl Visit for Counted {
+            type Out = bool;
+            fn visit<Q: Driven>(self, factory: impl Fn() -> Q, _: &WorkloadConfig) -> bool {
+                factory().op_stats().is_some()
+            }
+        }
+        let stats = Tuning {
+            stats: true,
+            ..Tuning::default()
+        };
+        for algo in [Algo::CasQueue, Algo::LlScQueue] {
+            assert!(algo.visit(&tiny(), stats, Counted), "{}", algo.name());
+            assert!(!algo.visit(&tiny(), Tuning::default(), Counted));
+        }
+        assert!(!Algo::Mutex.visit(&tiny(), stats, Counted));
     }
 }

@@ -5,46 +5,22 @@
 //!
 //! experiments:
 //!   fig6a | fig6b | fig6c | fig6d    the paper's Figure 6 panels
-//!   overhead                         in-text T1 (single-thread overhead)
-//!   caswidth                         in-text T2 (primitive costs)
-//!   opcounts                         in-text T4 (instructions per op)
+//!   overhead | caswidth | opcounts   in-text T1, T2 and T4
 //!   ablate-scan | ablate-reregister | ablate-capacity | ablate-backoff
-//!   modern                           extension: modern comparators incl.
-//!                                    the SCQ/wCQ rivals, plus their
-//!                                    ring-protocol counters table
-//!   batch                            extension: batch API amortization
-//!   ordering                         extension: per-site relaxed orderings
-//!                                    vs strict SeqCst (build once per
-//!                                    mode; --csv merges across builds)
-//!   sharding                         extension: sharded multi-lane
-//!                                    frontend throughput + per-lane CAS
-//!                                    contention (--lanes to sweep)
-//!   alloc                            extension: pooled node recycling vs
-//!                                    per-node malloc (build once per
-//!                                    mode; --csv merges builds, see
-//!                                    `no-pool` feature)
-//!   async                            extension: async channel frontend
-//!                                    on a tokio multi-thread runtime vs
-//!                                    the raw and blocking frontends,
-//!                                    plus waiter-registry event rates
-//!   latency                          extension: end-to-end p50/p99/p999
-//!                                    per-op latency for the blocking and
-//!                                    async frontends, work-stealing vs
-//!                                    injection-only executor, plus the
-//!                                    scheduler counters behind them
-//!   spsc                             extension: wait-free SPSC fast-path
-//!                                    lanes vs MPMC on split-role pipes
-//!                                    (even --threads only), plus the
-//!                                    isolated 1p/1c acceptance table
-//!   arity                            extension: wait-free MPSC fan-in and
-//!                                    SPMC fan-out lanes vs pinned-MPMC
-//!                                    controls (--threads >= 4 only)
-//!   net                              extension: the epoll message broker
-//!                                    under loopback traffic — delivered
-//!                                    throughput and e2e/ACK-RTT quantiles
-//!                                    per queue backbone (cas, llsc, scq,
-//!                                    wcq); --connections to sweep
-//!   all                              everything above
+//!   modern                           modern comparators, SCQ/wCQ counters
+//!   batch                            batch API amortization
+//!   ordering | alloc                 relaxed vs SeqCst orderings, pooled vs
+//!                                    malloc nodes (one build per mode;
+//!                                    --csv merges the builds' rows)
+//!   sharding                         sharded lanes (--lanes to sweep)
+//!   async | latency                  async frontend vs raw and blocking;
+//!                                    per-op latency, scheduler counters
+//!   spsc | arity                     SPSC pipes (even --threads); MPSC/SPMC
+//!                                    fans (--threads >= 4)
+//!   net                              loopback broker per queue backbone
+//!                                    (--connections to sweep)
+//!   all                              every experiment above, in order,
+//!                                    with the same parameters
 //!
 //! flags:
 //!   --threads 1,2,4,8   thread counts to sweep
@@ -59,6 +35,7 @@
 
 use nbq_harness::experiments;
 use nbq_harness::{Table, WorkloadConfig};
+use std::cell::OnceCell;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -69,83 +46,151 @@ struct Args {
     connections: Vec<usize>,
     csv: Option<PathBuf>,
     config: WorkloadConfig,
+    /// fig6a and fig6b, each measured at most once per invocation: `all`
+    /// normalizes fig6c/fig6d from the very runs it printed.
+    fig6: [OnceCell<Table>; 2],
+}
+
+impl Args {
+    fn fig6a(&self) -> &Table {
+        self.fig6[0].get_or_init(|| experiments::fig6a(&self.threads, &self.config))
+    }
+
+    fn fig6b(&self) -> &Table {
+        // Paper sweeps the AMD to 64 threads; honor --threads if given.
+        self.fig6[1].get_or_init(|| experiments::fig6b(&self.threads, &self.config))
+    }
+
+    /// Prints `table` and, with `--csv`, writes it.
+    fn emit(&self, table: &Table) {
+        print!("{}", table.render_text());
+        println!();
+        if let Some(dir) = &self.csv {
+            table
+                .write_to(dir)
+                .unwrap_or_else(|e| eprintln!("warning: writing {dir:?} failed: {e}"));
+        }
+    }
+
+    /// For experiments that measure one compiled mode per build: merges
+    /// the rows a previous run — the other mode's build — left in the CSV
+    /// directory before emitting, accumulating the cross-build table over
+    /// two invocations.
+    fn emit_merged(&self, mut table: Table) {
+        if let Some(dir) = &self.csv {
+            let path = dir.join(format!("{}.csv", table.id));
+            if let Ok(prev) = std::fs::read_to_string(&path) {
+                table.merge_csv_rows(&prev);
+            }
+        }
+        self.emit(&table);
+    }
+}
+
+/// A subcommand: its name and what it runs.
+type Entry = (&'static str, fn(&Args));
+
+/// Every subcommand; `all` runs them in this order.
+const EXPERIMENTS: &[Entry] = &[
+    ("fig6a", fig6a),
+    ("fig6b", |a| a.emit(a.fig6b())),
+    ("fig6c", |a| a.emit(&experiments::fig6c(a.fig6a()))),
+    ("fig6d", |a| a.emit(&experiments::fig6d(a.fig6b()))),
+    ("overhead", overhead),
+    ("caswidth", |a| {
+        let iters = (a.config.iterations as u64 * 100).max(100_000);
+        a.emit(&experiments::cas_width(iters));
+    }),
+    ("opcounts", opcounts),
+    ("ablate-scan", |a| {
+        let records = [2, 4, 8, 16, 32, 64, 128, 256];
+        a.emit(&experiments::ablate_scan(&records, 100_000));
+    }),
+    ("ablate-reregister", |a| {
+        a.emit(&experiments::ablate_reregister(&a.threads, &a.config));
+    }),
+    ("ablate-capacity", |a| {
+        let caps = [32, 64, 256, 1024, 4096, 16384];
+        a.emit(&experiments::ablate_capacity(&caps, &a.config));
+    }),
+    ("ablate-backoff", |a| {
+        let (time, snoozes) = experiments::ablate_backoff(&a.threads, &a.config);
+        a.emit(&time);
+        a.emit(&snoozes);
+    }),
+    ("modern", modern),
+    ("batch", batch),
+    ("ordering", ordering),
+    ("sharding", sharding),
+    ("alloc", alloc),
+    ("async", run_async),
+    ("latency", latency),
+    ("spsc", spsc),
+    ("arity", arity),
+    ("net", net),
+];
+
+/// The experiments `name` runs, in order; empty for an unknown name.
+fn plan(name: &str) -> Vec<Entry> {
+    let runs = |&(experiment, _): &Entry| name == "all" || experiment == name;
+    EXPERIMENTS.iter().copied().filter(runs).collect()
 }
 
 fn usage() -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
     eprintln!(
-        "usage: repro <fig6a|fig6b|fig6c|fig6d|overhead|caswidth|opcounts|ablate-scan|\
-         ablate-reregister|ablate-capacity|ablate-backoff|modern|batch|ordering|sharding|alloc|\
-         async|latency|spsc|arity|net|all> \
+        "usage: repro <{}|all> \
          [--threads 1,2,4] [--lanes 2,4,8] [--connections 256,1024] [--iters N] [--runs N] \
-         [--capacity N] [--csv DIR] [--paper]"
+         [--capacity N] [--csv DIR] [--paper]",
+        names.join("|")
     );
     std::process::exit(2);
 }
 
 fn parse_args() -> Args {
-    let mut args = std::env::args().skip(1);
-    let Some(experiment) = args.next() else {
+    let mut argv = std::env::args().skip(1);
+    let Some(experiment) = argv.next() else {
         usage()
     };
-    let mut threads: Option<Vec<usize>> = None;
-    let mut lanes: Option<Vec<usize>> = None;
-    let mut connections: Option<Vec<usize>> = None;
-    let mut csv = None;
-    let mut config = WorkloadConfig::default();
+    let mut args = Args {
+        experiment,
+        threads: vec![1, 2, 4, 8, 16, 32],
+        lanes: vec![2, 4, 8],
+        connections: vec![256, 1024],
+        csv: None,
+        config: WorkloadConfig::default(),
+        fig6: Default::default(),
+    };
     let mut paper = false;
-    while let Some(flag) = args.next() {
+    while let Some(flag) = argv.next() {
         let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
+            argv.next().unwrap_or_else(|| {
                 eprintln!("missing value for {flag}");
                 usage()
             })
         };
+        let mut list = |flag: &str, what: &str| -> Vec<usize> {
+            value(flag)
+                .split(',')
+                .map(|s| {
+                    s.trim().parse().unwrap_or_else(|_| {
+                        eprintln!("bad {what}: {s}");
+                        usage()
+                    })
+                })
+                .collect()
+        };
+        let config = &mut args.config;
         match flag.as_str() {
-            "--threads" => {
-                threads = Some(
-                    value("--threads")
-                        .split(',')
-                        .map(|s| {
-                            s.trim().parse().unwrap_or_else(|_| {
-                                eprintln!("bad thread count: {s}");
-                                usage()
-                            })
-                        })
-                        .collect(),
-                );
-            }
-            "--lanes" => {
-                lanes = Some(
-                    value("--lanes")
-                        .split(',')
-                        .map(|s| {
-                            s.trim().parse().unwrap_or_else(|_| {
-                                eprintln!("bad lane count: {s}");
-                                usage()
-                            })
-                        })
-                        .collect(),
-                );
-            }
-            "--connections" => {
-                connections = Some(
-                    value("--connections")
-                        .split(',')
-                        .map(|s| {
-                            s.trim().parse().unwrap_or_else(|_| {
-                                eprintln!("bad connection count: {s}");
-                                usage()
-                            })
-                        })
-                        .collect(),
-                );
-            }
+            "--threads" => args.threads = list("--threads", "thread count"),
+            "--lanes" => args.lanes = list("--lanes", "lane count"),
+            "--connections" => args.connections = list("--connections", "connection count"),
             "--iters" => config.iterations = value("--iters").parse().unwrap_or_else(|_| usage()),
             "--runs" => config.runs = value("--runs").parse().unwrap_or_else(|_| usage()),
             "--capacity" => {
                 config.capacity = value("--capacity").parse().unwrap_or_else(|_| usage())
             }
-            "--csv" => csv = Some(PathBuf::from(value("--csv"))),
+            "--csv" => args.csv = Some(PathBuf::from(value("--csv"))),
             "--paper" => paper = true,
             other => {
                 eprintln!("unknown flag: {other}");
@@ -154,55 +199,70 @@ fn parse_args() -> Args {
         }
     }
     if paper {
-        config.iterations = 100_000;
-        config.runs = 50;
+        args.config.iterations = 100_000;
+        args.config.runs = 50;
     }
-    Args {
-        experiment,
-        threads: threads.unwrap_or_else(|| vec![1, 2, 4, 8, 16, 32]),
-        lanes: lanes.unwrap_or_else(|| vec![2, 4, 8]),
-        connections: connections.unwrap_or_else(|| vec![256, 1024]),
-        csv,
-        config,
-    }
+    args
 }
 
-fn emit(table: &Table, csv: &Option<PathBuf>) {
-    print!("{}", table.render_text());
-    println!();
-    if let Some(dir) = csv {
-        table
-            .write_to(dir)
-            .unwrap_or_else(|e| eprintln!("warning: writing {dir:?} failed: {e}"));
+fn fig6a(args: &Args) {
+    let t = args.fig6a();
+    args.emit(t);
+    println!("LL/SC vs CAS speedup by thread count (in-text T3):");
+    for (threads, ratio) in experiments::llsc_vs_cas_ratio(t) {
+        println!(
+            "  {threads:>3} threads: CAS is {:+.1}% vs LL/SC",
+            ratio * 100.0
+        );
     }
 }
 
-fn run_fig6a(args: &Args) -> Table {
-    experiments::fig6a(&args.threads, &args.config)
+fn overhead(args: &Args) {
+    let (t, ratios) = experiments::overhead(&args.config);
+    args.emit(&t);
+    println!("Overhead vs unsynchronized queue (paper: LL/SC +12%, CAS +50%/+90%):");
+    for (name, r) in ratios {
+        println!("  {name}: {:+.1}%", r * 100.0);
+    }
 }
 
-fn run_fig6b(args: &Args) -> Table {
-    // Paper sweeps the AMD to 64 threads; honor --threads if given.
-    experiments::fig6b(&args.threads, &args.config)
+fn opcounts(args: &Args) {
+    args.emit(&experiments::opcounts(
+        &args.threads,
+        args.config.iterations,
+    ));
+    println!(
+        "paper: Algorithm 2 = 3 CAS + 2 FAA per op; MS-Doherty = 7 \
+         successful CAS per op (incl. its reclamation bookkeeping)"
+    );
+}
+
+fn modern(args: &Args) {
+    args.emit(&experiments::modern(&args.threads, &args.config));
+    args.emit(&experiments::modern_ops(&args.threads, &args.config));
+    println!(
+        "SCQ/wCQ counter rows: wraps/resets/catchups trace the ring \
+         protocol; a zero help/op row means wCQ never left its fast path"
+    );
+}
+
+fn batch(args: &Args) {
+    let laps = args.config.iterations.max(200);
+    args.emit(&experiments::batch_amortization(&[1, 4, 16, 64], laps));
+    args.emit(&experiments::batch_time(&args.threads, &args.config));
+    println!(
+        "batch calls amortize the Head/Tail index CAS (one jump per \
+         batch); the 2 slot CASes per element are irreducible"
+    );
 }
 
 /// The `ordering` experiment: this build measures one compiled mode
-/// (`strict-sc` is a cargo feature), so rows from a previous run's CSV —
-/// the other mode's build — are merged in before writing, accumulating
-/// the relaxed-vs-SeqCst table across two invocations.
-fn run_ordering(args: &Args) {
-    let mut t = experiments::ordering(&args.threads, &args.config);
-    let mut c = experiments::ordering_contention(&args.threads, &args.config);
-    if let Some(dir) = &args.csv {
-        for table in [&mut t, &mut c] {
-            let path = dir.join(format!("{}.csv", table.id));
-            if let Ok(prev) = std::fs::read_to_string(&path) {
-                table.merge_csv_rows(&prev);
-            }
-        }
-    }
-    emit(&t, &args.csv);
-    emit(&c, &args.csv);
+/// (`strict-sc` is a cargo feature), so `--csv` accumulates the
+/// relaxed-vs-SeqCst table across two invocations.
+fn ordering(args: &Args) {
+    let (time, snoozes) = experiments::ordering(&args.threads, &args.config);
+    args.emit_merged(time);
+    args.emit_merged(snoozes);
     println!(
         "mode compiled into this binary: {} (rebuild with --features \
          strict-sc for the SeqCst rows; --csv merges both builds' rows)",
@@ -210,24 +270,12 @@ fn run_ordering(args: &Args) {
     );
 }
 
-/// The `alloc` experiment: like [`run_ordering`], one build measures one
-/// compiled node-lifecycle mode (`no-pool` is a cargo feature), so rows
-/// from a previous run's CSV — the other mode's build — are merged in
-/// before writing, accumulating the pooled-vs-malloc table across two
-/// invocations.
-fn run_alloc(args: &Args) {
-    let mut t = experiments::alloc_throughput(&args.threads, &args.config);
-    let mut c = experiments::alloc_counters(&args.threads, &args.config);
-    if let Some(dir) = &args.csv {
-        for table in [&mut t, &mut c] {
-            let path = dir.join(format!("{}.csv", table.id));
-            if let Ok(prev) = std::fs::read_to_string(&path) {
-                table.merge_csv_rows(&prev);
-            }
-        }
-    }
-    emit(&t, &args.csv);
-    emit(&c, &args.csv);
+/// The `alloc` experiment: like [`ordering`], one build measures one
+/// compiled node-lifecycle mode (`no-pool` is a cargo feature), so `--csv`
+/// accumulates the pooled-vs-malloc table across two invocations.
+fn alloc(args: &Args) {
+    args.emit_merged(experiments::alloc_throughput(&args.threads, &args.config));
+    args.emit_merged(experiments::alloc_counters(&args.threads, &args.config));
     println!(
         "mode compiled into this binary: {} (rebuild with --features \
          no-pool for the malloc rows; --csv merges both builds' rows)",
@@ -237,14 +285,18 @@ fn run_alloc(args: &Args) {
 
 /// The `sharding` experiment: throughput table (the scaling claim) plus
 /// the per-lane contention table that explains it.
-fn run_sharding(args: &Args) {
-    let t = experiments::sharding(&args.threads, &args.lanes, &args.config);
-    emit(&t, &args.csv);
+fn sharding(args: &Args) {
+    args.emit(&experiments::sharding(
+        &args.threads,
+        &args.lanes,
+        &args.config,
+    ));
     let lanes = args.lanes.iter().copied().max().unwrap_or(4);
-    emit(
-        &experiments::sharding_opstats(&args.threads, lanes, &args.config),
-        &args.csv,
-    );
+    args.emit(&experiments::sharding_opstats(
+        &args.threads,
+        lanes,
+        &args.config,
+    ));
     println!(
         "relaxed-FIFO contract: per-lane FIFO strict, per-producer FIFO \
          preserved on-lane, cross-lane order advisory (DESIGN.md §5c)"
@@ -254,14 +306,8 @@ fn run_sharding(args: &Args) {
 /// The `async` experiment: frontend throughput comparison plus the
 /// waiter-registry event-rate table behind it.
 fn run_async(args: &Args) {
-    emit(
-        &experiments::async_frontend(&args.threads, &args.config),
-        &args.csv,
-    );
-    emit(
-        &experiments::async_wakers(&args.threads, &args.config),
-        &args.csv,
-    );
+    args.emit(&experiments::async_frontend(&args.threads, &args.config));
+    args.emit(&experiments::async_wakers(&args.threads, &args.config));
     println!(
         "async rows run one tokio task per paper thread on the vendored \
          work-stealing runtime (see vendor/tokio and `repro latency` for \
@@ -273,15 +319,10 @@ fn run_async(args: &Args) {
 /// The `latency` experiment: end-to-end latency distributions for the
 /// blocking and async frontends with the executor in both scheduler
 /// modes, plus the scheduler-counter table explaining the difference.
-fn run_latency(args: &Args) {
-    emit(
-        &experiments::async_latency(&args.threads, &args.config),
-        &args.csv,
-    );
-    emit(
-        &experiments::steal_counters(&args.threads, &args.config),
-        &args.csv,
-    );
+fn latency(args: &Args) {
+    let (latency, steal) = experiments::async_latency(&args.threads, &args.config);
+    args.emit(&latency);
+    args.emit(&steal);
     if tokio::runtime::injection_only_build() {
         println!(
             "this binary was built with --features injection-only: only the \
@@ -298,27 +339,29 @@ fn run_latency(args: &Args) {
     }
 }
 
-/// The `spsc` experiment: the crossover sweep (even thread counts; the
-/// pipe pairs producers with consumers) plus the isolated 1p/1c table
-/// where the raw ring is admissible.
-fn run_spsc(args: &Args) {
-    let threads: Vec<usize> = args
-        .threads
-        .iter()
-        .copied()
-        .filter(|&t| t >= 2 && t % 2 == 0)
-        .collect();
+/// `--threads` restricted to the counts `keep` admits, with a note on
+/// stderr about any dropped.
+fn usable_threads(args: &Args, experiment: &str, why: &str, keep: fn(usize) -> bool) -> Vec<usize> {
+    let threads: Vec<usize> = args.threads.iter().copied().filter(|&t| keep(t)).collect();
     if threads.len() < args.threads.len() {
         eprintln!(
-            "note: spsc sweeps even thread counts only (pipe pairs); using {threads:?} \
-             of {:?}",
+            "note: {experiment} sweeps {why}; using {threads:?} of {:?}",
             args.threads
         );
     }
+    threads
+}
+
+/// The `spsc` experiment: the crossover sweep (even thread counts; the
+/// pipe pairs producers with consumers) plus the isolated 1p/1c table
+/// where the raw ring is admissible.
+fn spsc(args: &Args) {
+    let even = |t: usize| t >= 2 && t % 2 == 0;
+    let threads = usable_threads(args, "spsc", "even thread counts only (pipe pairs)", even);
     if !threads.is_empty() {
-        emit(&experiments::spsc(&threads, &args.config), &args.csv);
+        args.emit(&experiments::spsc(&threads, &args.config));
     }
-    emit(&experiments::spsc_1p1c(&args.config), &args.csv);
+    args.emit(&experiments::spsc_1p1c(&args.config));
     println!(
         "mixed rows pin one producer/consumer pair per lane, so every lane \
          stays on its wait-free SPSC ring; a second registrant on a lane \
@@ -329,20 +372,14 @@ fn run_spsc(args: &Args) {
 /// The `arity` experiment: the fan-in/fan-out throughput sweep (thread
 /// counts >= 4 only; every 2-lane entry needs one single-side endpoint
 /// per lane plus at least one multi-side endpoint per lane).
-fn run_arity(args: &Args) {
-    let threads: Vec<usize> = args.threads.iter().copied().filter(|&t| t >= 4).collect();
-    if threads.len() < args.threads.len() {
-        eprintln!(
-            "note: arity sweeps thread counts >= 4 only (2-lane fans); using {threads:?} \
-             of {:?}",
-            args.threads
-        );
-    }
+fn arity(args: &Args) {
+    let why = "thread counts >= 4 only (2-lane fans)";
+    let threads = usable_threads(args, "arity", why, |t| t >= 4);
     if threads.is_empty() {
         eprintln!("note: no usable thread counts for arity; skipping");
         return;
     }
-    emit(&experiments::arity(&threads, &args.config), &args.csv);
+    args.emit(&experiments::arity(&threads, &args.config));
     println!(
         "fan rows pin one single-arity endpoint per lane (the claimed \
          side) while the opposite side fans over the lane's FAA ticket \
@@ -353,13 +390,13 @@ fn run_arity(args: &Args) {
 /// The `net` experiment: the loopback broker sweep — delivered
 /// throughput plus end-to-end and ACK-RTT quantiles, one row set per
 /// queue backbone.
-fn run_net(args: &Args) {
+fn net(args: &Args) {
     // 20 stop-and-wait messages per publisher: enough cycles per
     // connection to populate the p999 bucket at the default sweep
     // without dragging out the 4-backbone run.
     let (tput, lat) = experiments::net(&args.connections, 20);
-    emit(&tput, &args.csv);
-    emit(&lat, &args.csv);
+    args.emit(&tput);
+    args.emit(&lat);
     println!(
         "each connection pair is one stop-and-wait publisher and one \
          subscriber sharing a topic; topics are ShardedQueue-backed \
@@ -370,6 +407,11 @@ fn run_net(args: &Args) {
 
 fn main() -> ExitCode {
     let args = parse_args();
+    let plan = plan(&args.experiment);
+    if plan.is_empty() {
+        eprintln!("unknown experiment: {}", args.experiment);
+        usage();
+    }
     eprintln!(
         "# repro {}: iters={} runs={} capacity={} threads={:?} (host CPUs: {})",
         args.experiment,
@@ -381,189 +423,31 @@ fn main() -> ExitCode {
             .map(|n| n.get())
             .unwrap_or(1)
     );
-    match args.experiment.as_str() {
-        "fig6a" => {
-            let t = run_fig6a(&args);
-            emit(&t, &args.csv);
-            println!("LL/SC vs CAS speedup by thread count (in-text T3):");
-            for (threads, ratio) in experiments::llsc_vs_cas_ratio(&t) {
-                println!(
-                    "  {threads:>3} threads: CAS is {:+.1}% vs LL/SC",
-                    ratio * 100.0
-                );
-            }
-        }
-        "fig6b" => emit(&run_fig6b(&args), &args.csv),
-        "fig6c" => {
-            let t = experiments::fig6c(&run_fig6a(&args));
-            emit(&t, &args.csv);
-        }
-        "fig6d" => {
-            let t = experiments::fig6d(&run_fig6b(&args));
-            emit(&t, &args.csv);
-        }
-        "overhead" => {
-            let (t, ratios) = experiments::overhead(&args.config);
-            emit(&t, &args.csv);
-            println!("Overhead vs unsynchronized queue (paper: LL/SC +12%, CAS +50%/+90%):");
-            for (name, r) in ratios {
-                println!("  {name}: {:+.1}%", r * 100.0);
-            }
-        }
-        "opcounts" => {
-            emit(
-                &experiments::opcounts(&args.threads, args.config.iterations),
-                &args.csv,
-            );
-            println!(
-                "paper: Algorithm 2 = 3 CAS + 2 FAA per op; MS-Doherty = 7 \
-                 successful CAS per op (incl. its reclamation bookkeeping)"
-            );
-        }
-        "caswidth" => {
-            let iters = (args.config.iterations as u64 * 100).max(100_000);
-            emit(&experiments::cas_width(iters), &args.csv);
-        }
-        "ablate-scan" => {
-            let t = experiments::ablate_scan(&[2, 4, 8, 16, 32, 64, 128, 256], 100_000);
-            emit(&t, &args.csv);
-        }
-        "ablate-reregister" => {
-            emit(
-                &experiments::ablate_reregister(&args.threads, &args.config),
-                &args.csv,
-            );
-        }
-        "ablate-capacity" => {
-            let caps = [32, 64, 256, 1024, 4096, 16384];
-            emit(
-                &experiments::ablate_capacity(&caps, &args.config),
-                &args.csv,
-            );
-        }
-        "ablate-backoff" => {
-            emit(
-                &experiments::ablate_backoff(&args.threads, &args.config),
-                &args.csv,
-            );
-            emit(
-                &experiments::backoff_contention(&args.threads, &args.config),
-                &args.csv,
-            );
-        }
-        "ordering" => {
-            run_ordering(&args);
-        }
-        "sharding" => {
-            run_sharding(&args);
-        }
-        "alloc" => {
-            run_alloc(&args);
-        }
-        "async" => {
-            run_async(&args);
-        }
-        "latency" => {
-            run_latency(&args);
-        }
-        "spsc" => {
-            run_spsc(&args);
-        }
-        "arity" => {
-            run_arity(&args);
-        }
-        "net" => {
-            run_net(&args);
-        }
-        "modern" => {
-            emit(&experiments::modern(&args.threads, &args.config), &args.csv);
-            emit(
-                &experiments::modern_ops(&args.threads, &args.config),
-                &args.csv,
-            );
-            println!(
-                "SCQ/wCQ counter rows: wraps/resets/catchups trace the ring \
-                 protocol; a zero help/op row means wCQ never left its fast path"
-            );
-        }
-        "batch" => {
-            let laps = args.config.iterations.max(200);
-            emit(
-                &experiments::batch_amortization(&[1, 4, 16, 64], laps),
-                &args.csv,
-            );
-            emit(
-                &experiments::batch_time(&args.threads, &args.config),
-                &args.csv,
-            );
-            println!(
-                "batch calls amortize the Head/Tail index CAS (one jump per \
-                 batch); the 2 slot CASes per element are irreducible"
-            );
-        }
-        "all" => {
-            let a = run_fig6a(&args);
-            emit(&a, &args.csv);
-            let b = run_fig6b(&args);
-            emit(&b, &args.csv);
-            emit(&experiments::fig6c(&a), &args.csv);
-            emit(&experiments::fig6d(&b), &args.csv);
-            let (t, ratios) = experiments::overhead(&args.config);
-            emit(&t, &args.csv);
-            for (name, r) in ratios {
-                println!("  {name}: {:+.1}%", r * 100.0);
-            }
-            emit(&experiments::cas_width(1_000_000), &args.csv);
-            emit(
-                &experiments::opcounts(&args.threads, args.config.iterations),
-                &args.csv,
-            );
-            emit(
-                &experiments::ablate_scan(&[2, 4, 8, 16, 32, 64, 128, 256], 100_000),
-                &args.csv,
-            );
-            emit(
-                &experiments::ablate_reregister(&args.threads, &args.config),
-                &args.csv,
-            );
-            emit(
-                &experiments::ablate_capacity(&[32, 64, 256, 1024, 4096], &args.config),
-                &args.csv,
-            );
-            emit(
-                &experiments::ablate_backoff(&args.threads, &args.config),
-                &args.csv,
-            );
-            emit(
-                &experiments::backoff_contention(&args.threads, &args.config),
-                &args.csv,
-            );
-            emit(&experiments::modern(&args.threads, &args.config), &args.csv);
-            emit(
-                &experiments::modern_ops(&args.threads, &args.config),
-                &args.csv,
-            );
-            emit(
-                &experiments::batch_amortization(&[1, 4, 16, 64], args.config.iterations),
-                &args.csv,
-            );
-            emit(
-                &experiments::batch_time(&args.threads, &args.config),
-                &args.csv,
-            );
-            run_ordering(&args);
-            run_sharding(&args);
-            run_alloc(&args);
-            run_async(&args);
-            run_latency(&args);
-            run_spsc(&args);
-            run_arity(&args);
-            run_net(&args);
-        }
-        other => {
-            eprintln!("unknown experiment: {other}");
-            usage();
-        }
+    for (_, run) in plan {
+        run(&args);
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(plan: Vec<Entry>) -> Vec<&'static str> {
+        plan.into_iter().map(|(name, _)| name).collect()
+    }
+
+    #[test]
+    fn all_runs_every_registry_entry_in_order() {
+        assert_eq!(names(plan("all")), names(EXPERIMENTS.to_vec()));
+        assert_eq!(EXPERIMENTS.len(), 21);
+    }
+
+    #[test]
+    fn each_name_runs_exactly_its_own_entry() {
+        for &(name, _) in EXPERIMENTS {
+            assert_eq!(names(plan(name)), [name], "registry names must be unique");
+        }
+        assert!(plan("nope").is_empty());
+    }
 }

@@ -1,12 +1,49 @@
 //! One driver function per paper figure/table plus the ablations —
 //! the experiment index of DESIGN.md, executable.
+//!
+//! Each row of a table names the queue it builds ([`Algo`]) and the
+//! [`Workload`] that drives it; the runner reports the operations it
+//! performed, so throughput cells come from [`Cell::throughput`].
 
-use crate::algos::{Algo, Tuning, AMD_SET, MODERN_SET, POWERPC_SET};
+use crate::algos::{Algo, Tuning, Visit, AMD_SET, MODERN_SET, POWERPC_SET};
 use crate::casbench;
 use crate::report::{Cell, Table};
-use crate::workload::WorkloadConfig;
-use nbq_core::GatePolicy;
-use nbq_util::stats::Summary;
+use crate::workload::{
+    run_once, Driven, Frontend, LatencyReport, RunReport, Shape, Workload, WorkloadConfig,
+};
+use nbq_core::LanePolicy::{Mpmc, MpscFastPath, SpmcFastPath, SpscFastPath};
+use nbq_core::{GatePolicy, OpStatsSnapshot};
+use nbq_util::LatencyHistogram;
+
+/// The paper's §6 loop on the raw queue.
+const PAPER: Workload = Workload::raw(Shape::Mixed);
+
+/// A table whose columns are `thread_counts`.
+fn by_threads(id: &str, title: &str, unit: &str, thread_counts: &[usize]) -> Table {
+    let columns = thread_counts.iter().map(|&t| t as u64).collect();
+    Table::new(id, title, "threads", unit, columns)
+}
+
+/// `run` at each of the thread counts, all other parameters from `base`.
+fn sweep<T>(counts: &[usize], base: &WorkloadConfig, run: impl Fn(&WorkloadConfig) -> T) -> Vec<T> {
+    let cfg = |threads| WorkloadConfig { threads, ..*base };
+    counts.iter().map(|&t| run(&cfg(t))).collect()
+}
+
+/// Mean seconds per run.
+fn seconds(r: &RunReport) -> Cell {
+    Cell::from(r.summary)
+}
+
+/// Throughput in Mops/s.
+fn mops(r: &RunReport) -> Cell {
+    Cell::throughput(r.ops, &r.summary)
+}
+
+/// One exact cell per measurement.
+fn cells<R>(measured: &[R], value: impl Fn(&R) -> f64) -> Vec<Cell> {
+    measured.iter().map(|m| Cell::exact(value(m))).collect()
+}
 
 /// Sweeps `algos` over `thread_counts` under the paper workload.
 pub fn time_vs_threads(
@@ -16,22 +53,10 @@ pub fn time_vs_threads(
     thread_counts: &[usize],
     base: &WorkloadConfig,
 ) -> Table {
-    let mut table = Table::new(
-        id,
-        title,
-        "threads",
-        "s",
-        thread_counts.iter().map(|&t| t as u64).collect(),
-    );
+    let mut table = by_threads(id, title, "s", thread_counts);
     for &algo in algos {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig { threads, ..*base };
-                Cell::from(algo.run(&cfg))
-            })
-            .collect();
-        table.push_row(algo.name(), cells);
+        let cells = sweep(thread_counts, base, |cfg| seconds(&algo.run(&PAPER, cfg)));
+        table.push_row(&algo.name(), cells);
     }
     table
 }
@@ -62,7 +87,7 @@ pub fn fig6b(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
 /// normalization was chosen to be our CAS-based implementation").
 pub fn fig6c(fig6a: &Table) -> Table {
     fig6a.normalized_to(
-        Algo::CasQueue.name(),
+        &Algo::CasQueue.name(),
         "fig6c",
         "Normalized running time (PowerPC set)",
     )
@@ -71,7 +96,7 @@ pub fn fig6c(fig6a: &Table) -> Table {
 /// Fig. 6(d): Fig. 6(b) normalized to the CAS queue.
 pub fn fig6d(fig6b: &Table) -> Table {
     fig6b.normalized_to(
-        Algo::CasQueue.name(),
+        &Algo::CasQueue.name(),
         "fig6d",
         "Normalized running time (AMD set)",
     )
@@ -85,28 +110,29 @@ pub fn overhead(base: &WorkloadConfig) -> (Table, Vec<(String, f64)>) {
         threads: 1,
         ..*base
     };
-    let seq = Algo::Sequential.run(&cfg);
-    let mut table = Table::new(
+    let mut table = by_threads(
         "t1-overhead",
         "Single-thread time vs unsynchronized queue",
-        "threads",
         "s",
-        vec![1],
+        &[1],
     );
-    table.push_row(Algo::Sequential.name(), vec![Cell::from(seq)]);
-    let mut ratios = Vec::new();
-    for algo in [
+    let times = [
+        Algo::Sequential,
         Algo::LlScQueue,
         Algo::CasQueue,
         Algo::Shann,
         Algo::MsHpSorted,
         Algo::TsigasZhang,
-    ] {
-        let s = algo.run(&cfg);
-        table.push_row(algo.name(), vec![Cell::from(s)]);
-        ratios.push((algo.name().to_string(), s.mean / seq.mean - 1.0));
+    ]
+    .map(|algo| (algo.name(), algo.run(&PAPER, &cfg).summary));
+    for (name, s) in &times {
+        table.push_row(name, vec![Cell::from(*s)]);
     }
-    (table, ratios)
+    let seq = times[0].1.mean;
+    let ratios = times[1..]
+        .iter()
+        .map(|(name, s)| (name.clone(), s.mean / seq - 1.0));
+    (table, ratios.collect())
 }
 
 /// In-text T2: raw primitive costs.
@@ -120,13 +146,7 @@ pub fn cas_width(iters: u64) -> Table {
         vec![0],
     );
     for c in &costs {
-        t.push_row(
-            c.name,
-            vec![Cell {
-                mean: c.ns_per_op,
-                stddev: 0.0,
-            }],
-        );
+        t.push_row(c.name, vec![Cell::exact(c.ns_per_op)]);
     }
     t
 }
@@ -134,43 +154,44 @@ pub fn cas_width(iters: u64) -> Table {
 /// `abl-reregister`: the corrected per-link gate vs the paper's per-op
 /// gate (CAS queue).
 pub fn ablate_reregister(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
-    let mut table = Table::new(
+    let mut table = by_threads(
         "abl-reregister",
         "CAS queue: ReRegister gate per link vs per operation",
-        "threads",
         "s",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
     for (label, gate) in [
         ("gate per link (corrected)", GatePolicy::PerLink),
         ("gate per operation (paper)", GatePolicy::PerOperation),
     ] {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig { threads, ..*base };
-                Cell::from(Algo::CasQueue.run_tuned(
-                    &cfg,
-                    Tuning {
-                        backoff: true,
-                        gate,
-                    },
-                ))
-            })
-            .collect();
+        let tuning = Tuning {
+            gate,
+            ..Tuning::default()
+        };
+        let cells = sweep(thread_counts, base, |cfg| {
+            seconds(&Algo::CasQueue.visit(cfg, tuning, &PAPER))
+        });
         table.push_row(label, cells);
     }
     table
 }
 
-/// `abl-backoff`: exponential backoff on vs off for both core queues.
-pub fn ablate_backoff(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
-    let mut table = Table::new(
+/// `abl-backoff` and `abl-backoff-contention`: exponential backoff on vs
+/// off for both core queues — running time, and backoff snoozes per
+/// operation. The snooze counter ticks even when backoff is disabled (the
+/// would-have-yielded count), so the on/off rows compare like for like.
+pub fn ablate_backoff(thread_counts: &[usize], base: &WorkloadConfig) -> (Table, Table) {
+    let mut time = by_threads(
         "abl-backoff",
         "Core queues: exponential backoff on vs off",
-        "threads",
         "s",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
+    );
+    let mut snoozes = by_threads(
+        "abl-backoff-contention",
+        "Core queues: backoff snoozes per op, backoff on vs off",
+        "snoozes/op",
+        thread_counts,
     );
     for (algo, backoff, label) in [
         (Algo::CasQueue, true, "CAS queue, backoff on"),
@@ -178,22 +199,17 @@ pub fn ablate_backoff(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
         (Algo::LlScQueue, true, "LL/SC queue, backoff on"),
         (Algo::LlScQueue, false, "LL/SC queue, backoff off"),
     ] {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig { threads, ..*base };
-                Cell::from(algo.run_tuned(
-                    &cfg,
-                    Tuning {
-                        backoff,
-                        gate: GatePolicy::PerLink,
-                    },
-                ))
-            })
-            .collect();
-        table.push_row(label, cells);
+        let tuning = Tuning {
+            backoff,
+            ..Tuning::default()
+        };
+        let run = |cfg: &WorkloadConfig| seconds(&algo.visit(cfg, tuning, &PAPER));
+        time.push_row(label, sweep(thread_counts, base, run));
+        let snooze = |cfg: &WorkloadConfig| counters(algo, backoff, cfg).backoff_snoozes;
+        let count = |cfg: &WorkloadConfig| Cell::exact(snooze(cfg));
+        snoozes.push_row(label, sweep(thread_counts, base, count));
     }
-    table
+    (time, snoozes)
 }
 
 /// `abl-capacity`: CAS queue time vs array capacity at fixed threads.
@@ -209,10 +225,10 @@ pub fn ablate_capacity(capacities: &[usize], base: &WorkloadConfig) -> Table {
         .iter()
         .map(|&capacity| {
             let cfg = WorkloadConfig { capacity, ..*base };
-            Cell::from(Algo::CasQueue.run(&cfg))
+            seconds(&Algo::CasQueue.run(&PAPER, &cfg))
         })
         .collect();
-    table.push_row(Algo::CasQueue.name(), cells);
+    table.push_row(&Algo::CasQueue.name(), cells);
     table
 }
 
@@ -265,138 +281,71 @@ pub fn ablate_scan(record_counts: &[usize], probes: usize) -> Table {
         let unsorted_ns = t0.elapsed().as_nanos() as f64 / probes as f64;
         std::hint::black_box(found);
 
-        sorted_cells.push(Cell {
-            mean: sorted_ns,
-            stddev: 0.0,
-        });
-        unsorted_cells.push(Cell {
-            mean: unsorted_ns,
-            stddev: 0.0,
-        });
+        sorted_cells.push(Cell::exact(sorted_ns));
+        unsorted_cells.push(Cell::exact(unsorted_ns));
     }
     table.push_row("sorted scan (sort + binary search)", sorted_cells);
     table.push_row("unsorted scan (linear probe)", unsorted_cells);
     table
 }
 
-/// `ext-ordering`: the compiled memory-ordering mode's throughput for the
-/// two core queues.
+/// `ext-ordering` and `ext-ordering-contention`: the compiled
+/// memory-ordering mode's running time for the two core queues, and
+/// their backoff snoozes per operation. A mode that wins on time but
+/// loses on snoozes is winning on instruction cost, not on reduced
+/// contention.
 ///
 /// Row labels carry [`nbq_util::mem::mode()`] (`relaxed` for the default
 /// per-site policy, `seqcst` under `--features strict-sc`), so running the
 /// experiment once per build and merging the CSVs (see
 /// [`Table::merge_csv_rows`]) yields the relaxed-vs-SeqCst comparison —
 /// the ordering sweep's measured payoff.
-pub fn ordering(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
+pub fn ordering(thread_counts: &[usize], base: &WorkloadConfig) -> (Table, Table) {
     let mode = nbq_util::mem::mode();
-    let mut table = Table::new(
+    let mut time = by_threads(
         "ext-ordering",
         "Core queues: per-site relaxed orderings vs strict SeqCst",
-        "threads",
         "s",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
-    for algo in [Algo::CasQueue, Algo::LlScQueue] {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig { threads, ..*base };
-                Cell::from(algo.run(&cfg))
-            })
-            .collect();
-        table.push_row(&format!("{} [{mode}]", algo.name()), cells);
-    }
-    table
-}
-
-/// Backoff snoozes per completed operation for one core queue under the
-/// paper workload — the contention metric behind the `abl-backoff` and
-/// `ext-ordering` tables.
-fn snoozes_per_op(algo: Algo, backoff: bool, cfg: &WorkloadConfig) -> f64 {
-    use crate::workload::run_once;
-    use nbq_core::{CasQueue, CasQueueConfig, LlScQueue, LlScQueueConfig};
-
-    let cap = cfg.capacity;
-    match algo {
-        Algo::CasQueue => {
-            let q = CasQueue::<u64>::with_config_stats(
-                cap,
-                CasQueueConfig {
-                    backoff,
-                    gate: GatePolicy::PerLink,
-                },
-            );
-            run_once(&q, cfg);
-            q.stats().expect("stats enabled").snapshot().backoff_snoozes
-        }
-        Algo::LlScQueue => {
-            let q = LlScQueue::<u64>::with_config_stats(cap, LlScQueueConfig { backoff });
-            run_once(&q, cfg);
-            q.stats().expect("stats enabled").snapshot().backoff_snoozes
-        }
-        _ => panic!("contention accounting only exists for the core queues"),
-    }
-}
-
-/// `ext-ordering-contention`: backoff snoozes per operation alongside
-/// [`ordering`]'s times, labeled with the same compiled mode. A mode that
-/// wins on time but loses on snoozes is winning on instruction cost, not
-/// on reduced contention.
-pub fn ordering_contention(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
-    let mode = nbq_util::mem::mode();
-    let mut table = Table::new(
+    let mut snoozes = by_threads(
         "ext-ordering-contention",
         "Core queues: backoff snoozes per op by ordering mode",
-        "threads",
         "snoozes/op",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
     for algo in [Algo::CasQueue, Algo::LlScQueue] {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig { threads, ..*base };
-                Cell {
-                    mean: snoozes_per_op(algo, true, &cfg),
-                    stddev: 0.0,
-                }
-            })
-            .collect();
-        table.push_row(&format!("{} [{mode}]", algo.name()), cells);
+        let label = format!("{} [{mode}]", algo.name());
+        let run = |cfg: &WorkloadConfig| seconds(&algo.run(&PAPER, cfg));
+        time.push_row(&label, sweep(thread_counts, base, run));
+        let snooze = |cfg: &WorkloadConfig| Cell::exact(counters(algo, true, cfg).backoff_snoozes);
+        snoozes.push_row(&label, sweep(thread_counts, base, snooze));
     }
-    table
+    (time, snoozes)
 }
 
-/// `abl-backoff-contention`: snoozes per operation for the [`ablate_backoff`]
-/// grid. The snooze counter ticks even when backoff is disabled (the
-/// would-have-yielded count), so the on/off rows compare like for like.
-pub fn backoff_contention(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
-    let mut table = Table::new(
-        "abl-backoff-contention",
-        "Core queues: backoff snoozes per op, backoff on vs off",
-        "threads",
-        "snoozes/op",
-        thread_counts.iter().map(|&t| t as u64).collect(),
-    );
-    for (algo, backoff, label) in [
-        (Algo::CasQueue, true, "CAS queue, backoff on"),
-        (Algo::CasQueue, false, "CAS queue, backoff off"),
-        (Algo::LlScQueue, true, "LL/SC queue, backoff on"),
-        (Algo::LlScQueue, false, "LL/SC queue, backoff off"),
-    ] {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig { threads, ..*base };
-                Cell {
-                    mean: snoozes_per_op(algo, backoff, &cfg),
-                    stddev: 0.0,
-                }
-            })
-            .collect();
-        table.push_row(label, cells);
+/// The counters of one paper-workload run on a fresh counted queue.
+struct Counted;
+
+impl Visit for Counted {
+    type Out = OpStatsSnapshot;
+    fn visit<Q: Driven>(self, factory: impl Fn() -> Q, cfg: &WorkloadConfig) -> Self::Out {
+        let q = factory();
+        run_once(&q, cfg);
+        let stats = q.op_stats().expect("Counted needs a counting queue");
+        stats.snapshot()
     }
-    table
+}
+
+/// [`Counted`] on `algo` with backoff on or off: the source of the
+/// backoff-snoozes-per-operation contention metric.
+fn counters(algo: Algo, backoff: bool, cfg: &WorkloadConfig) -> OpStatsSnapshot {
+    let tuning = Tuning {
+        backoff,
+        stats: true,
+        ..Tuning::default()
+    };
+    algo.visit(cfg, tuning, Counted)
 }
 
 /// `ext-alloc`: throughput of the compiled node-lifecycle mode — pooled
@@ -411,12 +360,11 @@ pub fn backoff_contention(thread_counts: &[usize], base: &WorkloadConfig) -> Tab
 /// malloc margin reads directly off the table.
 pub fn alloc_throughput(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
     let mode = nbq_util::pool::mode();
-    let mut table = Table::new(
+    let mut table = by_threads(
         "ext-alloc",
         "Node lifecycle: pooled recycling vs per-node malloc",
-        "threads",
         "Mops/s",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
     for algo in [
         Algo::CasQueue,
@@ -424,18 +372,7 @@ pub fn alloc_throughput(thread_counts: &[usize], base: &WorkloadConfig) -> Table
         Algo::MsHpUnsorted,
         Algo::MsDoherty,
     ] {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig { threads, ..*base };
-                let s = algo.run(&cfg);
-                let ops = cfg.total_ops() as f64;
-                let mean = ops / s.mean / 1e6;
-                // First-order error propagation: d(ops/t) = ops * dt / t^2.
-                let stddev = ops * s.stddev / (s.mean * s.mean) / 1e6;
-                Cell { mean, stddev }
-            })
-            .collect();
+        let cells = sweep(thread_counts, base, |cfg| mops(&algo.run(&PAPER, cfg)));
         table.push_row(&format!("{} [{mode}]", algo.name()), cells);
     }
     table
@@ -450,43 +387,27 @@ pub fn alloc_throughput(thread_counts: &[usize], base: &WorkloadConfig) -> Table
 /// after warmup while `recycle hit/op` absorbs the traffic; under
 /// `no-pool` every acquire is fresh and the recycle rows are zero.
 pub fn alloc_counters(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
-    use crate::workload::run_once;
-    use nbq_core::CasQueue;
-
     let mode = nbq_util::pool::mode();
-    let mut table = Table::new(
+    let mut table = by_threads(
         "ext-alloc-counters",
         "CAS queue: node-pool events per operation",
-        "threads",
         "events/op",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
-    let mut alloc_cells = Vec::new();
-    let mut hit_cells = Vec::new();
-    let mut spill_cells = Vec::new();
-    let mut refill_cells = Vec::new();
-    for &threads in thread_counts {
-        let cfg = WorkloadConfig { threads, ..*base };
-        let q = CasQueue::<u64>::with_stats(cfg.capacity);
-        run_once(&q, &cfg);
-        let snap = q.stats().expect("stats enabled").snapshot();
-        let ops = cfg.total_ops().max(1) as f64;
-        for (cells, total) in [
-            (&mut alloc_cells, snap.pool_alloc),
-            (&mut hit_cells, snap.pool_recycle_hits),
-            (&mut spill_cells, snap.pool_spills),
-            (&mut refill_cells, snap.pool_refills),
-        ] {
-            cells.push(Cell {
-                mean: total as f64 / ops,
-                stddev: 0.0,
-            });
-        }
+    let runs = sweep(thread_counts, base, |cfg| {
+        (counters(Algo::CasQueue, true, cfg), cfg.total_ops().max(1))
+    });
+    type Events = fn(&OpStatsSnapshot) -> u64;
+    let events: [(&str, Events); 4] = [
+        ("fresh alloc/op", |s| s.pool_alloc),
+        ("recycle hit/op", |s| s.pool_recycle_hits),
+        ("spill/op", |s| s.pool_spills),
+        ("refill/op", |s| s.pool_refills),
+    ];
+    for (label, count) in events {
+        let per_op = cells(&runs, |(snap, ops)| count(snap) as f64 / *ops as f64);
+        table.push_row(&format!("{label} [{mode}]"), per_op);
     }
-    table.push_row(&format!("fresh alloc/op [{mode}]"), alloc_cells);
-    table.push_row(&format!("recycle hit/op [{mode}]"), hit_cells);
-    table.push_row(&format!("spill/op [{mode}]"), spill_cells);
-    table.push_row(&format!("refill/op [{mode}]"), refill_cells);
     table
 }
 
@@ -507,20 +428,16 @@ pub fn modern(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
 /// alongside the shared FAA/slot-CAS instruction counts. One row per
 /// (algorithm, metric), columns = thread counts.
 pub fn modern_ops(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
-    use crate::workload::run_once;
-    use nbq_baselines::{ScqQueue, WcqQueue};
-
-    let mut table = Table::new(
+    let mut table = by_threads(
         "ext-modern-ops",
         "SCQ/wCQ: ring-protocol events per operation",
-        "threads",
         "events/op",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
     // (row label, per-snapshot extractor) — identical metric set for the
     // two rivals so the rows compare directly; `help/op` is structurally
     // zero for SCQ (it has no helping path).
-    type OpsMetric = (&'static str, fn(&nbq_core::OpStatsSnapshot) -> f64);
+    type OpsMetric = (&'static str, fn(&OpStatsSnapshot) -> f64);
     let metrics: &[OpsMetric] = &[
         ("faa/op", |s| s.faa_ops),
         ("slot CAS attempt/op", |s| s.slot_cas_attempts),
@@ -529,33 +446,11 @@ pub fn modern_ops(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
         ("catchup/op", |s| s.catchups),
         ("help/op", |s| s.help_events),
     ];
-    let mut rows: Vec<Vec<Cell>> = vec![Vec::new(); 2 * metrics.len()];
-    for &threads in thread_counts {
-        let cfg = WorkloadConfig { threads, ..*base };
-        let q = ScqQueue::<u64>::with_stats(cfg.capacity);
-        run_once(&q, &cfg);
-        let snap = q.stats().expect("stats enabled").snapshot();
-        for (i, (_, get)) in metrics.iter().enumerate() {
-            rows[i].push(Cell {
-                mean: get(&snap),
-                stddev: 0.0,
-            });
+    for (name, algo) in [("SCQ", Algo::Scq), ("wCQ", Algo::Wcq)] {
+        let snaps = sweep(thread_counts, base, |cfg| counters(algo, true, cfg));
+        for (label, get) in metrics {
+            table.push_row(&format!("{name}: {label}"), cells(&snaps, get));
         }
-        let q = WcqQueue::<u64>::with_stats(cfg.capacity);
-        run_once(&q, &cfg);
-        let snap = q.stats().expect("stats enabled").snapshot();
-        for (i, (_, get)) in metrics.iter().enumerate() {
-            rows[metrics.len() + i].push(Cell {
-                mean: get(&snap),
-                stddev: 0.0,
-            });
-        }
-    }
-    for (i, (label, _)) in metrics.iter().enumerate() {
-        table.push_row(&format!("SCQ: {label}"), rows[i].clone());
-    }
-    for (i, (label, _)) in metrics.iter().enumerate() {
-        table.push_row(&format!("wCQ: {label}"), rows[metrics.len() + i].clone());
     }
     table
 }
@@ -565,82 +460,41 @@ pub fn modern_ops(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
 /// metric) and columns = thread counts.
 pub fn opcounts(thread_counts: &[usize], iterations: usize) -> Table {
     use nbq_baselines::MsDohertyQueue;
-    use nbq_core::CasQueue;
-    use nbq_util::QueueHandle;
 
-    let mut table = Table::new(
+    let mut table = by_threads(
         "t4-opcounts",
         "Synchronization instructions per queue operation",
-        "threads",
         "count/op",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
-    let mut cas_slot = Vec::new();
-    let mut cas_index = Vec::new();
-    let mut cas_faa = Vec::new();
-    let mut md_sc = Vec::new();
-    for &threads in thread_counts {
-        // CAS queue with counters.
-        let q = CasQueue::<u64>::with_stats(4096);
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let q = &q;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    for i in 0..iterations as u64 {
-                        while h.enqueue((t as u64) << 40 | i).is_err() {
-                            h.dequeue();
-                        }
-                        while h.dequeue().is_none() {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-        });
-        let snap = q.stats().expect("stats enabled").snapshot();
-        cas_slot.push(Cell {
-            mean: snap.slot_cas_successes,
-            stddev: 0.0,
-        });
-        cas_index.push(Cell {
-            mean: snap.index_cas_successes,
-            stddev: 0.0,
-        });
-        cas_faa.push(Cell {
-            mean: snap.faa_ops,
-            stddev: 0.0,
-        });
-
-        // MS-Doherty successful SCs per operation.
+    // One enqueue then one dequeue per iteration: the paper's loop with
+    // bursts of one.
+    let base = WorkloadConfig {
+        iterations,
+        runs: 1,
+        capacity: 4096,
+        burst: 1,
+        ..WorkloadConfig::default()
+    };
+    let cas = sweep(thread_counts, &base, |cfg| {
+        counters(Algo::CasQueue, true, cfg)
+    });
+    table.push_row(
+        "CAS queue: successful slot CAS",
+        cells(&cas, |s| s.slot_cas_successes),
+    );
+    table.push_row(
+        "CAS queue: successful index CAS",
+        cells(&cas, |s| s.index_cas_successes),
+    );
+    table.push_row("CAS queue: fetch-and-add", cells(&cas, |s| s.faa_ops));
+    // MS-Doherty successful SCs per operation.
+    let sc = sweep(thread_counts, &base, |cfg| {
         let q = MsDohertyQueue::<u64>::new();
-        let ops = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let q = &q;
-                let ops = &ops;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    for i in 0..iterations as u64 {
-                        h.enqueue((t as u64) << 40 | i).unwrap();
-                        while h.dequeue().is_none() {
-                            std::thread::yield_now();
-                        }
-                        ops.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        let total_ops = ops.load(std::sync::atomic::Ordering::Relaxed).max(1);
-        md_sc.push(Cell {
-            mean: q.domain().pool().sc_successes() as f64 / total_ops as f64,
-            stddev: 0.0,
-        });
-    }
-    table.push_row("CAS queue: successful slot CAS", cas_slot);
-    table.push_row("CAS queue: successful index CAS", cas_index);
-    table.push_row("CAS queue: fetch-and-add", cas_faa);
-    table.push_row("MS-Doherty: successful SC (cell CAS)", md_sc);
+        run_once(&q, cfg);
+        q.domain().pool().sc_successes() as f64 / cfg.total_ops() as f64
+    });
+    table.push_row("MS-Doherty: successful SC (cell CAS)", cells(&sc, |&sc| sc));
     table
 }
 
@@ -686,14 +540,8 @@ pub fn batch_amortization(batch_sizes: &[usize], laps: usize) -> Table {
             }
         }
         let snap = q.stats().expect("stats enabled").snapshot();
-        index_cells.push(Cell {
-            mean: snap.index_cas_attempts,
-            stddev: 0.0,
-        });
-        slot_cells.push(Cell {
-            mean: snap.slot_cas_successes,
-            stddev: 0.0,
-        });
+        index_cells.push(Cell::exact(snap.index_cas_attempts));
+        slot_cells.push(Cell::exact(snap.slot_cas_successes));
     }
     table.push_row("index CAS attempts", index_cells);
     table.push_row("successful slot CAS", slot_cells);
@@ -703,47 +551,22 @@ pub fn batch_amortization(batch_sizes: &[usize], laps: usize) -> Table {
 /// `ext-batch` (time): the paper workload with `burst`-sized batch calls
 /// vs `burst` single calls, for both core queues.
 pub fn batch_time(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
-    use crate::workload::{run_workload, run_workload_batched};
-    use nbq_core::{CasQueue, LlScQueue};
-
-    let mut table = Table::new(
+    let mut table = by_threads(
         "ext-batch-time",
         "Core queues: batched vs single-op workload",
-        "threads",
         "s",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
-    for batched in [false, true] {
+    for (shape, calls) in [
+        (Shape::Mixed, "single ops".to_string()),
+        (Shape::Batched, format!("batched x{}", base.burst)),
+    ] {
         for algo in [Algo::CasQueue, Algo::LlScQueue] {
-            let cells: Vec<Cell> = thread_counts
-                .iter()
-                .map(|&threads| {
-                    let cfg = WorkloadConfig { threads, ..*base };
-                    let cap = cfg.capacity;
-                    let summary = match (algo, batched) {
-                        (Algo::CasQueue, false) => {
-                            run_workload(|| CasQueue::<u64>::with_capacity(cap), &cfg)
-                        }
-                        (Algo::CasQueue, true) => {
-                            run_workload_batched(|| CasQueue::<u64>::with_capacity(cap), &cfg)
-                        }
-                        (Algo::LlScQueue, false) => {
-                            run_workload(|| LlScQueue::<u64>::with_capacity(cap), &cfg)
-                        }
-                        (Algo::LlScQueue, true) => {
-                            run_workload_batched(|| LlScQueue::<u64>::with_capacity(cap), &cfg)
-                        }
-                        _ => unreachable!(),
-                    };
-                    Cell::from(summary)
-                })
-                .collect();
-            let label = if batched {
-                format!("{}, batched x{}", algo.name(), base.burst)
-            } else {
-                format!("{}, single ops", algo.name())
-            };
-            table.push_row(&label, cells);
+            let workload = Workload::raw(shape);
+            let cells = sweep(thread_counts, base, |cfg| {
+                seconds(&algo.run(&workload, cfg))
+            });
+            table.push_row(&format!("{}, {calls}", algo.name()), cells);
         }
     }
     table
@@ -755,43 +578,34 @@ pub fn batch_time(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
 /// Reported in Mops/s (higher is better) rather than seconds so the
 /// scaling claim — some lane count > 1 beating the single-lane queue's
 /// peak once the `Head`/`Tail` pair saturates — is directly readable off
-/// the CSV. Row set: both single-lane paper queues plus `sharded-cas-N` /
-/// `sharded-llsc-N` for every `N` in `lane_counts`.
+/// the CSV. Row set: both single-lane paper queues plus `Sharded CAS xN`
+/// and `Sharded LL/SC xN` for every `N` in `lane_counts`.
 pub fn sharding(thread_counts: &[usize], lane_counts: &[usize], base: &WorkloadConfig) -> Table {
-    let mut table = Table::new(
+    use crate::algos::Lane;
+
+    let mut table = by_threads(
         "ext-sharding",
         "Sharded frontend: throughput vs lane count vs threads",
-        "threads",
         "Mops/s",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
     let mut algos: Vec<Algo> = vec![Algo::CasQueue, Algo::LlScQueue];
-    for &lanes in lane_counts {
-        algos.push(Algo::ShardedCas { lanes });
-    }
-    for &lanes in lane_counts {
-        algos.push(Algo::ShardedLlsc { lanes });
+    for lane in [Lane::Cas, Lane::Llsc] {
+        algos.extend(lane_counts.iter().map(|&lanes| Algo::Sharded {
+            lane,
+            lanes,
+            policy: Mpmc,
+        }));
     }
     for algo in algos {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig { threads, ..*base };
-                let s = algo.run(&cfg);
-                let ops = cfg.total_ops() as f64;
-                let mean = ops / s.mean / 1e6;
-                // First-order error propagation: d(ops/t) = ops * dt / t^2.
-                let stddev = ops * s.stddev / (s.mean * s.mean) / 1e6;
-                Cell { mean, stddev }
-            })
-            .collect();
-        table.push_row(algo.name(), cells);
+        let cells = sweep(thread_counts, base, |cfg| mops(&algo.run(&PAPER, cfg)));
+        table.push_row(&algo.name(), cells);
     }
     table
 }
 
 /// `ext-sharding-ops`: per-lane index-CAS attempts per completed
-/// operation for a `sharded-cas-<lanes>` frontend under the paper
+/// operation for a `Sharded CAS x<lanes>` frontend under the paper
 /// workload — the contention picture behind [`sharding`]'s times.
 ///
 /// One row per lane plus a `single lane (baseline)` row measuring an
@@ -799,44 +613,38 @@ pub fn sharding(thread_counts: &[usize], lane_counts: &[usize], base: &WorkloadC
 /// every lane's row sits near the uncontended ~1 attempt/op while the
 /// baseline row climbs with the thread count.
 pub fn sharding_opstats(thread_counts: &[usize], lanes: usize, base: &WorkloadConfig) -> Table {
-    use crate::workload::run_once;
     use nbq_core::{CasQueue, ShardedQueue};
 
-    let mut table = Table::new(
+    let mut table = by_threads(
         "ext-sharding-ops",
         "Sharded CAS frontend: index CAS attempts per op, by lane",
-        "threads",
         "attempts/op",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
-    let mut lane_cells: Vec<Vec<Cell>> = vec![Vec::new(); lanes];
-    let mut baseline_cells: Vec<Cell> = Vec::new();
-    for &threads in thread_counts {
-        let cfg = WorkloadConfig { threads, ..*base };
+    // Per column: each lane's attempts, then the single-lane baseline's.
+    let runs = sweep(thread_counts, base, |cfg| {
         let per_lane = cfg.capacity.div_ceil(lanes);
         let q = ShardedQueue::with_lanes(lanes, |_| CasQueue::<u64>::with_stats(per_lane));
-        run_once(&q, &cfg);
-        for (lane, cells) in lane_cells.iter_mut().enumerate() {
-            let snap = q.lane(lane).stats().expect("stats enabled").snapshot();
-            cells.push(Cell {
-                mean: snap.index_cas_attempts,
-                stddev: 0.0,
-            });
-        }
-        let q = CasQueue::<u64>::with_stats(cfg.capacity);
-        run_once(&q, &cfg);
-        let snap = q.stats().expect("stats enabled").snapshot();
-        baseline_cells.push(Cell {
-            mean: snap.index_cas_attempts,
-            stddev: 0.0,
-        });
+        run_once(&q, cfg);
+        let lane = |l| q.lane(l).stats().expect("stats enabled").snapshot();
+        let mut attempts: Vec<f64> = (0..lanes).map(|l| lane(l).index_cas_attempts).collect();
+        attempts.push(counters(Algo::CasQueue, true, cfg).index_cas_attempts);
+        attempts
+    });
+    for lane in 0..lanes {
+        table.push_row(
+            &format!("lane {lane} of {lanes}"),
+            cells(&runs, |r| r[lane]),
+        );
     }
-    for (lane, cells) in lane_cells.into_iter().enumerate() {
-        table.push_row(&format!("lane {lane} of {lanes}"), cells);
-    }
-    table.push_row("single lane (baseline)", baseline_cells);
+    table.push_row("single lane (baseline)", cells(&runs, |r| r[lanes]));
     table
 }
+
+/// The async frontend over the work-stealing scheduler.
+const ASYNC: Frontend = Frontend::Async {
+    injection_only: false,
+};
 
 /// `ext-async`: throughput of the async channel frontend (tokio
 /// multi-thread runtime, one task per paper thread) against the same
@@ -852,57 +660,24 @@ pub fn sharding_opstats(thread_counts: &[usize], lanes: usize, base: &WorkloadCo
 /// scheduler-mode comparison and the latency distributions behind these
 /// throughputs).
 pub fn async_frontend(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
-    use crate::workload::run_workload_blocking;
-    use nbq_core::CasQueue;
-
-    let mut table = Table::new(
+    let mut table = by_threads(
         "ext-async",
         "Async channel frontend: throughput vs raw and blocking frontends",
-        "threads",
         "Mops/s",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
-    let to_cell = |cfg: &WorkloadConfig, s: &Summary| {
-        let ops = cfg.total_ops() as f64;
-        Cell {
-            mean: ops / s.mean / 1e6,
-            // First-order error propagation: d(ops/t) = ops * dt / t^2.
-            stddev: ops * s.stddev / (s.mean * s.mean) / 1e6,
-        }
+    let mut row = |label: &str, algo: Algo, workload: Workload| {
+        let cells = sweep(thread_counts, base, |cfg| mops(&algo.run(&workload, cfg)));
+        table.push_row(label, cells);
     };
     for algo in [Algo::CasQueue, Algo::LlScQueue] {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig { threads, ..*base };
-                to_cell(&cfg, &algo.run(&cfg))
-            })
-            .collect();
-        table.push_row(&format!("{} (raw)", algo.name()), cells);
+        row(&format!("{} (raw)", algo.name()), algo, PAPER);
     }
-    let blocking_cells: Vec<Cell> = thread_counts
-        .iter()
-        .map(|&threads| {
-            let cfg = WorkloadConfig { threads, ..*base };
-            let s = run_workload_blocking(|| CasQueue::<u64>::with_capacity(cfg.capacity), &cfg);
-            to_cell(&cfg, &s)
-        })
-        .collect();
-    table.push_row("Blocking CAS frontend (condvar)", blocking_cells);
-    for algo in [
-        Algo::AsyncCas,
-        Algo::AsyncLlsc,
-        Algo::AsyncSharded { lanes: 4 },
-    ] {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig { threads, ..*base };
-                to_cell(&cfg, &algo.run(&cfg))
-            })
-            .collect();
-        table.push_row(algo.name(), cells);
-    }
+    let (blocking, asynchronous) = (PAPER.via(Frontend::Blocking), PAPER.via(ASYNC));
+    row("Blocking CAS frontend (condvar)", Algo::CasQueue, blocking);
+    row("Async CAS frontend", Algo::CasQueue, asynchronous);
+    row("Async LL/SC frontend", Algo::LlScQueue, asynchronous);
+    row("Async Sharded CAS x4", Algo::sharded(4, Mpmc), asynchronous);
     table
 }
 
@@ -918,84 +693,45 @@ pub fn async_frontend(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
 /// on empty and senders on Full constantly, and the close-time drain
 /// exercises `wake_all`.
 pub fn async_wakers(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
-    use nbq_async::AsyncQueue;
-    use nbq_core::CasQueue;
-    use std::sync::Arc;
-
-    let mut table = Table::new(
+    let mut table = by_threads(
         "ext-async-wakers",
         "Async CAS frontend: waiter-registry events per op (producer/consumer split)",
-        "threads",
         "events/op",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
-    let mut registrations: Vec<Cell> = Vec::new();
-    let mut wakes: Vec<Cell> = Vec::new();
-    let mut spurious: Vec<Cell> = Vec::new();
-    for &threads in thread_counts {
-        let producers = (threads / 2).max(1);
-        let consumers = threads.saturating_sub(producers).max(1);
-        let per_producer = base.iterations * base.burst;
-        // One burst of headroom per task: small enough to park on every
-        // rate mismatch, large enough to keep both sides moving.
-        let capacity = (base.burst * threads).min(base.capacity);
-        let rt = tokio::runtime::Builder::new_multi_thread()
-            .worker_threads(producers + consumers)
-            .enable_all()
-            .build()
-            .expect("building the tokio runtime");
-        let q = Arc::new(AsyncQueue::with_stats(CasQueue::<u64>::with_capacity(
-            capacity,
-        )));
-        rt.block_on(async {
-            let mut senders = Vec::new();
-            for p in 0..producers {
-                let q = Arc::clone(&q);
-                senders.push(tokio::spawn(async move {
-                    for i in 0..per_producer {
-                        let value = ((p as u64) << 40) | i as u64;
-                        q.send(value).await.expect("closed only after producers");
-                    }
-                }));
-            }
-            let mut receivers = Vec::new();
-            for _ in 0..consumers {
-                let q = Arc::clone(&q);
-                receivers.push(tokio::spawn(
-                    async move { while q.recv().await.is_some() {} },
-                ));
-            }
-            for s in senders {
-                s.await.expect("producer panicked");
-            }
-            q.close();
-            for r in receivers {
-                r.await.expect("consumer panicked");
-            }
-        });
-        assert_eq!(q.live_waiters(), 0, "no leaked waiter slots");
-        let snap = q.stats().expect("stats enabled").snapshot();
-        // Every sent value is received exactly once: 2 ops per value.
-        let ops = (2 * producers * per_producer) as f64;
-        let cell = |count: u64| Cell {
-            mean: count as f64 / ops,
-            stddev: 0.0,
+    let runs = sweep(thread_counts, base, |cfg| {
+        let producers = (cfg.threads / 2).max(1);
+        let fan = Workload::raw(Shape::Fan { producers }).via(ASYNC);
+        let cfg = WorkloadConfig {
+            threads: producers + cfg.threads.saturating_sub(producers).max(1),
+            // One burst of headroom per task: small enough to park on
+            // every rate mismatch, large enough to keep both sides moving.
+            capacity: (cfg.burst * cfg.threads).min(cfg.capacity),
+            runs: 1,
+            ..*cfg
         };
-        registrations.push(cell(snap.waker_registrations));
-        wakes.push(cell(snap.waker_wakes));
-        spurious.push(cell(snap.spurious_polls));
+        Algo::CasQueue.run(&fan, &cfg)
+    });
+    type Events = fn(&OpStatsSnapshot) -> u64;
+    let events: [(&str, Events); 3] = [
+        ("waker registrations", |s| s.waker_registrations),
+        ("wakes issued", |s| s.waker_wakes),
+        ("spurious polls", |s| s.spurious_polls),
+    ];
+    for (label, count) in events {
+        let per_op =
+            |r: &RunReport| count(r.counters.as_ref().expect("async run")) as f64 / r.ops as f64;
+        table.push_row(label, cells(&runs, per_op));
     }
-    table.push_row("waker registrations", registrations);
-    table.push_row("wakes issued", wakes);
-    table.push_row("spurious polls", spurious);
     table
 }
 
-/// `ext-async-latency`: end-to-end per-operation latency distributions
-/// (p50/p99/p999 for enqueue and dequeue, p99 for the echo) plus
-/// throughput, for the condvar blocking frontend and the async frontend
-/// under both executor schedulers — the work-stealing scheduler and its
-/// single-injection-queue control (`injection_only`).
+/// `ext-async-latency` and `ext-steal`: end-to-end per-operation latency
+/// distributions (p50/p99/p999 for enqueue and dequeue, p99 for the echo)
+/// plus throughput, for the condvar blocking frontend and the async
+/// frontend under both executor schedulers — the work-stealing scheduler
+/// and its single-injection-queue control (`injection_only`) — and the
+/// scheduler counters behind the async pipe rows.
 ///
 /// Two async workload shapes per scheduler: the balanced paper shape
 /// (each task alternates bursts; echo = one full burst iteration), and
@@ -1008,195 +744,97 @@ pub fn async_wakers(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
 ///
 /// Latencies include parking and reschedule time (that is the point:
 /// the async rows measure the *executor round trip*, not just the queue
-/// op), quantized ≤ 3.1% by [`nbq_util::LatencyHistogram`]. The unit is
-/// `mixed`: each row label carries its own unit (Mops/s or µs).
+/// op), quantized ≤ 3.1% by [`nbq_util::LatencyHistogram`]. The latency
+/// table's unit is `mixed`: each row label carries its own unit (Mops/s
+/// or µs).
+///
+/// `ext-steal` reports, from the same pipe runs, steals, steal batches,
+/// LIFO-slot hits, injection-queue polls and parks per 1000 completed
+/// queue operations, per scheduler mode. The injection-only control's
+/// rows pin the baseline: zero steals and LIFO hits by construction,
+/// every poll through the shared queue.
 ///
 /// Under a `--features injection-only` build the work-stealing scheduler
 /// does not exist, so its rows are omitted rather than silently measuring
 /// the control twice.
-pub fn async_latency(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
-    use crate::workload::{
-        run_workload_async_latency, run_workload_async_split_latency,
-        run_workload_blocking_latency, LatencyReport,
-    };
-    use nbq_core::CasQueue;
-    use nbq_util::LatencyHistogram;
+pub fn async_latency(thread_counts: &[usize], base: &WorkloadConfig) -> (Table, Table) {
+    use tokio::runtime::RuntimeMetrics;
 
-    let mut table = Table::new(
+    let mut latency = by_threads(
         "ext-async-latency",
         "End-to-end latency and throughput: blocking vs async frontends \
          (CAS queue), work-stealing vs injection-only executor",
-        "threads",
         "mixed",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
+    let mut steal = by_threads(
+        "ext-steal",
+        "Executor scheduler counters per 1000 async queue ops, by mode",
+        "events/kop",
+        thread_counts,
+    );
+    let mut modes = vec![("injection-only", true)];
+    if !tokio::runtime::injection_only_build() {
+        modes.insert(0, ("work-stealing", false));
+    }
+    let timed =
+        |workload: Workload| move |cfg: &WorkloadConfig| Algo::CasQueue.run(&workload.timed(), cfg);
+    let blocking = sweep(thread_counts, base, timed(PAPER.via(Frontend::Blocking)));
+    let mut frontends = vec![("blocking (condvar)".to_string(), blocking)];
+    for &(mode, injection_only) in &modes {
+        let asynchronous = PAPER.via(Frontend::Async { injection_only });
+        let runs = sweep(thread_counts, base, timed(asynchronous));
+        frontends.push((format!("async ({mode})"), runs));
+    }
+    type Count = fn(&RuntimeMetrics) -> u64;
+    let counters: [(&str, Count); 5] = [
+        ("steals", |m| m.steals),
+        ("steal batches", |m| m.steal_batches),
+        ("lifo hits", |m| m.lifo_hits),
+        ("injection polls", |m| m.injection_polls),
+        ("parks", |m| m.parks),
+    ];
+    for &(mode, injection_only) in &modes {
+        let pipe = |cfg: &WorkloadConfig| {
+            // One burst of capacity headroom per pipe producer.
+            let capacity = ((cfg.threads / 2).max(1) * cfg.burst).min(cfg.capacity);
+            let asynchronous = Frontend::Async { injection_only };
+            let workload = Workload::raw(Shape::pipe(cfg.threads)).via(asynchronous);
+            timed(workload)(&WorkloadConfig { capacity, ..*cfg })
+        };
+        let runs = sweep(thread_counts, base, pipe);
+        for (label, count) in counters {
+            // Counters are cumulative over all runs on the one runtime.
+            let per_kop = |r: &RunReport| {
+                let kops = (r.ops * r.summary.n as u64) as f64 / 1e3;
+                count(&r.executor.expect("async run")) as f64 / kops
+            };
+            steal.push_row(&format!("{label} [{mode}]"), cells(&runs, per_kop));
+        }
+        frontends.push((format!("async pipe ({mode})"), runs));
+    }
 
-    // One (total ops, summary, capture) per column, per frontend.
-    type Runs = Vec<(f64, Summary, LatencyReport)>;
     type HistPick = fn(&LatencyReport) -> &LatencyHistogram;
-    let collect = |f: &dyn Fn(&WorkloadConfig) -> (f64, Summary, LatencyReport)| -> Runs {
-        thread_counts
-            .iter()
-            .map(|&threads| f(&WorkloadConfig { threads, ..*base }))
-            .collect()
-    };
-    // The split-role (pipe) rows park on every rate mismatch: one burst
-    // of headroom per producer, so each value's delivery rides the
-    // executor's wake path (this is where the schedulers differ).
-    let pipe_cfg = |cfg: &WorkloadConfig| WorkloadConfig {
-        capacity: (cfg.pipe_producers() * cfg.burst).min(cfg.capacity),
-        ..*cfg
-    };
-    let stealing = !tokio::runtime::injection_only_build();
-    let mut frontends: Vec<(&str, Runs)> = vec![(
-        "blocking (condvar)",
-        collect(&|cfg| {
-            let (s, r) =
-                run_workload_blocking_latency(|| CasQueue::<u64>::with_capacity(cfg.capacity), cfg);
-            (cfg.total_ops() as f64, s, r)
-        }),
-    )];
-    for (label, injection_only) in [
-        ("async (work-stealing)", false),
-        ("async (injection-only)", true),
-    ] {
-        if !injection_only && !stealing {
-            continue;
+    let us = |pick: HistPick, q: f64| {
+        move |r: &RunReport| {
+            pick(r.latency.as_ref().expect("timed run")).quantile_ns(q) as f64 / 1e3
         }
-        frontends.push((
-            label,
-            collect(&|cfg| {
-                let (s, r, _) = run_workload_async_latency(
-                    || CasQueue::<u64>::with_capacity(cfg.capacity),
-                    cfg,
-                    injection_only,
-                );
-                (cfg.total_ops() as f64, s, r)
-            }),
-        ));
-    }
-    for (label, injection_only) in [
-        ("async pipe (work-stealing)", false),
-        ("async pipe (injection-only)", true),
-    ] {
-        if !injection_only && !stealing {
-            continue;
-        }
-        frontends.push((
-            label,
-            collect(&|cfg| {
-                let cfg = pipe_cfg(cfg);
-                let (s, r, _) = run_workload_async_split_latency(
-                    || CasQueue::<u64>::with_capacity(cfg.capacity),
-                    &cfg,
-                    injection_only,
-                );
-                (cfg.pipe_total_ops() as f64, s, r)
-            }),
-        ));
-    }
-
+    };
     for (frontend, runs) in &frontends {
-        let tput: Vec<Cell> = runs
-            .iter()
-            .map(|(ops, s, _)| Cell {
-                mean: ops / s.mean / 1e6,
-                // First-order error propagation: d(ops/t) = ops * dt / t^2.
-                stddev: ops * s.stddev / (s.mean * s.mean) / 1e6,
-            })
-            .collect();
-        table.push_row(&format!("{frontend} throughput (Mops/s)"), tput);
+        let tput = runs.iter().map(mops).collect();
+        latency.push_row(&format!("{frontend} throughput (Mops/s)"), tput);
         let hist_of: [(&str, HistPick); 2] =
             [("enqueue", |r| &r.enqueue), ("dequeue", |r| &r.dequeue)];
         for (op, pick) in hist_of {
             for (q_label, q) in [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)] {
-                let cells: Vec<Cell> = runs
-                    .iter()
-                    .map(|(_, _, r)| Cell {
-                        mean: pick(r).quantile_ns(q) as f64 / 1e3,
-                        stddev: 0.0,
-                    })
-                    .collect();
-                table.push_row(&format!("{frontend} {op} {q_label} (us)"), cells);
+                let label = format!("{frontend} {op} {q_label} (us)");
+                latency.push_row(&label, cells(runs, us(pick, q)));
             }
         }
-        let echo: Vec<Cell> = runs
-            .iter()
-            .map(|(_, _, r)| Cell {
-                mean: r.echo.quantile_ns(0.99) as f64 / 1e3,
-                stddev: 0.0,
-            })
-            .collect();
-        table.push_row(&format!("{frontend} echo p99 (us)"), echo);
+        let echo = cells(runs, us(|r| &r.echo, 0.99));
+        latency.push_row(&format!("{frontend} echo p99 (us)"), echo);
     }
-    table
-}
-
-/// `ext-steal`: the work-stealing executor's scheduler counters under the
-/// split-role async pipe workload (the parking-heavy shape of
-/// [`async_latency`]), per 1000 completed queue operations — steals,
-/// steal batches, LIFO-slot hits, injection-queue polls, and parks — for
-/// both scheduler modes. The injection-only control's rows pin the
-/// baseline: zero steals and LIFO hits by construction, every poll
-/// through the shared queue.
-///
-/// Under a `--features injection-only` build only the control rows exist.
-pub fn steal_counters(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
-    use crate::workload::run_workload_async_split_latency;
-    use nbq_core::CasQueue;
-
-    let mut table = Table::new(
-        "ext-steal",
-        "Executor scheduler counters per 1000 async queue ops, by mode",
-        "threads",
-        "events/kop",
-        thread_counts.iter().map(|&t| t as u64).collect(),
-    );
-    let mut modes: Vec<(&str, bool)> = Vec::new();
-    if !tokio::runtime::injection_only_build() {
-        modes.push(("work-stealing", false));
-    }
-    modes.push(("injection-only", true));
-    for (mode, injection_only) in modes {
-        let mut rows: [(&str, Vec<Cell>); 5] = [
-            ("steals", Vec::new()),
-            ("steal batches", Vec::new()),
-            ("lifo hits", Vec::new()),
-            ("injection polls", Vec::new()),
-            ("parks", Vec::new()),
-        ];
-        for &threads in thread_counts {
-            let cfg = WorkloadConfig { threads, ..*base };
-            let cfg = WorkloadConfig {
-                capacity: (cfg.pipe_producers() * cfg.burst).min(cfg.capacity),
-                ..cfg
-            };
-            let (_, _, m) = run_workload_async_split_latency(
-                || CasQueue::<u64>::with_capacity(cfg.capacity),
-                &cfg,
-                injection_only,
-            );
-            // Counters are cumulative over all runs on the one runtime.
-            let kops = (cfg.pipe_total_ops() * cfg.runs as u64) as f64 / 1e3;
-            let counts = [
-                m.steals,
-                m.steal_batches,
-                m.lifo_hits,
-                m.injection_polls,
-                m.parks,
-            ];
-            for (row, count) in rows.iter_mut().zip(counts) {
-                row.1.push(Cell {
-                    mean: count as f64 / kops,
-                    stddev: 0.0,
-                });
-            }
-        }
-        for (label, cells) in rows {
-            table.push_row(&format!("{label} [{mode}]"), cells);
-        }
-    }
-    table
+    (latency, steal)
 }
 
 /// `ext-spsc`: the SPSC crossover sweep. Every column is a split-role
@@ -1215,48 +853,26 @@ pub fn spsc(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
         thread_counts.iter().all(|&t| t >= 2 && t % 2 == 0),
         "the pipe pairs producers with consumers: thread counts must be even"
     );
-    let mut table = Table::new(
+    let mut table = by_threads(
         "ext-spsc",
         "SPSC fast-path lanes: pipe throughput vs MPMC lanes",
-        "threads",
         "Mops/s",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
-    let to_cell = |cfg: &WorkloadConfig, s: &Summary| {
-        let ops = cfg.pipe_total_ops() as f64;
-        Cell {
-            mean: ops / s.mean / 1e6,
-            // First-order error propagation: d(ops/t) = ops * dt / t^2.
-            stddev: ops * s.stddev / (s.mean * s.mean) / 1e6,
-        }
-    };
-    for algo in [Algo::SpscCasPipe, Algo::SpscLlscPipe] {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig { threads, ..*base };
-                to_cell(&cfg, &algo.run(&cfg))
-            })
-            .collect();
-        table.push_row(algo.name(), cells);
+    for algo in [Algo::CasQueue, Algo::LlScQueue] {
+        let cells = sweep(thread_counts, base, |cfg| {
+            mops(&algo.run(&Workload::raw(Shape::pipe(cfg.threads)), cfg))
+        });
+        table.push_row(&format!("{} (pipe)", algo.name()), cells);
     }
-    for (label, mixed) in [
-        ("Sharded pinned MPMC (lane per pair)", false),
-        ("Sharded mixed SPSC (lane per pair)", true),
+    for (label, policy) in [
+        ("Sharded pinned MPMC (lane per pair)", Mpmc),
+        ("Sharded mixed SPSC (lane per pair)", SpscFastPath),
     ] {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig { threads, ..*base };
-                let lanes = threads / 2;
-                let algo = if mixed {
-                    Algo::ShardedMixed { lanes }
-                } else {
-                    Algo::ShardedPinned { lanes }
-                };
-                to_cell(&cfg, &algo.run(&cfg))
-            })
-            .collect();
+        let cells = sweep(thread_counts, base, |cfg| {
+            let algo = Algo::sharded(cfg.threads / 2, policy);
+            mops(&algo.run(&Workload::raw(Shape::Pairs), cfg))
+        });
         table.push_row(label, cells);
     }
     table
@@ -1268,48 +884,31 @@ pub fn spsc(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
 /// table). The SPSC rows beating the best MPMC row here is the point of
 /// the fast path.
 pub fn spsc_1p1c(base: &WorkloadConfig) -> Table {
-    let mut table = Table::new(
+    let mut table = by_threads(
         "ext-spsc-1p1c",
         "1p/1c pipe: wait-free SPSC ring vs MPMC queues",
-        "threads",
         "Mops/s",
-        vec![2],
+        &[2],
     );
     let cfg = WorkloadConfig {
         threads: 2,
         ..*base
     };
-    let ops = cfg.pipe_total_ops() as f64;
-    for algo in [
-        Algo::SpscRingPipe,
-        Algo::ShardedMixed { lanes: 1 },
-        Algo::ShardedPinned { lanes: 1 },
-        Algo::SpscCasPipe,
-        Algo::SpscLlscPipe,
+    for (label, algo) in [
+        ("Wait-free SPSC ring (pipe)", Algo::SpscRing),
+        ("Sharded mixed SPSC x1", Algo::sharded(1, SpscFastPath)),
+        ("Sharded pinned MPMC x1", Algo::sharded(1, Mpmc)),
+        ("FIFO Array Simulated CAS (pipe)", Algo::CasQueue),
+        ("FIFO Array LL/SC (pipe)", Algo::LlScQueue),
     ] {
-        let s = algo.run(&cfg);
-        table.push_row(
-            algo.name(),
-            vec![Cell {
-                mean: ops / s.mean / 1e6,
-                stddev: ops * s.stddev / (s.mean * s.mean) / 1e6,
-            }],
-        );
+        // The sharded rows pin their one pair to the lane.
+        let shape = match algo {
+            Algo::Sharded { .. } => Shape::Pairs,
+            _ => Shape::pipe(2),
+        };
+        table.push_row(label, vec![mops(&algo.run(&Workload::raw(shape), &cfg))]);
     }
     table
-}
-
-/// Producer-thread count each fan algorithm uses at a given total thread
-/// count — the throughput denominator of [`arity`] (each produced value
-/// is one enqueue plus one dequeue).
-fn fan_producers(algo: Algo, threads: usize) -> usize {
-    match algo {
-        Algo::MpscRingFan | Algo::FanInCas => threads - 1,
-        Algo::SpmcRingFan | Algo::FanOutCas => 1,
-        Algo::ShardedMpsc { lanes } | Algo::ShardedFanInCtl { lanes } => threads - lanes,
-        Algo::ShardedSpmc { lanes } | Algo::ShardedFanOutCtl { lanes } => lanes,
-        _ => unreachable!("not a fan algorithm"),
-    }
 }
 
 /// `ext-arity`: arity-specialized lanes on asymmetric split-role
@@ -1331,36 +930,33 @@ pub fn arity(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
         "2-lane fan entries need >= 4 threads (one single-side endpoint \
          per lane plus one multi-side endpoint per lane)"
     );
-    let mut table = Table::new(
+    let mut table = by_threads(
         "ext-arity",
         "Arity-specialized lanes: fan-in/fan-out throughput vs MPMC",
-        "threads",
         "Mops/s",
-        thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts,
     );
-    for algo in [
-        Algo::MpscRingFan,
-        Algo::FanInCas,
-        Algo::ShardedMpsc { lanes: 2 },
-        Algo::ShardedFanInCtl { lanes: 2 },
-        Algo::SpmcRingFan,
-        Algo::FanOutCas,
-        Algo::ShardedSpmc { lanes: 2 },
-        Algo::ShardedFanOutCtl { lanes: 2 },
-    ] {
-        let cells: Vec<Cell> = thread_counts
-            .iter()
-            .map(|&threads| {
-                let cfg = WorkloadConfig { threads, ..*base };
-                let ops = cfg.fan_total_ops(fan_producers(algo, threads)) as f64;
-                let s = algo.run(&cfg);
-                Cell {
-                    mean: ops / s.mean / 1e6,
-                    stddev: ops * s.stddev / (s.mean * s.mean) / 1e6,
-                }
-            })
-            .collect();
-        table.push_row(&format!("{} [{}]", algo.name(), algo.kind()), cells);
+    // Over the single-lane raw rings and CAS queue the pinned fans are
+    // the plain fans: `threads - 1` producers into one consumer, or one
+    // producer out to `threads - 1` consumers.
+    let fan_in = [
+        ("Wait-free MPSC ring (fan-in)", Algo::MpscRing),
+        ("FIFO Array Simulated CAS (fan-in)", Algo::CasQueue),
+        ("Sharded MPSC fan-in x2", Algo::sharded(2, MpscFastPath)),
+        ("Sharded pinned MPMC fan-in x2", Algo::sharded(2, Mpmc)),
+    ];
+    let fan_out = [
+        ("Wait-free SPMC ring (fan-out)", Algo::SpmcRing),
+        ("FIFO Array Simulated CAS (fan-out)", Algo::CasQueue),
+        ("Sharded SPMC fan-out x2", Algo::sharded(2, SpmcFastPath)),
+        ("Sharded pinned MPMC fan-out x2", Algo::sharded(2, Mpmc)),
+    ];
+    for (shape, rows) in [(Shape::FanIn, fan_in), (Shape::FanOut, fan_out)] {
+        for (label, algo) in rows {
+            let workload = Workload::raw(shape);
+            let cells = sweep(thread_counts, base, |cfg| mops(&algo.run(&workload, cfg)));
+            table.push_row(&format!("{label} [{}]", algo.kind()), cells);
+        }
     }
     table
 }
@@ -1386,7 +982,6 @@ pub fn net(connection_counts: &[usize], messages_per_publisher: usize) -> (Table
     use nbq_baselines::{ScqQueue, WcqQueue};
     use nbq_core::{CasQueue, LlScQueue};
     use nbq_net::{run_workload_net, NetConfig, NetMsg, NetReport};
-    use nbq_util::LatencyHistogram;
 
     /// Per-lane backbone capacity: small enough that the default fan-in
     /// (8 pairs per topic) can fill a lane and surface BUSY, large
@@ -1434,39 +1029,17 @@ pub fn net(connection_counts: &[usize], messages_per_publisher: usize) -> (Table
                 })
             })
             .collect();
-        tput.push_row(
-            &format!("{name} delivered (kmsg/s)"),
-            reports
-                .iter()
-                .map(|r| Cell {
-                    mean: r.throughput() / 1e3,
-                    stddev: 0.0,
-                })
-                .collect(),
-        );
-        tput.push_row(
-            &format!("{name} busy/kmsg"),
-            reports
-                .iter()
-                .map(|r| Cell {
-                    mean: r.broker.busy as f64 * 1e3 / r.published.max(1) as f64,
-                    stddev: 0.0,
-                })
-                .collect(),
-        );
+        let delivered = cells(&reports, |r| r.throughput() / 1e3);
+        tput.push_row(&format!("{name} delivered (kmsg/s)"), delivered);
+        let busy = cells(&reports, |r| {
+            r.broker.busy as f64 * 1e3 / r.published.max(1) as f64
+        });
+        tput.push_row(&format!("{name} busy/kmsg"), busy);
         let picks: [(&str, HistPick); 2] = [("e2e", |r| &r.e2e), ("ack rtt", |r| &r.ack_rtt)];
         for (op, pick) in picks {
             for (q_label, q) in [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)] {
-                lat.push_row(
-                    &format!("{name} {op} {q_label} (us)"),
-                    reports
-                        .iter()
-                        .map(|r| Cell {
-                            mean: pick(r).quantile_ns(q) as f64 / 1e3,
-                            stddev: 0.0,
-                        })
-                        .collect(),
-                );
+                let us = cells(&reports, |r| pick(r).quantile_ns(q) as f64 / 1e3);
+                lat.push_row(&format!("{name} {op} {q_label} (us)"), us);
             }
         }
     }
@@ -1475,20 +1048,16 @@ pub fn net(connection_counts: &[usize], messages_per_publisher: usize) -> (Table
 
 /// In-text T3 helper: LL/SC-vs-CAS speed ratio out of a fig6a table.
 pub fn llsc_vs_cas_ratio(fig6a: &Table) -> Vec<(u64, f64)> {
+    let (llsc, cas) = (Algo::LlScQueue.name(), Algo::CasQueue.name());
     fig6a
         .columns
         .iter()
         .filter_map(|&threads| {
-            let llsc = fig6a.cell(Algo::LlScQueue.name(), threads)?;
-            let cas = fig6a.cell(Algo::CasQueue.name(), threads)?;
+            let llsc = fig6a.cell(&llsc, threads)?;
+            let cas = fig6a.cell(&cas, threads)?;
             Some((threads, cas.mean / llsc.mean - 1.0))
         })
         .collect()
-}
-
-/// Convenience summary used by tests.
-pub fn quick_summary(algo: Algo, cfg: &WorkloadConfig) -> Summary {
-    algo.run(cfg)
 }
 
 #[cfg(test)]
@@ -1517,7 +1086,7 @@ mod tests {
     fn fig6c_normalizes_cas_row_to_one() {
         let a = fig6a(&[1], &tiny());
         let c = fig6c(&a);
-        let cas = c.cell(Algo::CasQueue.name(), 1).unwrap();
+        let cas = c.cell(&Algo::CasQueue.name(), 1).unwrap();
         assert!((cas.mean - 1.0).abs() < 1e-12);
     }
 
@@ -1602,7 +1171,7 @@ mod tests {
 
     #[test]
     fn ordering_rows_carry_the_compiled_mode() {
-        let t = ordering(&[1, 2], &tiny());
+        let (t, _) = ordering(&[1, 2], &tiny());
         assert_eq!(t.rows.len(), 2);
         let mode = nbq_util::mem::mode();
         for (label, cells) in &t.rows {
@@ -1620,9 +1189,9 @@ mod tests {
 
     #[test]
     fn contention_tables_report_finite_snoozes() {
-        let t = ordering_contention(&[2], &tiny());
+        let (_, t) = ordering(&[2], &tiny());
         assert_eq!(t.rows.len(), 2);
-        let b = backoff_contention(&[2], &tiny());
+        let (_, b) = ablate_backoff(&[2], &tiny());
         assert_eq!(b.rows.len(), 4);
         for table in [&t, &b] {
             for (label, cells) in &table.rows {
@@ -1672,7 +1241,7 @@ mod tests {
     #[test]
     fn sharding_table_has_baselines_and_all_lane_counts() {
         let t = sharding(&[1, 2], &[2, 4], &tiny());
-        // 2 single-lane baselines + 2 sharded-cas + 2 sharded-llsc.
+        // 2 single-lane baselines + 2 sharded CAS + 2 sharded LL/SC.
         assert_eq!(t.rows.len(), 6);
         assert!(t.cell("FIFO Array Simulated CAS", 2).is_some());
         assert!(t.cell("Sharded CAS x2", 2).is_some());
@@ -1701,7 +1270,7 @@ mod tests {
 
     #[test]
     fn async_latency_table_has_throughput_and_quantile_rows() {
-        let t = async_latency(&[1, 2], &tiny());
+        let (t, _) = async_latency(&[1, 2], &tiny());
         // 8 rows per frontend: blocking + two injection-only shapes
         // always, plus two work-stealing shapes unless this build forces
         // the control.
@@ -1736,8 +1305,8 @@ mod tests {
     }
 
     #[test]
-    fn steal_counters_reports_every_counter_per_mode() {
-        let t = steal_counters(&[2], &tiny());
+    fn steal_table_reports_every_counter_per_mode() {
+        let (_, t) = async_latency(&[2], &tiny());
         let modes = if tokio::runtime::injection_only_build() {
             1
         } else {

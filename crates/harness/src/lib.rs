@@ -1,15 +1,23 @@
 //! Reproduction harness for the paper's evaluation (§6).
 //!
-//! * [`workload`] — the 5-enqueue/5-dequeue iteration loop, barrier
-//!   start, mean-of-runs timing.
+//! * [`workload`] — one workload model and its runner: a [`Workload`] is
+//!   a [`Shape`] (the paper's 5-enqueue/5-dequeue loop, its batched
+//!   form, or a producer/consumer split, optionally pinned to lanes), a
+//!   [`Frontend`] (raw spin, condvar, async tasks) and optional latency
+//!   capture; [`Workload::run`] builds fresh queues from a factory and
+//!   reports mean-of-runs time, the operations performed and the latency
+//!   histograms. [`run_once`] is the paper's loop on one queue.
 //! * [`algos`] — the algorithm registry (paper algorithms, every §6
-//!   baseline, extension comparators) behind one enum.
+//!   baseline, extension comparators): an [`Algo`] names only the queue
+//!   it builds, and [`Algo::visit`] hands any [`Visit`]or a factory for it.
 //! * [`experiments`] — one driver per figure/table (`fig6a`–`fig6d`,
-//!   the in-text measurements) and per ablation.
+//!   the in-text measurements) and per ablation; each table row is an
+//!   `Algo` plus the `Workload` that drives it.
 //! * [`casbench`] — raw atomic-primitive cost measurements.
 //! * [`report`] — text/CSV/JSON tables.
 //!
-//! The `repro` binary exposes all of it:
+//! The `repro` binary exposes all of it from one registry of
+//! subcommands:
 //!
 //! ```text
 //! repro fig6a --threads 1,2,4,8 --iters 2000 --runs 5 --csv results/
@@ -24,12 +32,8 @@ pub mod experiments;
 pub mod report;
 pub mod workload;
 
-pub use algos::{Algo, Tuning, AMD_SET, MODERN_SET, POWERPC_SET};
+pub use algos::{Algo, Lane, Tuning, Visit, AMD_SET, MODERN_SET, POWERPC_SET};
 pub use report::{Cell, Table};
 pub use workload::{
-    run_once, run_once_async, run_once_async_latency, run_once_async_split_latency,
-    run_once_batched, run_once_blocking, run_once_blocking_latency, run_once_latency, run_workload,
-    run_workload_async, run_workload_async_latency, run_workload_async_split_latency,
-    run_workload_batched, run_workload_blocking, run_workload_blocking_latency,
-    run_workload_latency, LatencyReport, WorkloadConfig,
+    run_once, Driven, Frontend, LatencyReport, RunReport, Shape, Workload, WorkloadConfig,
 };

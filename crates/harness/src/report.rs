@@ -17,6 +17,24 @@ pub struct Cell {
     pub stddev: f64,
 }
 
+impl Cell {
+    /// A single measurement, no spread.
+    pub fn exact(mean: f64) -> Cell {
+        Cell { mean, stddev: 0.0 }
+    }
+
+    /// Throughput in Mops/s of `ops` operations per run, from per-run
+    /// seconds; the spread propagates to first order:
+    /// d(ops/t) = ops * dt / t^2.
+    pub fn throughput(ops: u64, s: &Summary) -> Cell {
+        let ops = ops as f64;
+        Cell {
+            mean: ops / s.mean / 1e6,
+            stddev: ops * s.stddev / (s.mean * s.mean) / 1e6,
+        }
+    }
+}
+
 impl From<Summary> for Cell {
     fn from(s: Summary) -> Self {
         Cell {

@@ -1,4 +1,5 @@
-//! The paper's §6 synthetic benchmark workload.
+//! The paper's §6 synthetic benchmark workload, and the one runner every
+//! experiment drives it through.
 //!
 //! "In all our experiments, each thread performs 100000 iterations
 //! consisting of a series of 5 enqueue operations followed by 5 dequeue
@@ -12,16 +13,28 @@
 //! workspace (each enqueue boxes a node, each dequeue frees one), so the
 //! workload body is pure queue operations, exactly as in the paper.
 //!
+//! A [`Workload`] is a [`Shape`] (who enqueues and dequeues what), a
+//! [`Frontend`] (how a full or empty queue is waited out) and whether each
+//! operation is timed. [`Workload::run`] builds `runs` fresh queues from a
+//! factory, drives each one and returns a [`RunReport`]. [`run_once`] is
+//! the paper's loop on one given queue.
+//!
 //! Defaults are scaled down for a CI-sized machine; `--paper` on the
 //! `repro` binary restores the 100 000 × 50 parameters.
 
+mod capture;
+mod tasks;
+
+pub use capture::LatencyReport;
+
+use capture::{Clock, Op};
 use nbq_async::AsyncQueue;
-use nbq_core::ShardedQueue;
 use nbq_util::stats::Summary;
-use nbq_util::{BlockingQueue, ConcurrentQueue, LatencyHistogram, QueueHandle};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use nbq_util::{BlockingHandle, BlockingQueue, ConcurrentQueue, Full, QueueHandle};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
+use tokio::runtime::RuntimeMetrics;
 
 /// Parameters of one experiment cell.
 #[derive(Debug, Clone, Copy)]
@@ -63,1157 +76,523 @@ impl WorkloadConfig {
         }
     }
 
-    /// Total operations across all threads in one run.
+    /// Total operations across all threads in one run of the paper's loop.
     pub fn total_ops(&self) -> u64 {
         (self.threads * self.iterations * self.burst * 2) as u64
     }
-
-    /// Producer threads in the pipe (split) workload: half the threads,
-    /// rounded down, never zero.
-    pub fn pipe_producers(&self) -> usize {
-        (self.threads / 2).max(1)
-    }
-
-    /// Total operations in one pipe run: each produced value is enqueued
-    /// once and dequeued once.
-    pub fn pipe_total_ops(&self) -> u64 {
-        (self.pipe_producers() * self.iterations * self.burst * 2) as u64
-    }
-
-    /// Total operations in one fan run with an explicit producer count:
-    /// each produced value is enqueued once and dequeued once, whichever
-    /// side is the wide one.
-    pub fn fan_total_ops(&self, producers: usize) -> u64 {
-        (producers * self.iterations * self.burst * 2) as u64
-    }
 }
 
-/// Executes one run against `queue`; returns the mean per-thread wall
-/// time in seconds (the paper's per-run metric).
-pub fn run_once<Q: ConcurrentQueue<u64>>(queue: &Q, config: &WorkloadConfig) -> f64 {
-    // Liveness: if every thread can be mid-enqueue-burst simultaneously
-    // with the queue full (capacity <= threads x (burst-1)), the
-    // enqueue-retry loops deadlock — nobody is in a dequeue phase. The
-    // paper sizes its array to avoid this; so do we, loudly.
-    if let Some(cap) = queue.capacity() {
-        assert!(
-            cap > config.threads * (config.burst - 1),
-            "workload can deadlock: capacity {cap} <= threads {} x (burst {} - 1)",
-            config.threads,
-            config.burst
-        );
-    }
-    let barrier = Barrier::new(config.threads);
-    let mut thread_secs = vec![0.0f64; config.threads];
-    std::thread::scope(|s| {
-        let mut joins = Vec::with_capacity(config.threads);
-        for t in 0..config.threads {
-            let barrier = &barrier;
-            joins.push(s.spawn(move || {
-                // Initialization phase: register before the barrier, per
-                // the paper ("none can begin its iterations before all
-                // others finished their initialization phase").
-                let mut handle = queue.handle();
-                let mut seq: u64 = 0;
-                barrier.wait();
-                let start = Instant::now();
-                for _ in 0..config.iterations {
-                    for _ in 0..config.burst {
-                        let value = ((t as u64) << 40) | seq;
-                        seq += 1;
-                        // Bounded queues may transiently report Full under
-                        // oversubscription; retry (the paper sizes its
-                        // array so this effectively never happens — our
-                        // default capacity >> threads*burst does too).
-                        while handle.enqueue(value).is_err() {
-                            std::thread::yield_now();
-                        }
-                    }
-                    for _ in 0..config.burst {
-                        // Another thread may have taken "our" items;
-                        // retry until one arrives (global counts match).
-                        while handle.dequeue().is_none() {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                start.elapsed().as_secs_f64()
-            }));
-        }
-        for (t, j) in joins.into_iter().enumerate() {
-            thread_secs[t] = j.join().expect("workload thread panicked");
-        }
-    });
-    thread_secs.iter().sum::<f64>() / config.threads as f64
-}
-
-/// Batched variant of [`run_once`]: each iteration moves its `burst`
-/// items with one `enqueue_batch` and one `dequeue_batch` call instead of
-/// `burst` single calls. Queues without a native batch path fall through
-/// to the trait's element-wise defaults, so the comparison isolates
-/// exactly the amortization the batch API buys.
-pub fn run_once_batched<Q: ConcurrentQueue<u64>>(queue: &Q, config: &WorkloadConfig) -> f64 {
-    if let Some(cap) = queue.capacity() {
-        assert!(
-            cap > config.threads * (config.burst - 1),
-            "workload can deadlock: capacity {cap} <= threads {} x (burst {} - 1)",
-            config.threads,
-            config.burst
-        );
-    }
-    let barrier = Barrier::new(config.threads);
-    let mut thread_secs = vec![0.0f64; config.threads];
-    std::thread::scope(|s| {
-        let mut joins = Vec::with_capacity(config.threads);
-        for t in 0..config.threads {
-            let barrier = &barrier;
-            joins.push(s.spawn(move || {
-                let mut handle = queue.handle();
-                let mut seq: u64 = 0;
-                let mut out: Vec<u64> = Vec::with_capacity(config.burst);
-                barrier.wait();
-                let start = Instant::now();
-                for _ in 0..config.iterations {
-                    let mut batch: Vec<u64> = (0..config.burst)
-                        .map(|_| {
-                            let value = ((t as u64) << 40) | seq;
-                            seq += 1;
-                            value
-                        })
-                        .collect();
-                    loop {
-                        match handle.enqueue_batch(batch.into_iter()) {
-                            Ok(_) => break,
-                            Err(e) => {
-                                // Transient full under oversubscription:
-                                // retry the leftover suffix only.
-                                batch = e.remaining;
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                    out.clear();
-                    while out.len() < config.burst {
-                        let want = config.burst - out.len();
-                        if handle.dequeue_batch(&mut out, want) == 0 {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                start.elapsed().as_secs_f64()
-            }));
-        }
-        for (t, j) in joins.into_iter().enumerate() {
-            thread_secs[t] = j.join().expect("workload thread panicked");
-        }
-    });
-    thread_secs.iter().sum::<f64>() / config.threads as f64
-}
-
-/// [`run_once`] through a [`BlockingQueue`] frontend: identical workload
-/// body, but a full enqueue or empty dequeue parks the thread on the
-/// frontend's condvars instead of spinning on `yield_now`. The contrast
-/// row for the async experiment (`ext-async`).
-pub fn run_once_blocking<Q: ConcurrentQueue<u64>>(
-    queue: &BlockingQueue<u64, Q>,
-    config: &WorkloadConfig,
-) -> f64 {
-    if let Some(cap) = queue.inner().capacity() {
-        assert!(
-            cap > config.threads * (config.burst - 1),
-            "workload can deadlock: capacity {cap} <= threads {} x (burst {} - 1)",
-            config.threads,
-            config.burst
-        );
-    }
-    let barrier = Barrier::new(config.threads);
-    let mut thread_secs = vec![0.0f64; config.threads];
-    std::thread::scope(|s| {
-        let mut joins = Vec::with_capacity(config.threads);
-        for t in 0..config.threads {
-            let barrier = &barrier;
-            joins.push(s.spawn(move || {
-                let mut handle = queue.handle();
-                let mut seq: u64 = 0;
-                barrier.wait();
-                let start = Instant::now();
-                for _ in 0..config.iterations {
-                    for _ in 0..config.burst {
-                        let value = ((t as u64) << 40) | seq;
-                        seq += 1;
-                        handle.send(value).expect("queue closed mid-run");
-                    }
-                    for _ in 0..config.burst {
-                        handle.recv().expect("queue closed mid-run");
-                    }
-                }
-                start.elapsed().as_secs_f64()
-            }));
-        }
-        for (t, j) in joins.into_iter().enumerate() {
-            thread_secs[t] = j.join().expect("workload thread panicked");
-        }
-    });
-    thread_secs.iter().sum::<f64>() / config.threads as f64
-}
-
-/// [`run_once`] through an [`AsyncQueue`] frontend: one tokio *task* per
-/// paper thread, driven on the given multi-thread runtime. A full send or
-/// empty recv parks the task in the waiter registry (the executor keeps
-/// the worker thread busy elsewhere) instead of spinning.
+/// Who enqueues and dequeues what.
 ///
-/// The start barrier is a cooperative countdown — tasks `yield_now` until
-/// every task has been spawned and polled once — so it cannot deadlock
-/// even when the runtime has fewer workers than there are tasks.
-pub fn run_once_async<Q>(
-    queue: &Arc<AsyncQueue<u64, Q>>,
-    rt: &tokio::runtime::Runtime,
-    config: &WorkloadConfig,
-) -> f64
-where
-    Q: ConcurrentQueue<u64> + Send + Sync + 'static,
-{
-    // Same liveness bound as `run_once`: if every task can be parked in
-    // its enqueue burst with the queue full, no task is receiving and the
-    // waiter registry never gets a wake.
-    if let Some(cap) = queue.capacity() {
-        assert!(
-            cap > config.threads * (config.burst - 1),
-            "workload can deadlock: capacity {cap} <= tasks {} x (burst {} - 1)",
-            config.threads,
-            config.burst
-        );
+/// `Mixed` and `Batched` are the paper's balanced loop: every thread
+/// alternates `burst` enqueues with `burst` dequeues, `iterations` times.
+/// The split shapes give each thread one role instead: a producer enqueues
+/// a quota of `iterations × burst` values; a consumer dequeues until its
+/// countdown of outstanding values reaches zero (it decrements only after
+/// a successful pop, so it never exits while a value is still reachable).
+/// The pinned shapes pin each thread's handle to one lane of a sharded
+/// queue ([`Driven::lanes`]); over any other queue they see a single lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// The paper's loop, one queue call per operation.
+    Mixed,
+    /// The paper's loop with each burst moved by one `enqueue_batch` and
+    /// one `dequeue_batch` call. Queues without a native batch path fall
+    /// through to the trait's element-wise defaults, so the comparison
+    /// isolates exactly the amortization the batch API buys.
+    Batched,
+    /// Threads `0..producers` produce; the rest drain one shared
+    /// countdown. `producers = threads - 1` is fan-in, `1` is fan-out and
+    /// [`Shape::pipe`] is the half/half split.
+    Fan {
+        /// Producer threads.
+        producers: usize,
+    },
+    /// `threads / 2` producer/consumer pairs (even thread counts only);
+    /// pair `p` pins lane `p % lanes` and its consumer takes exactly the
+    /// pair's quota. One pair per lane keeps an SPSC fast-path lane on its
+    /// wait-free ring for the whole run.
+    Pairs,
+    /// One consumer per lane (consumer `c` pins lane `c`) plus
+    /// `threads - lanes` producers spread round-robin; each consumer
+    /// drains its own lane's countdown. The arrangement an MPSC fast-path
+    /// lane serves wait-free on its consumer side.
+    FanIn,
+    /// One producer per lane plus `threads - lanes` consumers spread
+    /// round-robin, sharing their lane's countdown. The arrangement an
+    /// SPMC fast-path lane serves wait-free on its producer side.
+    FanOut,
+}
+
+impl Shape {
+    /// The pipe: half the threads (rounded down, at least one) produce.
+    /// At 2 threads it is exactly the 1-producer/1-consumer pipeline.
+    pub fn pipe(threads: usize) -> Shape {
+        Shape::Fan {
+            producers: (threads / 2).max(1),
+        }
     }
-    let config = *config;
-    let tasks = config.threads;
-    rt.block_on(async {
-        let arrived = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..tasks)
-            .map(|t| {
-                let q = Arc::clone(queue);
-                let arrived = Arc::clone(&arrived);
-                tokio::spawn(async move {
-                    arrived.fetch_add(1, Ordering::SeqCst);
-                    while arrived.load(Ordering::SeqCst) < tasks {
-                        tokio::task::yield_now().await;
-                    }
-                    let start = Instant::now();
-                    let mut seq: u64 = 0;
-                    for _ in 0..config.iterations {
-                        for _ in 0..config.burst {
-                            let value = ((t as u64) << 40) | seq;
-                            seq += 1;
-                            q.send(value).await.expect("queue closed mid-run");
-                        }
-                        for _ in 0..config.burst {
-                            q.recv().await.expect("queue closed mid-run");
-                        }
-                    }
-                    start.elapsed().as_secs_f64()
-                })
-            })
-            .collect();
-        let mut total = 0.0;
-        for h in handles {
-            total += h.await.expect("workload task panicked");
-        }
-        total / tasks as f64
-    })
 }
 
-/// Pipe (split-role) variant of [`run_once`]: instead of every thread
-/// alternating enqueue and dequeue bursts, `threads/2` threads only
-/// produce and the rest only consume. This is the shape that exposes the
-/// SPSC crossover — at 2 threads it is exactly the 1-producer/1-consumer
-/// pipeline the wait-free ring is built for.
-///
-/// Producers push `iterations x burst` values each (retrying on `Full`);
-/// consumers pop until a shared countdown of outstanding values reaches
-/// zero. No deadlock bound is needed: consumers drain unconditionally, so
-/// a full queue always makes progress.
-pub fn run_once_pipe<Q: ConcurrentQueue<u64>>(queue: &Q, config: &WorkloadConfig) -> f64 {
-    assert!(
-        config.threads >= 2,
-        "a pipe needs at least one producer and one consumer"
-    );
-    let producers = config.pipe_producers();
-    let per_producer = (config.iterations * config.burst) as u64;
-    let remaining = AtomicU64::new(producers as u64 * per_producer);
-    let barrier = Barrier::new(config.threads);
-    let mut thread_secs = vec![0.0f64; config.threads];
-    std::thread::scope(|s| {
-        let mut joins = Vec::with_capacity(config.threads);
-        for t in 0..config.threads {
-            let barrier = &barrier;
-            let remaining = &remaining;
-            joins.push(s.spawn(move || {
-                let mut handle = queue.handle();
-                barrier.wait();
-                let start = Instant::now();
-                if t < producers {
-                    for seq in 0..per_producer {
-                        let value = ((t as u64) << 40) | seq;
-                        while handle.enqueue(value).is_err() {
-                            std::thread::yield_now();
-                        }
-                    }
-                } else {
-                    // Decrement only after a successful pop, so `remaining`
-                    // over-counts in-flight values and no consumer exits
-                    // while one is still reachable.
-                    while remaining.load(Ordering::Acquire) > 0 {
-                        if handle.dequeue().is_some() {
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                start.elapsed().as_secs_f64()
-            }));
-        }
-        for (t, j) in joins.into_iter().enumerate() {
-            thread_secs[t] = j.join().expect("workload thread panicked");
-        }
-    });
-    thread_secs.iter().sum::<f64>() / config.threads as f64
+/// How a full enqueue or an empty dequeue is waited out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frontend {
+    /// Spin on the raw queue with `yield_now`. Runs every shape.
+    Raw,
+    /// Park on a [`BlockingQueue`]'s condvars. Runs [`Shape::Mixed`].
+    Blocking,
+    /// One tokio task per thread on a multi-thread runtime built once per
+    /// [`Workload::run`] call (startup is excluded from every sample); a
+    /// full send or empty recv parks the task in the [`AsyncQueue`]'s
+    /// waiter registry. Runs [`Shape::Mixed`] and [`Shape::Fan`].
+    Async {
+        /// Build the runtime with work stealing and LIFO slots disabled:
+        /// every task goes through the shared injection queue, the
+        /// pre-work-stealing scheduler kept as the experiment control.
+        injection_only: bool,
+    },
 }
 
-/// Pipe variant over a [`ShardedQueue`] with *pinned* handles: producer
-/// `i` and consumer `i` both pin lane `i % lanes`, so with one pair per
-/// lane every lane sees exactly one producer and one consumer — the
-/// arrangement where an SPSC fast-path lane stays on its wait-free ring
-/// for the whole run.
-///
-/// Requires an even thread count (pairs). Each consumer pops exactly its
-/// pair's output; when several pairs share a lane the per-lane totals
-/// still balance, so every consumer terminates.
-pub fn run_once_pipe_pinned<Q: ConcurrentQueue<u64>>(
-    queue: &ShardedQueue<u64, Q>,
-    config: &WorkloadConfig,
-) -> f64 {
-    assert!(
-        config.threads >= 2 && config.threads % 2 == 0,
-        "the pinned pipe pairs each producer with one consumer"
-    );
-    let pairs = config.threads / 2;
-    let lanes = queue.lanes();
-    let per_producer = (config.iterations * config.burst) as u64;
-    let barrier = Barrier::new(config.threads);
-    let mut thread_secs = vec![0.0f64; config.threads];
-    std::thread::scope(|s| {
-        let mut joins = Vec::with_capacity(config.threads);
-        for t in 0..config.threads {
-            let barrier = &barrier;
-            joins.push(s.spawn(move || {
-                let pair = t % pairs;
-                let mut handle = queue.handle_pinned(pair % lanes);
-                barrier.wait();
-                let start = Instant::now();
-                if t < pairs {
-                    for seq in 0..per_producer {
-                        let value = ((pair as u64) << 40) | seq;
-                        while handle.enqueue(value).is_err() {
-                            std::thread::yield_now();
-                        }
-                    }
-                } else {
-                    for _ in 0..per_producer {
-                        while handle.dequeue().is_none() {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                start.elapsed().as_secs_f64()
-            }));
-        }
-        for (t, j) in joins.into_iter().enumerate() {
-            thread_secs[t] = j.join().expect("workload thread panicked");
-        }
-    });
-    thread_secs.iter().sum::<f64>() / config.threads as f64
+/// One workload: a shape, driven through a frontend, timed or not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Workload {
+    /// Who enqueues and dequeues what.
+    pub shape: Shape,
+    /// How full and empty are waited out.
+    pub frontend: Frontend,
+    /// Time every operation into a [`LatencyReport`]. The two extra
+    /// `Instant::now()` calls per operation cost a few tens of
+    /// nanoseconds; every timed run pays them, so timed throughputs stay
+    /// comparable across frontends (and sit slightly below untimed ones).
+    pub latency: bool,
 }
 
-/// Fan (asymmetric split-role) variant of [`run_once_pipe`] with an
-/// explicit producer count: threads `0..producers` enqueue, the remaining
-/// `threads - producers` drain a shared countdown. `producers =
-/// threads - 1` is the MPSC fan-in shape; `producers = 1` is the SPMC
-/// fan-out shape. Works on any [`ConcurrentQueue`], including the raw
-/// [`nbq_core::MpscRing`] / [`nbq_core::SpmcRing`] whose multi side
-/// tolerates any registrant count.
-pub fn run_once_fan<Q: ConcurrentQueue<u64>>(
-    queue: &Q,
-    config: &WorkloadConfig,
-    producers: usize,
-) -> f64 {
-    assert!(
-        producers >= 1 && config.threads > producers,
-        "a fan needs at least one thread on each side"
-    );
-    let per_producer = (config.iterations * config.burst) as u64;
-    let remaining = AtomicU64::new(producers as u64 * per_producer);
-    let barrier = Barrier::new(config.threads);
-    let mut thread_secs = vec![0.0f64; config.threads];
-    std::thread::scope(|s| {
-        let mut joins = Vec::with_capacity(config.threads);
-        for t in 0..config.threads {
-            let barrier = &barrier;
-            let remaining = &remaining;
-            joins.push(s.spawn(move || {
-                let mut handle = queue.handle();
-                barrier.wait();
-                let start = Instant::now();
-                if t < producers {
-                    for seq in 0..per_producer {
-                        let value = ((t as u64) << 40) | seq;
-                        while handle.enqueue(value).is_err() {
-                            std::thread::yield_now();
-                        }
-                    }
-                } else {
-                    // Decrement only after a successful pop, so `remaining`
-                    // over-counts in-flight values and no consumer exits
-                    // while one is still reachable.
-                    while remaining.load(Ordering::Acquire) > 0 {
-                        if handle.dequeue().is_some() {
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                start.elapsed().as_secs_f64()
-            }));
+impl Workload {
+    /// `shape` on the raw queue, untimed.
+    pub const fn raw(shape: Shape) -> Self {
+        Self {
+            shape,
+            frontend: Frontend::Raw,
+            latency: false,
         }
-        for (t, j) in joins.into_iter().enumerate() {
-            thread_secs[t] = j.join().expect("workload thread panicked");
+    }
+
+    /// This workload through `frontend`.
+    pub const fn via(self, frontend: Frontend) -> Self {
+        Self { frontend, ..self }
+    }
+
+    /// This workload with per-operation latency capture.
+    pub const fn timed(self) -> Self {
+        Self {
+            latency: true,
+            ..self
         }
-    });
-    thread_secs.iter().sum::<f64>() / config.threads as f64
+    }
 }
 
-/// Fan-in over a [`ShardedQueue`] with *pinned* handles: every lane gets
-/// exactly one consumer (consumer `c` pins lane `c`) and the remaining
-/// `threads - lanes` producers spread round-robin (producer `p` pins lane
-/// `p % lanes`) — the arrangement an MPSC fast-path lane serves wait-free
-/// on its consumer side.
-pub fn run_once_fan_in_pinned<Q: ConcurrentQueue<u64>>(
-    queue: &ShardedQueue<u64, Q>,
-    config: &WorkloadConfig,
-) -> f64 {
-    let lanes = queue.lanes();
-    assert!(
-        config.threads >= 2 * lanes,
-        "pinned fan-in needs one consumer per lane plus >= one producer \
-         per lane ({} threads < 2 x {lanes} lanes)",
-        config.threads
-    );
-    let producers = config.threads - lanes;
-    let per_producer = (config.iterations * config.burst) as u64;
-    // Per-lane outstanding-value countdowns: producer p feeds lane
-    // p % lanes, and only lane c's consumer drains counter c.
-    let counts: Vec<AtomicU64> = (0..lanes)
-        .map(|l| {
-            let feeders = (0..producers).filter(|p| p % lanes == l).count() as u64;
-            AtomicU64::new(feeders * per_producer)
-        })
-        .collect();
-    let barrier = Barrier::new(config.threads);
-    let mut thread_secs = vec![0.0f64; config.threads];
-    std::thread::scope(|s| {
-        let mut joins = Vec::with_capacity(config.threads);
-        for t in 0..config.threads {
-            let barrier = &barrier;
-            let counts = &counts;
-            joins.push(s.spawn(move || {
-                let lane = if t < producers {
-                    t % lanes
-                } else {
-                    t - producers
+/// What [`Workload::run`] measured.
+#[derive(Debug, Clone)]
+pub struct RunReport {
+    /// Seconds per run: the mean per-thread time, or for the async fan
+    /// the run's wall clock (one clock spans both roles; per-role times
+    /// would double-count the overlap).
+    pub summary: Summary,
+    /// Queue operations in one run: every value is enqueued once and
+    /// dequeued once.
+    pub ops: u64,
+    /// All runs' captures merged, when the workload is timed.
+    pub latency: Option<LatencyReport>,
+    /// The async frontend's cumulative executor counters.
+    pub executor: Option<RuntimeMetrics>,
+    /// The async channel's own counters from the last run: its
+    /// waiter-registry traffic, with the run's executor counters folded in.
+    pub counters: Option<nbq_core::OpStatsSnapshot>,
+}
+
+/// A queue the runner can drive. Sharded queues expose their lanes so the
+/// pinned shapes can pin each thread's handle to one; every other queue
+/// is a single lane, over which a pinned shape runs unpinned.
+pub trait Driven: ConcurrentQueue<u64> + 'static {
+    /// Whether [`Shape::Batched`] runs on this queue. `false` also keeps
+    /// the batched loop, and with it the queue's batch entry points, out of
+    /// the build for this type.
+    const BATCHES: bool = true;
+
+    /// Lanes a pinned shape spreads its threads over.
+    fn lanes(&self) -> usize {
+        1
+    }
+
+    /// A handle that only ever touches `lane`.
+    fn pinned(&self, lane: usize) -> Self::Handle<'_> {
+        debug_assert_eq!(lane, 0, "a single-lane queue has only lane 0");
+        self.handle()
+    }
+
+    /// Instruction/contention counters, if this queue was built with them.
+    fn op_stats(&self) -> Option<&nbq_core::OpStats> {
+        None
+    }
+}
+
+impl Workload {
+    /// Runs `config.runs` runs, each on a fresh queue from `factory`, and
+    /// summarizes them.
+    ///
+    /// # Panics
+    ///
+    /// On a shape the frontend does not run, on a thread count the shape
+    /// cannot split, and on a balanced run whose capacity could deadlock.
+    pub fn run<Q, F>(&self, factory: F, config: &WorkloadConfig) -> RunReport
+    where
+        Q: Driven,
+        F: Fn() -> Q,
+    {
+        if self.latency {
+            self.run_with::<LatencyReport, Q, F>(factory, config)
+        } else {
+            self.run_with::<(), Q, F>(factory, config)
+        }
+    }
+
+    fn run_with<C: Clock, Q: Driven, F: Fn() -> Q>(
+        &self,
+        factory: F,
+        cfg: &WorkloadConfig,
+    ) -> RunReport {
+        let rt = match self.frontend {
+            Frontend::Async { injection_only } => Some(tasks::runtime(cfg, injection_only)),
+            _ => None,
+        };
+        let (mut clock, mut ops, mut counters) = (C::default(), 0, None);
+        let samples: Vec<f64> = (0..cfg.runs)
+            .map(|_| {
+                let queue = factory();
+                let (secs, run_ops, run_clock) = match &rt {
+                    Some(rt) => {
+                        let queue = Arc::new(AsyncQueue::with_stats(queue));
+                        let run = self.on_async(&queue, rt, cfg);
+                        counters = queue.stats().map(|s| s.snapshot());
+                        run
+                    }
+                    None if self.frontend == Frontend::Blocking => {
+                        self.on_blocking(&BlockingQueue::new(queue), cfg)
+                    }
+                    None => self.on_raw(&queue, cfg),
                 };
-                let mut handle = queue.handle_pinned(lane);
-                barrier.wait();
-                let start = Instant::now();
-                if t < producers {
-                    for seq in 0..per_producer {
-                        let value = ((t as u64) << 40) | seq;
-                        while handle.enqueue(value).is_err() {
-                            std::thread::yield_now();
-                        }
-                    }
-                } else {
-                    let remaining = &counts[lane];
-                    while remaining.load(Ordering::Acquire) > 0 {
-                        if handle.dequeue().is_some() {
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                start.elapsed().as_secs_f64()
-            }));
-        }
-        for (t, j) in joins.into_iter().enumerate() {
-            thread_secs[t] = j.join().expect("workload thread panicked");
-        }
-    });
-    thread_secs.iter().sum::<f64>() / config.threads as f64
-}
-
-/// Fan-out mirror of [`run_once_fan_in_pinned`]: every lane gets exactly
-/// one producer (producer `p` pins lane `p`) and the remaining
-/// `threads - lanes` consumers spread round-robin (consumer `c` pins lane
-/// `c % lanes`) — the arrangement an SPMC fast-path lane serves wait-free
-/// on its producer side.
-pub fn run_once_fan_out_pinned<Q: ConcurrentQueue<u64>>(
-    queue: &ShardedQueue<u64, Q>,
-    config: &WorkloadConfig,
-) -> f64 {
-    let lanes = queue.lanes();
-    assert!(
-        config.threads >= 2 * lanes,
-        "pinned fan-out needs one producer per lane plus >= one consumer \
-         per lane ({} threads < 2 x {lanes} lanes)",
-        config.threads
-    );
-    let per_producer = (config.iterations * config.burst) as u64;
-    // One producer per lane; the lane's consumers share its countdown.
-    let counts: Vec<AtomicU64> = (0..lanes).map(|_| AtomicU64::new(per_producer)).collect();
-    let barrier = Barrier::new(config.threads);
-    let mut thread_secs = vec![0.0f64; config.threads];
-    std::thread::scope(|s| {
-        let mut joins = Vec::with_capacity(config.threads);
-        for t in 0..config.threads {
-            let barrier = &barrier;
-            let counts = &counts;
-            joins.push(s.spawn(move || {
-                let lane = if t < lanes { t } else { (t - lanes) % lanes };
-                let mut handle = queue.handle_pinned(lane);
-                barrier.wait();
-                let start = Instant::now();
-                if t < lanes {
-                    for seq in 0..per_producer {
-                        let value = ((t as u64) << 40) | seq;
-                        while handle.enqueue(value).is_err() {
-                            std::thread::yield_now();
-                        }
-                    }
-                } else {
-                    let remaining = &counts[lane];
-                    while remaining.load(Ordering::Acquire) > 0 {
-                        if handle.dequeue().is_some() {
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                start.elapsed().as_secs_f64()
-            }));
-        }
-        for (t, j) in joins.into_iter().enumerate() {
-            thread_secs[t] = j.join().expect("workload thread panicked");
-        }
-    });
-    thread_secs.iter().sum::<f64>() / config.threads as f64
-}
-
-/// Runs `config.runs` fresh-queue runs of the workload and summarizes the
-/// per-run times.
-pub fn run_workload<Q, F>(factory: F, config: &WorkloadConfig) -> Summary
-where
-    Q: ConcurrentQueue<u64>,
-    F: Fn() -> Q,
-{
-    let samples: Vec<f64> = (0..config.runs)
-        .map(|_| {
-            let queue = factory();
-            run_once(&queue, config)
-        })
-        .collect();
-    Summary::of(&samples)
-}
-
-/// [`run_workload`] over the pipe (split-role) workload body.
-pub fn run_workload_pipe<Q, F>(factory: F, config: &WorkloadConfig) -> Summary
-where
-    Q: ConcurrentQueue<u64>,
-    F: Fn() -> Q,
-{
-    let samples: Vec<f64> = (0..config.runs)
-        .map(|_| {
-            let queue = factory();
-            run_once_pipe(&queue, config)
-        })
-        .collect();
-    Summary::of(&samples)
-}
-
-/// [`run_workload`] over the pinned pipe body; the factory builds a fresh
-/// [`ShardedQueue`] per run.
-pub fn run_workload_pipe_pinned<Q, F>(factory: F, config: &WorkloadConfig) -> Summary
-where
-    Q: ConcurrentQueue<u64>,
-    F: Fn() -> ShardedQueue<u64, Q>,
-{
-    let samples: Vec<f64> = (0..config.runs)
-        .map(|_| {
-            let queue = factory();
-            run_once_pipe_pinned(&queue, config)
-        })
-        .collect();
-    Summary::of(&samples)
-}
-
-/// [`run_workload`] over the fan (asymmetric split-role) workload body.
-pub fn run_workload_fan<Q, F>(factory: F, config: &WorkloadConfig, producers: usize) -> Summary
-where
-    Q: ConcurrentQueue<u64>,
-    F: Fn() -> Q,
-{
-    let samples: Vec<f64> = (0..config.runs)
-        .map(|_| {
-            let queue = factory();
-            run_once_fan(&queue, config, producers)
-        })
-        .collect();
-    Summary::of(&samples)
-}
-
-/// [`run_workload`] over the pinned fan-in body; the factory builds a
-/// fresh [`ShardedQueue`] per run.
-pub fn run_workload_fan_in_pinned<Q, F>(factory: F, config: &WorkloadConfig) -> Summary
-where
-    Q: ConcurrentQueue<u64>,
-    F: Fn() -> ShardedQueue<u64, Q>,
-{
-    let samples: Vec<f64> = (0..config.runs)
-        .map(|_| {
-            let queue = factory();
-            run_once_fan_in_pinned(&queue, config)
-        })
-        .collect();
-    Summary::of(&samples)
-}
-
-/// [`run_workload`] over the pinned fan-out body; the factory builds a
-/// fresh [`ShardedQueue`] per run.
-pub fn run_workload_fan_out_pinned<Q, F>(factory: F, config: &WorkloadConfig) -> Summary
-where
-    Q: ConcurrentQueue<u64>,
-    F: Fn() -> ShardedQueue<u64, Q>,
-{
-    let samples: Vec<f64> = (0..config.runs)
-        .map(|_| {
-            let queue = factory();
-            run_once_fan_out_pinned(&queue, config)
-        })
-        .collect();
-    Summary::of(&samples)
-}
-
-/// [`run_workload`] over the batched workload body.
-pub fn run_workload_batched<Q, F>(factory: F, config: &WorkloadConfig) -> Summary
-where
-    Q: ConcurrentQueue<u64>,
-    F: Fn() -> Q,
-{
-    let samples: Vec<f64> = (0..config.runs)
-        .map(|_| {
-            let queue = factory();
-            run_once_batched(&queue, config)
-        })
-        .collect();
-    Summary::of(&samples)
-}
-
-/// [`run_workload`] through a fresh [`BlockingQueue`] frontend per run.
-pub fn run_workload_blocking<Q, F>(factory: F, config: &WorkloadConfig) -> Summary
-where
-    Q: ConcurrentQueue<u64>,
-    F: Fn() -> Q,
-{
-    let samples: Vec<f64> = (0..config.runs)
-        .map(|_| {
-            let queue = BlockingQueue::new(factory());
-            run_once_blocking(&queue, config)
-        })
-        .collect();
-    Summary::of(&samples)
-}
-
-/// [`run_workload`] through a fresh [`AsyncQueue`] frontend per run, all
-/// runs sharing one tokio multi-thread runtime sized to the thread count
-/// (runtime startup is excluded from every sample).
-pub fn run_workload_async<Q, F>(factory: F, config: &WorkloadConfig) -> Summary
-where
-    Q: ConcurrentQueue<u64> + Send + Sync + 'static,
-    F: Fn() -> Q,
-{
-    let rt = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(config.threads)
-        .enable_all()
-        .build()
-        .expect("building the tokio runtime");
-    let samples: Vec<f64> = (0..config.runs)
-        .map(|_| {
-            let queue = Arc::new(AsyncQueue::new(factory()));
-            let secs = run_once_async(&queue, &rt, config);
-            debug_assert_eq!(queue.live_waiters(), 0, "runs must not leak waiter slots");
-            secs
-        })
-        .collect();
-    Summary::of(&samples)
-}
-
-/// Per-operation latency capture from one workload run (or several,
-/// merged): one histogram per operation kind plus one for the *echo* —
-/// in the balanced workloads, a complete iteration of `burst` enqueues
-/// then `burst` dequeues (the round-trip a message-passing caller
-/// actually waits for); in the split-role async workload, the in-queue
-/// transit time of one value from `send` to `recv`, scheduler reschedule
-/// included.
-///
-/// Histograms are recorded per thread/task (no sharing on the hot path)
-/// and merged after the run; see [`nbq_util::latency`].
-#[derive(Debug, Clone, Default)]
-pub struct LatencyReport {
-    /// Time per enqueue/`send`, including Full retries or parking.
-    pub enqueue: LatencyHistogram,
-    /// Time per dequeue/`recv`, including empty retries or parking.
-    pub dequeue: LatencyHistogram,
-    /// Time per full burst iteration (`burst` sends + `burst` recvs).
-    pub echo: LatencyHistogram,
-}
-
-impl LatencyReport {
-    /// An empty report.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds another capture (a per-thread or per-run report) into this
-    /// one.
-    pub fn merge(&mut self, other: &LatencyReport) {
-        self.enqueue.merge(&other.enqueue);
-        self.dequeue.merge(&other.dequeue);
-        self.echo.merge(&other.echo);
-    }
-}
-
-/// [`run_once`] with per-operation latency capture: identical workload
-/// body (raw queue, spin on Full/empty), but every enqueue, dequeue, and
-/// full burst iteration is individually timed. Returns the mean
-/// per-thread wall time plus the merged capture.
-///
-/// The two extra `Instant::now()` calls per operation cost a few tens of
-/// nanoseconds each; every `*_latency` variant pays the same overhead, so
-/// throughputs derived from these runs stay comparable *across frontends*
-/// (and slightly below their untimed counterparts).
-pub fn run_once_latency<Q: ConcurrentQueue<u64>>(
-    queue: &Q,
-    config: &WorkloadConfig,
-) -> (f64, LatencyReport) {
-    if let Some(cap) = queue.capacity() {
-        assert!(
-            cap > config.threads * (config.burst - 1),
-            "workload can deadlock: capacity {cap} <= threads {} x (burst {} - 1)",
-            config.threads,
-            config.burst
-        );
-    }
-    let barrier = Barrier::new(config.threads);
-    let mut thread_secs = vec![0.0f64; config.threads];
-    let mut report = LatencyReport::new();
-    std::thread::scope(|s| {
-        let mut joins = Vec::with_capacity(config.threads);
-        for t in 0..config.threads {
-            let barrier = &barrier;
-            joins.push(s.spawn(move || {
-                let mut handle = queue.handle();
-                let mut seq: u64 = 0;
-                let mut local = LatencyReport::new();
-                barrier.wait();
-                let start = Instant::now();
-                for _ in 0..config.iterations {
-                    let iter_start = Instant::now();
-                    for _ in 0..config.burst {
-                        let value = ((t as u64) << 40) | seq;
-                        seq += 1;
-                        let op = Instant::now();
-                        while handle.enqueue(value).is_err() {
-                            std::thread::yield_now();
-                        }
-                        local.enqueue.record(op.elapsed());
-                    }
-                    for _ in 0..config.burst {
-                        let op = Instant::now();
-                        while handle.dequeue().is_none() {
-                            std::thread::yield_now();
-                        }
-                        local.dequeue.record(op.elapsed());
-                    }
-                    local.echo.record(iter_start.elapsed());
-                }
-                (start.elapsed().as_secs_f64(), local)
-            }));
-        }
-        for (t, j) in joins.into_iter().enumerate() {
-            let (secs, local) = j.join().expect("workload thread panicked");
-            thread_secs[t] = secs;
-            report.merge(&local);
-        }
-    });
-    (
-        thread_secs.iter().sum::<f64>() / config.threads as f64,
-        report,
-    )
-}
-
-/// [`run_once_blocking`] with per-operation latency capture; see
-/// [`run_once_latency`] for the timing discipline.
-pub fn run_once_blocking_latency<Q: ConcurrentQueue<u64>>(
-    queue: &BlockingQueue<u64, Q>,
-    config: &WorkloadConfig,
-) -> (f64, LatencyReport) {
-    if let Some(cap) = queue.inner().capacity() {
-        assert!(
-            cap > config.threads * (config.burst - 1),
-            "workload can deadlock: capacity {cap} <= threads {} x (burst {} - 1)",
-            config.threads,
-            config.burst
-        );
-    }
-    let barrier = Barrier::new(config.threads);
-    let mut thread_secs = vec![0.0f64; config.threads];
-    let mut report = LatencyReport::new();
-    std::thread::scope(|s| {
-        let mut joins = Vec::with_capacity(config.threads);
-        for t in 0..config.threads {
-            let barrier = &barrier;
-            joins.push(s.spawn(move || {
-                let mut handle = queue.handle();
-                let mut seq: u64 = 0;
-                let mut local = LatencyReport::new();
-                barrier.wait();
-                let start = Instant::now();
-                for _ in 0..config.iterations {
-                    let iter_start = Instant::now();
-                    for _ in 0..config.burst {
-                        let value = ((t as u64) << 40) | seq;
-                        seq += 1;
-                        let op = Instant::now();
-                        handle.send(value).expect("queue closed mid-run");
-                        local.enqueue.record(op.elapsed());
-                    }
-                    for _ in 0..config.burst {
-                        let op = Instant::now();
-                        handle.recv().expect("queue closed mid-run");
-                        local.dequeue.record(op.elapsed());
-                    }
-                    local.echo.record(iter_start.elapsed());
-                }
-                (start.elapsed().as_secs_f64(), local)
-            }));
-        }
-        for (t, j) in joins.into_iter().enumerate() {
-            let (secs, local) = j.join().expect("workload thread panicked");
-            thread_secs[t] = secs;
-            report.merge(&local);
-        }
-    });
-    (
-        thread_secs.iter().sum::<f64>() / config.threads as f64,
-        report,
-    )
-}
-
-/// [`run_once_async`] with per-operation latency capture. Each task times
-/// its own sends/recvs (parking time included — this is *end-to-end*
-/// latency, scheduler reschedule and all) into a task-local report,
-/// merged after the joins.
-///
-/// If the queue was built `with_stats`, the runtime's scheduler-counter
-/// deltas for this run (steals, steal batches, LIFO hits, injection
-/// polls, parks) are folded into the queue's [`nbq_core::OpStats`] via
-/// [`AsyncQueue::record_executor_counters`], so one snapshot shows waker
-/// traffic next to the scheduling it caused.
-pub fn run_once_async_latency<Q>(
-    queue: &Arc<AsyncQueue<u64, Q>>,
-    rt: &tokio::runtime::Runtime,
-    config: &WorkloadConfig,
-) -> (f64, LatencyReport)
-where
-    Q: ConcurrentQueue<u64> + Send + Sync + 'static,
-{
-    if let Some(cap) = queue.capacity() {
-        assert!(
-            cap > config.threads * (config.burst - 1),
-            "workload can deadlock: capacity {cap} <= tasks {} x (burst {} - 1)",
-            config.threads,
-            config.burst
-        );
-    }
-    let before = rt.metrics();
-    let config = *config;
-    let tasks = config.threads;
-    let out = rt.block_on(async {
-        let arrived = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..tasks)
-            .map(|t| {
-                let q = Arc::clone(queue);
-                let arrived = Arc::clone(&arrived);
-                tokio::spawn(async move {
-                    arrived.fetch_add(1, Ordering::SeqCst);
-                    while arrived.load(Ordering::SeqCst) < tasks {
-                        tokio::task::yield_now().await;
-                    }
-                    let start = Instant::now();
-                    let mut seq: u64 = 0;
-                    let mut local = LatencyReport::new();
-                    for _ in 0..config.iterations {
-                        let iter_start = Instant::now();
-                        for _ in 0..config.burst {
-                            let value = ((t as u64) << 40) | seq;
-                            seq += 1;
-                            let op = Instant::now();
-                            q.send(value).await.expect("queue closed mid-run");
-                            local.enqueue.record(op.elapsed());
-                        }
-                        for _ in 0..config.burst {
-                            let op = Instant::now();
-                            q.recv().await.expect("queue closed mid-run");
-                            local.dequeue.record(op.elapsed());
-                        }
-                        local.echo.record(iter_start.elapsed());
-                    }
-                    (start.elapsed().as_secs_f64(), local)
-                })
+                clock.absorb(run_clock);
+                ops = run_ops;
+                secs
             })
             .collect();
-        let mut total = 0.0;
-        let mut report = LatencyReport::new();
-        for h in handles {
-            let (secs, local) = h.await.expect("workload task panicked");
-            total += secs;
-            report.merge(&local);
+        RunReport {
+            summary: Summary::of(&samples),
+            ops,
+            latency: clock.report(),
+            executor: rt.map(|rt| rt.metrics()),
+            counters,
         }
-        (total / tasks as f64, report)
-    });
-    let after = rt.metrics();
-    queue.record_executor_counters(
-        after.steals - before.steals,
-        after.steal_batches - before.steal_batches,
-        after.lifo_hits - before.lifo_hits,
-        after.injection_polls - before.injection_polls,
-        after.parks - before.parks,
-    );
-    out
+    }
+
+    /// One run on the raw queue: (seconds, ops, capture).
+    fn on_raw<C: Clock, Q: Driven>(&self, queue: &Q, cfg: &WorkloadConfig) -> (f64, u64, C) {
+        let split = match self.shape {
+            Shape::Mixed => return balanced::<C, Q, false>(queue, cfg),
+            Shape::Batched if Q::BATCHES => return balanced::<C, Q, true>(queue, cfg),
+            Shape::Batched => panic!("{} does not run the batched loop", queue.algorithm_name()),
+            shape => Split::plan(shape, cfg, queue.lanes()),
+        };
+        let (secs, clock) = on_threads(cfg.threads, |t, barrier| {
+            let (lane, role) = split.roles[t];
+            let handle = lane.map_or_else(|| queue.handle(), |lane| queue.pinned(lane));
+            split.drive(handle, role, barrier)
+        });
+        (secs, split.ops(), clock)
+    }
+
+    /// One run through the condvar frontend: (seconds, ops, capture).
+    fn on_blocking<C: Clock, Q: ConcurrentQueue<u64>>(
+        &self,
+        queue: &BlockingQueue<u64, Q>,
+        cfg: &WorkloadConfig,
+    ) -> (f64, u64, C) {
+        let mixed = self.shape == Shape::Mixed;
+        assert!(mixed, "the blocking frontend runs the Mixed shape");
+        assert_live(queue.inner().capacity(), cfg);
+        let (secs, clock) = on_threads(cfg.threads, |t, barrier| {
+            paper_loop::<C, _, false>(Park(queue.handle()), t, cfg, barrier)
+        });
+        (secs, cfg.total_ops(), clock)
+    }
 }
 
-/// Split-role (producer/consumer) async workload with latency capture —
-/// the channel shape where the executor's wake path *is* the critical
-/// path. `threads/2` tasks only send, the rest only recv; with a tight
-/// queue capacity every rate mismatch parks a task, so each value's
-/// delivery rides a waker → scheduler → re-poll round trip (the
-/// message-passing hot path the worker LIFO slot exists for).
-///
-/// Timing: `enqueue` is per `send` (Full parking included), `dequeue`
-/// per `recv` (empty parking included), and `echo` is the **in-queue
-/// transit time** — each value carries its send timestamp (nanoseconds
-/// since a shared epoch), and the receiver records age on arrival. No
-/// start barrier is needed: the queue itself rendezvouses the two sides.
-///
-/// Executor-counter folding works as in [`run_once_async_latency`].
-/// Returns the run's wall-clock seconds (one clock spans both roles —
-/// per-role times would double-count the overlap) and the merged report.
-pub fn run_once_async_split_latency<Q>(
-    queue: &Arc<AsyncQueue<u64, Q>>,
-    rt: &tokio::runtime::Runtime,
-    config: &WorkloadConfig,
-) -> (f64, LatencyReport)
-where
-    Q: ConcurrentQueue<u64> + Send + Sync + 'static,
-{
-    let producers = config.pipe_producers();
-    let consumers = (config.threads - producers).max(1);
-    let per_producer = (config.iterations * config.burst) as u64;
-    let before = rt.metrics();
-    let epoch = Instant::now();
-    let out = rt.block_on(async {
-        let start = Instant::now();
-        let mut senders = Vec::with_capacity(producers);
-        for _ in 0..producers {
-            let q = Arc::clone(queue);
-            senders.push(tokio::spawn(async move {
-                let mut local = LatencyReport::new();
-                for _ in 0..per_producer {
-                    let op = Instant::now();
-                    let stamp = epoch.elapsed().as_nanos() as u64;
-                    q.send(stamp).await.expect("closed only after producers");
-                    local.enqueue.record(op.elapsed());
-                }
-                local
-            }));
+/// Executes one run of the paper's loop against `queue`; returns the mean
+/// per-thread wall time in seconds (the paper's per-run metric).
+pub fn run_once<Q: ConcurrentQueue<u64>>(queue: &Q, config: &WorkloadConfig) -> f64 {
+    balanced::<(), Q, false>(queue, config).0
+}
+
+/// Liveness: if every thread can be mid-enqueue-burst with the queue full
+/// (capacity <= threads x (burst-1)), nobody is in a dequeue phase and the
+/// balanced loop deadlocks. The paper sizes its array to avoid this; so do
+/// we, loudly.
+fn assert_live(capacity: Option<usize>, cfg: &WorkloadConfig) {
+    if let Some(cap) = capacity {
+        assert!(
+            cap > cfg.threads * (cfg.burst - 1),
+            "workload can deadlock: capacity {cap} <= threads {} x (burst {} - 1)",
+            cfg.threads,
+            cfg.burst
+        );
+    }
+}
+
+/// The thread scaffold every thread-based run shares: spawns `threads`
+/// scoped threads running `body(t, barrier)` — which sets up, waits on the
+/// barrier (the paper's "initialization phase") and returns its seconds
+/// and capture — joins them, and returns the mean seconds and the merged
+/// capture.
+fn on_threads<C: Clock>(
+    threads: usize,
+    body: impl Fn(usize, &Barrier) -> (f64, C) + Sync,
+) -> (f64, C) {
+    let barrier = Barrier::new(threads);
+    let mut secs = 0.0;
+    let mut clock = C::default();
+    std::thread::scope(|s| {
+        let joins: Vec<_> = (0..threads)
+            .map(|t| {
+                let (body, barrier) = (&body, &barrier);
+                s.spawn(move || body(t, barrier))
+            })
+            .collect();
+        for j in joins {
+            let (thread_secs, thread_clock) = j.join().expect("workload thread panicked");
+            secs += thread_secs;
+            clock.absorb(thread_clock);
         }
-        let mut receivers = Vec::with_capacity(consumers);
-        for _ in 0..consumers {
-            let q = Arc::clone(queue);
-            receivers.push(tokio::spawn(async move {
-                let mut local = LatencyReport::new();
-                loop {
-                    let op = Instant::now();
-                    match q.recv().await {
-                        Some(stamp) => {
-                            local.dequeue.record(op.elapsed());
-                            let now = epoch.elapsed().as_nanos() as u64;
-                            local.echo.record_ns(now.saturating_sub(stamp));
-                        }
-                        None => break,
+    });
+    (secs / threads as f64, clock)
+}
+
+/// The balanced shapes on the raw queue.
+fn balanced<C: Clock, Q: ConcurrentQueue<u64>, const BATCHED: bool>(
+    queue: &Q,
+    cfg: &WorkloadConfig,
+) -> (f64, u64, C) {
+    assert_live(queue.capacity(), cfg);
+    let (secs, clock) = on_threads(cfg.threads, |t, barrier| {
+        paper_loop::<C, _, BATCHED>(queue.handle(), t, cfg, barrier)
+    });
+    (secs, cfg.total_ops(), clock)
+}
+
+/// The condvar frontend as a handle whose operations park instead of
+/// failing: `enqueue` never reports Full and `dequeue` never comes back
+/// empty, so the raw loops' retry branches are never taken.
+struct Park<'q, Q: ConcurrentQueue<u64>>(BlockingHandle<'q, u64, Q>);
+
+impl<Q: ConcurrentQueue<u64>> QueueHandle<u64> for Park<'_, Q> {
+    fn enqueue(&mut self, value: u64) -> Result<(), Full<u64>> {
+        self.0.send(value).expect("queue closed mid-run");
+        Ok(())
+    }
+
+    fn dequeue(&mut self) -> Option<u64> {
+        Some(self.0.recv().expect("queue closed mid-run"))
+    }
+}
+
+/// Thread `t` of the paper's loop, one call per operation or, `BATCHED`,
+/// one `enqueue_batch` and one `dequeue_batch` call per burst (timed per
+/// call). A full enqueue or empty dequeue retries after `yield_now`:
+/// bounded queues may transiently report Full under oversubscription, and
+/// another thread may have taken "our" items, but global counts match.
+fn paper_loop<C: Clock, H: QueueHandle<u64>, const BATCHED: bool>(
+    mut handle: H,
+    t: usize,
+    cfg: &WorkloadConfig,
+    barrier: &Barrier,
+) -> (f64, C) {
+    let mut clock = C::default();
+    let mut seq: u64 = 0;
+    let mut next = || {
+        seq += 1;
+        ((t as u64) << 40) | (seq - 1)
+    };
+    let mut out: Vec<u64> = Vec::with_capacity(cfg.burst);
+    barrier.wait();
+    let start = Instant::now();
+    for _ in 0..cfg.iterations {
+        let iteration = C::mark();
+        if BATCHED {
+            let mut batch: Vec<u64> = (0..cfg.burst).map(|_| next()).collect();
+            let op = C::mark();
+            // Retry the leftover suffix only.
+            while let Err(e) = handle.enqueue_batch(batch.into_iter()) {
+                batch = e.remaining;
+                std::thread::yield_now();
+            }
+            clock.record(Op::Enqueue, op);
+            out.clear();
+            let op = C::mark();
+            while out.len() < cfg.burst {
+                let want = cfg.burst - out.len();
+                if handle.dequeue_batch(&mut out, want) == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            clock.record(Op::Dequeue, op);
+        } else {
+            for _ in 0..cfg.burst {
+                let value = next();
+                let op = C::mark();
+                while handle.enqueue(value).is_err() {
+                    std::thread::yield_now();
+                }
+                clock.record(Op::Enqueue, op);
+            }
+            for _ in 0..cfg.burst {
+                let op = C::mark();
+                while handle.dequeue().is_none() {
+                    std::thread::yield_now();
+                }
+                clock.record(Op::Dequeue, op);
+            }
+        }
+        clock.record(Op::Echo, iteration);
+    }
+    (start.elapsed().as_secs_f64(), clock)
+}
+
+/// One thread's part in a split shape.
+#[derive(Debug, Clone, Copy)]
+enum Role {
+    /// Enqueue the quota as `id << 40 | seq`.
+    Produce(u64),
+    /// Dequeue exactly the quota.
+    Take,
+    /// Dequeue until countdown `i` reaches zero.
+    Drain(usize),
+}
+
+/// A split shape laid out over a queue's lanes.
+struct Split {
+    /// Values each producer enqueues.
+    per: u64,
+    /// The countdowns `Role::Drain` indexes.
+    counts: Vec<AtomicU64>,
+    /// Each thread's pinned lane (`None`: an unpinned handle) and role.
+    roles: Vec<(Option<usize>, Role)>,
+}
+
+impl Split {
+    fn plan(shape: Shape, cfg: &WorkloadConfig, lanes: usize) -> Split {
+        let threads = cfg.threads;
+        let pairs = threads / 2;
+        let wide = threads.saturating_sub(lanes);
+        match shape {
+            Shape::Fan { producers } => assert!(
+                producers >= 1 && threads > producers,
+                "a fan needs at least one thread on each side"
+            ),
+            Shape::Pairs => assert!(
+                threads >= 2 && threads % 2 == 0,
+                "the pinned pipe pairs each producer with one consumer"
+            ),
+            _ => assert!(
+                threads >= 2 * lanes,
+                "pinned {shape:?} needs one single-side endpoint per lane plus >= one \
+                 endpoint per lane on the other side ({threads} threads < 2 x {lanes} lanes)"
+            ),
+        }
+        let roles: Vec<_> = (0..threads)
+            .map(|t| match shape {
+                Shape::Fan { producers } if t < producers => (None, Role::Produce(t as u64)),
+                Shape::Fan { .. } => (None, Role::Drain(0)),
+                Shape::Pairs if t < pairs => (Some(t % lanes), Role::Produce(t as u64)),
+                Shape::Pairs => (Some(t % pairs % lanes), Role::Take),
+                Shape::FanIn if t < wide => (Some(t % lanes), Role::Produce(t as u64)),
+                Shape::FanIn => (Some(t - wide), Role::Drain(t - wide)),
+                Shape::FanOut if t < lanes => (Some(t), Role::Produce(t as u64)),
+                Shape::FanOut => (Some((t - lanes) % lanes), Role::Drain((t - lanes) % lanes)),
+                Shape::Mixed | Shape::Batched => unreachable!("{shape:?} is not a split shape"),
+            })
+            .collect();
+        // Countdown `i` holds the quotas of the producers feeding lane `i`
+        // (an unpinned fan has the one countdown).
+        let per = (cfg.iterations * cfg.burst) as u64;
+        let counts = (0..lanes.max(1))
+            .map(|i| {
+                let feeds = |(lane, role): &&(Option<usize>, Role)| {
+                    matches!(role, Role::Produce(_)) && lane.unwrap_or(0) == i
+                };
+                AtomicU64::new(roles.iter().filter(feeds).count() as u64 * per)
+            })
+            .collect();
+        Split { per, counts, roles }
+    }
+
+    /// Operations one run performs: each produced value is enqueued once
+    /// and dequeued once, whichever side is the wide one.
+    fn ops(&self) -> u64 {
+        let produces = |(_, role): &&(Option<usize>, Role)| matches!(role, Role::Produce(_));
+        self.roles.iter().filter(produces).count() as u64 * self.per * 2
+    }
+
+    fn drive<C: Clock, H: QueueHandle<u64>>(
+        &self,
+        mut handle: H,
+        role: Role,
+        barrier: &Barrier,
+    ) -> (f64, C) {
+        let mut clock = C::default();
+        barrier.wait();
+        let start = Instant::now();
+        match role {
+            Role::Produce(id) => {
+                for seq in 0..self.per {
+                    let value = (id << 40) | seq;
+                    let op = C::mark();
+                    while handle.enqueue(value).is_err() {
+                        std::thread::yield_now();
+                    }
+                    clock.record(Op::Enqueue, op);
+                }
+            }
+            Role::Take => {
+                for _ in 0..self.per {
+                    let op = C::mark();
+                    while handle.dequeue().is_none() {
+                        std::thread::yield_now();
+                    }
+                    clock.record(Op::Dequeue, op);
+                }
+            }
+            Role::Drain(i) => {
+                let remaining = &self.counts[i];
+                while remaining.load(Ordering::Acquire) > 0 {
+                    let op = C::mark();
+                    if handle.dequeue().is_some() {
+                        remaining.fetch_sub(1, Ordering::AcqRel);
+                        clock.record(Op::Dequeue, op);
+                    } else {
+                        std::thread::yield_now();
                     }
                 }
-                local
-            }));
+            }
         }
-        let mut report = LatencyReport::new();
-        for s in senders {
-            report.merge(&s.await.expect("producer panicked"));
-        }
-        queue.close();
-        for r in receivers {
-            report.merge(&r.await.expect("consumer panicked"));
-        }
-        (start.elapsed().as_secs_f64(), report)
-    });
-    let after = rt.metrics();
-    queue.record_executor_counters(
-        after.steals - before.steals,
-        after.steal_batches - before.steal_batches,
-        after.lifo_hits - before.lifo_hits,
-        after.injection_polls - before.injection_polls,
-        after.parks - before.parks,
-    );
-    out
-}
-
-/// [`run_workload`] with latency capture: runs merge into one report.
-pub fn run_workload_latency<Q, F>(factory: F, config: &WorkloadConfig) -> (Summary, LatencyReport)
-where
-    Q: ConcurrentQueue<u64>,
-    F: Fn() -> Q,
-{
-    let mut report = LatencyReport::new();
-    let samples: Vec<f64> = (0..config.runs)
-        .map(|_| {
-            let queue = factory();
-            let (secs, local) = run_once_latency(&queue, config);
-            report.merge(&local);
-            secs
-        })
-        .collect();
-    (Summary::of(&samples), report)
-}
-
-/// [`run_workload_blocking`] with latency capture.
-pub fn run_workload_blocking_latency<Q, F>(
-    factory: F,
-    config: &WorkloadConfig,
-) -> (Summary, LatencyReport)
-where
-    Q: ConcurrentQueue<u64>,
-    F: Fn() -> Q,
-{
-    let mut report = LatencyReport::new();
-    let samples: Vec<f64> = (0..config.runs)
-        .map(|_| {
-            let queue = BlockingQueue::new(factory());
-            let (secs, local) = run_once_blocking_latency(&queue, config);
-            report.merge(&local);
-            secs
-        })
-        .collect();
-    (Summary::of(&samples), report)
-}
-
-/// [`run_workload_async`] with latency capture and an executor-mode
-/// switch: `injection_only = true` builds the runtime with work stealing
-/// and LIFO slots disabled (every task through the shared injection
-/// queue — the pre-work-stealing scheduler, kept as the experiment
-/// control), `false` uses the full work-stealing scheduler.
-///
-/// Also returns the runtime's cumulative [`RuntimeMetrics`] so callers
-/// can report scheduler behaviour (steals, parks, ...) next to the
-/// latency distributions.
-///
-/// [`RuntimeMetrics`]: tokio::runtime::RuntimeMetrics
-pub fn run_workload_async_latency<Q, F>(
-    factory: F,
-    config: &WorkloadConfig,
-    injection_only: bool,
-) -> (Summary, LatencyReport, tokio::runtime::RuntimeMetrics)
-where
-    Q: ConcurrentQueue<u64> + Send + Sync + 'static,
-    F: Fn() -> Q,
-{
-    let rt = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(config.threads)
-        .injection_only(injection_only)
-        .enable_all()
-        .build()
-        .expect("building the tokio runtime");
-    let mut report = LatencyReport::new();
-    let samples: Vec<f64> = (0..config.runs)
-        .map(|_| {
-            let queue = Arc::new(AsyncQueue::with_stats(factory()));
-            let (secs, local) = run_once_async_latency(&queue, &rt, config);
-            debug_assert_eq!(queue.live_waiters(), 0, "runs must not leak waiter slots");
-            report.merge(&local);
-            secs
-        })
-        .collect();
-    let metrics = rt.metrics();
-    (Summary::of(&samples), report, metrics)
-}
-
-/// [`run_workload_async_latency`] over the split-role
-/// ([`run_once_async_split_latency`]) workload body. The factory builds a
-/// fresh queue per run ([`AsyncQueue::close`] is terminal). Throughput
-/// accounting for these runs uses [`WorkloadConfig::pipe_total_ops`].
-pub fn run_workload_async_split_latency<Q, F>(
-    factory: F,
-    config: &WorkloadConfig,
-    injection_only: bool,
-) -> (Summary, LatencyReport, tokio::runtime::RuntimeMetrics)
-where
-    Q: ConcurrentQueue<u64> + Send + Sync + 'static,
-    F: Fn() -> Q,
-{
-    let rt = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(config.threads)
-        .injection_only(injection_only)
-        .enable_all()
-        .build()
-        .expect("building the tokio runtime");
-    let mut report = LatencyReport::new();
-    let samples: Vec<f64> = (0..config.runs)
-        .map(|_| {
-            let queue = Arc::new(AsyncQueue::with_stats(factory()));
-            let (secs, local) = run_once_async_split_latency(&queue, &rt, config);
-            debug_assert_eq!(queue.live_waiters(), 0, "runs must not leak waiter slots");
-            report.merge(&local);
-            secs
-        })
-        .collect();
-    let metrics = rt.metrics();
-    (Summary::of(&samples), report, metrics)
+        (start.elapsed().as_secs_f64(), clock)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nbq_baselines::MutexQueue;
-    use nbq_core::CasQueue;
+    use nbq_core::{CasQueue, MpscRing, ShardedConfig, ShardedQueue, SpmcRing, SpscRing};
+    use nbq_util::QueueKind;
 
     fn tiny() -> WorkloadConfig {
         WorkloadConfig {
@@ -1225,6 +604,16 @@ mod tests {
         }
     }
 
+    fn threads(threads: usize) -> WorkloadConfig {
+        WorkloadConfig {
+            threads,
+            runs: 1,
+            ..tiny()
+        }
+    }
+
+    const PAPER: Workload = Workload::raw(Shape::Mixed);
+
     #[test]
     fn run_once_completes_and_leaves_queue_empty() {
         let cfg = tiny();
@@ -1235,64 +624,68 @@ mod tests {
     }
 
     #[test]
-    fn run_once_batched_completes_and_leaves_queue_empty() {
+    fn batched_shape_completes_and_leaves_queue_empty() {
         let cfg = tiny();
         let q = CasQueue::<u64>::with_capacity(cfg.capacity);
-        let secs = run_once_batched(&q, &cfg);
+        let (secs, ..) = Workload::raw(Shape::Batched).on_raw::<(), _>(&q, &cfg);
         assert!(secs > 0.0);
         assert!(q.is_empty(), "balanced workload must drain the queue");
     }
 
     #[test]
-    fn run_once_batched_works_via_default_fallbacks() {
+    fn batched_shape_works_via_default_fallbacks() {
         // MutexQueue has no batch override; the trait defaults carry it.
         let cfg = tiny();
-        let q = MutexQueue::<u64>::with_capacity(cfg.capacity);
-        let secs = run_once_batched(&q, &cfg);
-        assert!(secs > 0.0);
+        let batched = Workload::raw(Shape::Batched);
+        let r = batched.run(|| MutexQueue::<u64>::with_capacity(cfg.capacity), &cfg);
+        assert!(r.summary.mean > 0.0);
     }
 
     #[test]
-    fn run_workload_summarizes_runs() {
+    fn runner_summarizes_runs() {
         let cfg = tiny();
-        let s = run_workload(|| MutexQueue::<u64>::with_capacity(cfg.capacity), &cfg);
+        let r = PAPER.run(|| MutexQueue::<u64>::with_capacity(cfg.capacity), &cfg);
+        let s = r.summary;
         assert_eq!(s.n, 2);
         assert!(s.mean > 0.0);
         assert!(s.min <= s.mean && s.mean <= s.max);
+        assert!(r.latency.is_none() && r.executor.is_none() && r.counters.is_none());
     }
 
     #[test]
-    fn run_once_blocking_completes_and_leaves_queue_empty() {
+    fn blocking_frontend_completes_and_leaves_queue_empty() {
         let cfg = tiny();
         let q = BlockingQueue::new(CasQueue::<u64>::with_capacity(cfg.capacity));
-        let secs = run_once_blocking(&q, &cfg);
+        let (secs, ..) = PAPER.via(Frontend::Blocking).on_blocking::<(), _>(&q, &cfg);
         assert!(secs > 0.0);
         assert_eq!(q.inner().len(), 0, "balanced workload must drain");
     }
 
     #[test]
-    fn run_once_async_completes_and_leaves_no_waiters() {
+    fn async_frontend_completes_and_leaves_no_waiters() {
         let cfg = tiny();
-        let rt = tokio::runtime::Builder::new_multi_thread()
-            .worker_threads(cfg.threads)
-            .enable_all()
-            .build()
-            .expect("building the tokio runtime");
+        let rt = tasks::runtime(&cfg, false);
         let q = Arc::new(AsyncQueue::new(CasQueue::<u64>::with_capacity(
             cfg.capacity,
         )));
-        let secs = run_once_async(&q, &rt, &cfg);
+        let asynchronous = PAPER.via(Frontend::Async {
+            injection_only: false,
+        });
+        let (secs, ..) = asynchronous.on_async::<(), _>(&q, &rt, &cfg);
         assert!(secs > 0.0);
         assert_eq!(q.is_empty(), Some(true), "balanced workload must drain");
         assert_eq!(q.live_waiters(), 0, "no leaked waiter slots");
     }
 
     #[test]
-    fn run_workload_async_summarizes_runs() {
+    fn async_runner_summarizes_runs() {
         let cfg = tiny();
-        let s = run_workload_async(|| CasQueue::<u64>::with_capacity(cfg.capacity), &cfg);
-        assert_eq!(s.n, 2);
-        assert!(s.mean > 0.0);
+        let asynchronous = PAPER.via(Frontend::Async {
+            injection_only: false,
+        });
+        let r = asynchronous.run(|| CasQueue::<u64>::with_capacity(cfg.capacity), &cfg);
+        assert_eq!(r.summary.n, 2);
+        assert!(r.summary.mean > 0.0);
     }
 
     #[test]
@@ -1306,15 +699,18 @@ mod tests {
             capacity: 32,
             burst: 5,
         };
-        let s = run_workload_async(|| CasQueue::<u64>::with_capacity(cfg.capacity), &cfg);
-        assert!(s.mean > 0.0);
+        let asynchronous = PAPER.via(Frontend::Async {
+            injection_only: false,
+        });
+        let r = asynchronous.run(|| CasQueue::<u64>::with_capacity(cfg.capacity), &cfg);
+        assert!(r.summary.mean > 0.0);
     }
 
     #[test]
     fn latency_capture_counts_every_operation() {
         let cfg = tiny();
         let q = CasQueue::<u64>::with_capacity(cfg.capacity);
-        let (secs, report) = run_once_latency(&q, &cfg);
+        let (secs, _, report) = PAPER.on_raw::<LatencyReport, _>(&q, &cfg);
         assert!(secs > 0.0);
         assert!(q.is_empty());
         let per_side = (cfg.threads * cfg.iterations * cfg.burst) as u64;
@@ -1329,9 +725,10 @@ mod tests {
     #[test]
     fn blocking_latency_capture_matches_op_counts() {
         let cfg = tiny();
-        let (s, report) =
-            run_workload_blocking_latency(|| CasQueue::<u64>::with_capacity(cfg.capacity), &cfg);
-        assert_eq!(s.n, cfg.runs);
+        let blocking = PAPER.via(Frontend::Blocking).timed();
+        let r = blocking.run(|| CasQueue::<u64>::with_capacity(cfg.capacity), &cfg);
+        assert_eq!(r.summary.n, cfg.runs);
+        let report = r.latency.expect("timed run");
         let per_side = (cfg.runs * cfg.threads * cfg.iterations * cfg.burst) as u64;
         assert_eq!(report.enqueue.count(), per_side);
         assert_eq!(report.dequeue.count(), per_side);
@@ -1340,15 +737,16 @@ mod tests {
     #[test]
     fn async_latency_capture_reports_metrics_and_folds_counters() {
         let cfg = tiny();
-        let rt = tokio::runtime::Builder::new_multi_thread()
-            .worker_threads(cfg.threads)
-            .enable_all()
-            .build()
-            .expect("building the tokio runtime");
+        let rt = tasks::runtime(&cfg, false);
         let q = Arc::new(AsyncQueue::with_stats(CasQueue::<u64>::with_capacity(
             cfg.capacity,
         )));
-        let (secs, report) = run_once_async_latency(&q, &rt, &cfg);
+        let timed = PAPER
+            .via(Frontend::Async {
+                injection_only: false,
+            })
+            .timed();
+        let (secs, _, report) = timed.on_async::<LatencyReport, _>(&q, &rt, &cfg);
         assert!(secs > 0.0);
         let per_side = (cfg.threads * cfg.iterations * cfg.burst) as u64;
         assert_eq!(report.enqueue.count(), per_side);
@@ -1370,13 +768,11 @@ mod tests {
     fn async_latency_workload_runs_both_scheduler_modes() {
         let cfg = tiny();
         for injection_only in [false, true] {
-            let (s, report, metrics) = run_workload_async_latency(
-                || CasQueue::<u64>::with_capacity(cfg.capacity),
-                &cfg,
-                injection_only,
-            );
-            assert_eq!(s.n, cfg.runs);
-            assert!(!report.echo.is_empty());
+            let timed = PAPER.via(Frontend::Async { injection_only }).timed();
+            let r = timed.run(|| CasQueue::<u64>::with_capacity(cfg.capacity), &cfg);
+            assert_eq!(r.summary.n, cfg.runs);
+            assert!(!r.latency.expect("timed run").echo.is_empty());
+            let metrics = r.executor.expect("async run");
             assert_eq!(
                 metrics.injection_only,
                 injection_only || tokio::runtime::injection_only_build()
@@ -1388,38 +784,47 @@ mod tests {
     }
 
     #[test]
-    fn run_once_pipe_completes_and_leaves_queue_empty() {
+    fn async_fan_times_every_transit() {
+        let cfg = threads(4);
+        let pipe = Workload::raw(Shape::pipe(4))
+            .via(Frontend::Async {
+                injection_only: false,
+            })
+            .timed();
+        let r = pipe.run(|| CasQueue::<u64>::with_capacity(10), &cfg);
+        let report = r.latency.expect("timed run");
+        let values = (2 * cfg.iterations * cfg.burst) as u64;
+        assert_eq!(report.enqueue.count(), values);
+        assert_eq!(report.dequeue.count(), values);
+        assert_eq!(report.echo.count(), values, "one transit per value");
+    }
+
+    #[test]
+    fn pipe_shape_completes_and_leaves_queue_empty() {
         let cfg = tiny();
         let q = CasQueue::<u64>::with_capacity(cfg.capacity);
-        let secs = run_once_pipe(&q, &cfg);
+        let (secs, ..) = Workload::raw(Shape::pipe(2)).on_raw::<(), _>(&q, &cfg);
         assert!(secs > 0.0);
         assert!(q.is_empty(), "consumers must drain every produced value");
     }
 
     #[test]
-    fn run_once_pipe_on_the_raw_spsc_ring() {
+    fn pipe_shape_on_the_raw_spsc_ring() {
         // 2 threads = exactly the 1p/1c arrangement the ring admits.
         let cfg = tiny();
-        let q = nbq_core::SpscRing::<u64>::with_capacity(cfg.capacity);
-        let secs = run_once_pipe(&q, &cfg);
+        let q = SpscRing::<u64>::with_capacity(cfg.capacity);
+        let (secs, ..) = Workload::raw(Shape::pipe(2)).on_raw::<(), _>(&q, &cfg);
         assert!(secs > 0.0);
         assert!(q.is_empty());
     }
 
     #[test]
-    fn run_once_pipe_pinned_keeps_spsc_lanes_unpromoted() {
-        let cfg = WorkloadConfig {
-            threads: 4,
-            iterations: 50,
-            runs: 1,
-            capacity: 256,
-            burst: 5,
-        };
-        let q = nbq_core::ShardedQueue::with_config(
-            nbq_core::ShardedConfig::with_lanes(2).spsc_fast_path(),
-            |_| CasQueue::<u64>::with_capacity(cfg.capacity),
-        );
-        let secs = run_once_pipe_pinned(&q, &cfg);
+    fn pairs_shape_keeps_spsc_lanes_unpromoted() {
+        let cfg = threads(4);
+        let q = ShardedQueue::with_config(ShardedConfig::with_lanes(2).spsc_fast_path(), |_| {
+            CasQueue::<u64>::with_capacity(cfg.capacity)
+        });
+        let (secs, ..) = Workload::raw(Shape::Pairs).on_raw::<(), _>(&q, &cfg);
         assert!(secs > 0.0);
         assert_eq!(q.len(), Some(0), "pairs must drain their lanes");
         for lane in 0..q.lanes() {
@@ -1432,32 +837,29 @@ mod tests {
     }
 
     #[test]
-    fn run_once_fan_drains_on_both_raw_rings() {
+    fn fan_shape_drains_on_both_raw_rings() {
         let cfg = tiny();
         // Fan-in: threads-1 producers feed the MPSC ring's FAA side.
-        let q = nbq_core::MpscRing::<u64>::with_capacity(cfg.capacity);
-        assert!(run_once_fan(&q, &cfg, cfg.threads - 1) > 0.0);
+        let q = MpscRing::<u64>::with_capacity(cfg.capacity);
+        let fan_in = Workload::raw(Shape::Fan {
+            producers: cfg.threads - 1,
+        });
+        assert!(fan_in.on_raw::<(), _>(&q, &cfg).0 > 0.0);
         assert!(q.is_empty(), "fan-in consumers must drain the MPSC ring");
         // Fan-out: one producer feeds the SPMC ring's FAA drain side.
-        let q = nbq_core::SpmcRing::<u64>::with_capacity(cfg.capacity);
-        assert!(run_once_fan(&q, &cfg, 1) > 0.0);
+        let q = SpmcRing::<u64>::with_capacity(cfg.capacity);
+        let fan_out = Workload::raw(Shape::Fan { producers: 1 });
+        assert!(fan_out.on_raw::<(), _>(&q, &cfg).0 > 0.0);
         assert!(q.is_empty(), "fan-out consumers must drain the SPMC ring");
     }
 
     #[test]
-    fn run_once_fan_in_pinned_keeps_mpsc_lanes_unpromoted() {
-        let cfg = WorkloadConfig {
-            threads: 5,
-            iterations: 50,
-            runs: 1,
-            capacity: 256,
-            burst: 5,
-        };
-        let q = nbq_core::ShardedQueue::with_config(
-            nbq_core::ShardedConfig::with_lanes(2).mpsc_fast_path(),
-            |_| CasQueue::<u64>::with_capacity(cfg.capacity),
-        );
-        assert!(run_once_fan_in_pinned(&q, &cfg) > 0.0);
+    fn fan_in_shape_keeps_mpsc_lanes_unpromoted() {
+        let cfg = threads(5);
+        let q = ShardedQueue::with_config(ShardedConfig::with_lanes(2).mpsc_fast_path(), |_| {
+            CasQueue::<u64>::with_capacity(cfg.capacity)
+        });
+        assert!(Workload::raw(Shape::FanIn).on_raw::<(), _>(&q, &cfg).0 > 0.0);
         assert_eq!(q.len(), Some(0), "consumers must drain their lanes");
         for lane in 0..q.lanes() {
             assert_eq!(
@@ -1465,24 +867,17 @@ mod tests {
                 Some(false),
                 "one consumer per lane must stay on the wait-free MPSC ring"
             );
-            assert_eq!(q.lane_kind(lane), nbq_util::QueueKind::mpsc_wait_free());
+            assert_eq!(q.lane_kind(lane), QueueKind::mpsc_wait_free());
         }
     }
 
     #[test]
-    fn run_once_fan_out_pinned_keeps_spmc_lanes_unpromoted() {
-        let cfg = WorkloadConfig {
-            threads: 5,
-            iterations: 50,
-            runs: 1,
-            capacity: 256,
-            burst: 5,
-        };
-        let q = nbq_core::ShardedQueue::with_config(
-            nbq_core::ShardedConfig::with_lanes(2).spmc_fast_path(),
-            |_| CasQueue::<u64>::with_capacity(cfg.capacity),
-        );
-        assert!(run_once_fan_out_pinned(&q, &cfg) > 0.0);
+    fn fan_out_shape_keeps_spmc_lanes_unpromoted() {
+        let cfg = threads(5);
+        let q = ShardedQueue::with_config(ShardedConfig::with_lanes(2).spmc_fast_path(), |_| {
+            CasQueue::<u64>::with_capacity(cfg.capacity)
+        });
+        assert!(Workload::raw(Shape::FanOut).on_raw::<(), _>(&q, &cfg).0 > 0.0);
         assert_eq!(q.len(), Some(0), "consumers must drain their lanes");
         for lane in 0..q.lanes() {
             assert_eq!(
@@ -1490,33 +885,23 @@ mod tests {
                 Some(false),
                 "one producer per lane must stay on the wait-free SPMC ring"
             );
-            assert_eq!(q.lane_kind(lane), nbq_util::QueueKind::spmc_wait_free());
+            assert_eq!(q.lane_kind(lane), QueueKind::spmc_wait_free());
         }
     }
 
     #[test]
-    fn fan_total_ops_counts_the_producer_side_twice() {
-        let cfg = WorkloadConfig {
-            threads: 4,
-            iterations: 10,
-            runs: 1,
-            capacity: 64,
-            burst: 5,
-        };
-        assert_eq!(cfg.fan_total_ops(3), 3 * 10 * 5 * 2);
-        assert_eq!(cfg.fan_total_ops(1), 10 * 5 * 2);
-    }
-
-    #[test]
-    fn run_workload_pipe_summarizes_runs() {
+    fn pipe_runner_summarizes_runs() {
         let cfg = tiny();
-        let s = run_workload_pipe(|| MutexQueue::<u64>::with_capacity(cfg.capacity), &cfg);
-        assert_eq!(s.n, 2);
-        assert!(s.mean > 0.0);
+        let pipe = Workload::raw(Shape::pipe(cfg.threads));
+        let r = pipe.run(|| MutexQueue::<u64>::with_capacity(cfg.capacity), &cfg);
+        assert_eq!(r.summary.n, 2);
+        assert!(r.summary.mean > 0.0);
     }
 
     #[test]
-    fn pipe_total_ops_counts_producer_side_twice() {
+    fn runner_reports_the_ops_of_every_shape() {
+        // 4 threads x 10 iterations x 5 burst: a quota of 50 per producer,
+        // and every produced value is enqueued once and dequeued once.
         let cfg = WorkloadConfig {
             threads: 4,
             iterations: 10,
@@ -1524,9 +909,45 @@ mod tests {
             capacity: 64,
             burst: 5,
         };
-        // 2 producers x 10 x 5 values, each enqueued and dequeued once.
-        assert_eq!(cfg.pipe_total_ops(), 2 * 10 * 5 * 2);
-        assert_eq!(cfg.pipe_producers(), 2);
+        let cas = || CasQueue::<u64>::with_capacity(64);
+        let sharded = || ShardedQueue::with_lanes(2, |_| CasQueue::<u64>::with_capacity(64));
+        let ops = |shape| Workload::raw(shape).run(cas, &cfg).ops;
+        let pinned = |shape| Workload::raw(shape).run(sharded, &cfg).ops;
+        assert_eq!(ops(Shape::Mixed), cfg.total_ops());
+        assert_eq!(ops(Shape::Mixed), 4 * 10 * 5 * 2);
+        assert_eq!(ops(Shape::Batched), 4 * 10 * 5 * 2);
+        assert_eq!(ops(Shape::pipe(4)), 2 * 10 * 5 * 2, "2 producers");
+        assert_eq!(ops(Shape::Fan { producers: 3 }), 3 * 10 * 5 * 2);
+        assert_eq!(ops(Shape::Fan { producers: 1 }), 10 * 5 * 2);
+        assert_eq!(pinned(Shape::Pairs), 2 * 10 * 5 * 2, "2 pairs");
+        assert_eq!(pinned(Shape::FanIn), 2 * 10 * 5 * 2, "threads - lanes");
+        assert_eq!(pinned(Shape::FanOut), 2 * 10 * 5 * 2, "one per lane");
+        // Over a single-lane queue the pinned fans are the plain fans.
+        assert_eq!(ops(Shape::FanIn), 3 * 10 * 5 * 2);
+        assert_eq!(ops(Shape::FanOut), 10 * 5 * 2);
+        let blocking = PAPER.via(Frontend::Blocking);
+        assert_eq!(blocking.run(cas, &cfg).ops, cfg.total_ops());
+        for shape in [Shape::Mixed, Shape::pipe(4)] {
+            let asynchronous = Workload::raw(shape).via(Frontend::Async {
+                injection_only: false,
+            });
+            assert_eq!(asynchronous.run(cas, &cfg).ops, ops(shape));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not run the batched loop")]
+    fn batched_shape_skips_sharded_queues() {
+        let sharded = || ShardedQueue::with_lanes(2, |_| CasQueue::<u64>::with_capacity(64));
+        Workload::raw(Shape::Batched).run(sharded, &tiny());
+    }
+
+    #[test]
+    #[should_panic(expected = "runs the Mixed shape")]
+    fn blocking_frontend_rejects_split_shapes() {
+        let cfg = tiny();
+        let pipe = Workload::raw(Shape::pipe(2)).via(Frontend::Blocking);
+        pipe.run(|| CasQueue::<u64>::with_capacity(cfg.capacity), &cfg);
     }
 
     #[test]

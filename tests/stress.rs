@@ -45,7 +45,33 @@ fn paper_workload_all_queues_oversubscribed() {
     run_once(&WcqQueue::<u64>::with_capacity(cfg.capacity), &cfg);
     // And the wCQ with every operation forced through the helping
     // records — oversubscription preempts helpers mid-protocol.
-    run_once(&WcqQueue::<u64>::with_patience(cfg.capacity, 0), &cfg);
+    with_watchdog("patience-0 wCQ under the paper workload", move || {
+        run_once(&WcqQueue::<u64>::with_patience(cfg.capacity, 0), &cfg);
+    });
+}
+
+/// Runs `body` on a thread of its own and fails the test, naming `what`,
+/// if it has not finished within a minute: a queue that wedges (a worker
+/// spinning forever on a lost value) then fails instead of hanging the
+/// suite. The wedged threads are left spinning; they end with the test
+/// process.
+fn with_watchdog(what: &str, body: impl FnOnce() + Send + 'static) {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::time::Duration;
+    const WATCHDOG: Duration = Duration::from_secs(60);
+    let (done, finished) = channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(WATCHDOG) {
+        Ok(()) => worker.join().expect("the body finished"),
+        // The body panicked before reporting: surface its panic.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("the body panicked"))
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("{what} wedged: not done after {WATCHDOG:?}"),
+    }
 }
 
 #[test]
@@ -628,10 +654,12 @@ fn litmus_message_passing_wcq() {
     mp_litmus(&WcqQueue::<Box<Payload>>::with_capacity(64), LITMUS_ROUNDS);
     // All-slow-path: the payload's publish must also survive the
     // record/helper handoff (fewer rounds — each op walks the records).
-    mp_litmus(
-        &WcqQueue::<Box<Payload>>::with_patience(64, 0),
-        LITMUS_ROUNDS / 4,
-    );
+    with_watchdog("patience-0 wCQ under message passing", || {
+        mp_litmus(
+            &WcqQueue::<Box<Payload>>::with_patience(64, 0),
+            LITMUS_ROUNDS / 4,
+        );
+    });
 }
 
 #[test]
