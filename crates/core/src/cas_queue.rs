@@ -45,14 +45,32 @@
 //!   until the reader releases its reference. The paper's original gating
 //!   is kept as [`GatePolicy::PerOperation`] for the `abl-reregister`
 //!   ablation (the cost difference is one uncontended load per retry).
+//!
+//! ## One ring, a simulated link
+//!
+//! Algorithm 2 *is* Algorithm 1 with its `LL` simulated, so [`CasQueue`]
+//! is the shared Fig. 3 [`Ring`] over plain `AtomicU64` slots; only the
+//! link is written here. Per handle ([`SimHandle`]), `ll` is the simulated
+//! `LL` below, `sc` is `CAS(&Q[i], var^1, new)` and `unlink` is the
+//! restore `CAS(&Q[i], var^1, slot)`. Inside `SimHandle::sim_ll`:
+//!
+//! | Fig. 5 | Here |
+//! |---|---|
+//! | L5 `slot = Q[i]` | `SLOT_LOAD` |
+//! | L6 `slot & 1`: another thread's reservation | the foreign-tag branch |
+//! | L7 `FetchAndAdd(&other->r, 1)` | `REFCOUNT_ACQUIRE`, then the re-validation correction (`TAG_REVALIDATE`) |
+//! | L8 read `other->node` | `NODE_READ`, copied into our own `node` (`NODE_PUBLISH`) |
+//! | L11 copy a data/null slot into our `node` | the data branch |
+//! | L12 `CAS(&Q[i], slot, var^1)` | install our tag (`TAG_CAS`) |
+//! | L13–L14 `FetchAndAdd(&other->r, -1)` | `REFCOUNT_RELEASE`, whether or not L12 succeeded |
+//! | L16 return the logical value | `return (value, tag)` |
 
-use crate::node::{index_precedes, node_from_raw, node_into_raw, node_take_exclusive, NULL};
+use crate::node::NULL;
 use crate::opstats::OpStats;
 use crate::registry::{LlScVar, Registry};
-use core::marker::PhantomData;
+use crate::ring::{Link, Ring, RingHandle, SlotLink};
 use core::sync::atomic::{AtomicU64, Ordering};
-use nbq_util::pool::{NodePool, PoolHandle};
-use nbq_util::{mem, Backoff, BatchFull, CachePadded, ConcurrentQueue, Full, QueueHandle};
+use nbq_util::mem;
 
 /// When the owner re-validates exclusive ownership of its `LLSCvar`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,27 +107,10 @@ impl Default for CasQueueConfig {
 /// Space consumption is `O(capacity + max concurrent threads)` — the
 /// registry grows with the *maximum concurrent* registration count and is
 /// recycled across thread generations (population-oblivious).
-pub struct CasQueue<T> {
-    slots: Box<[AtomicU64]>,
-    head: CachePadded<AtomicU64>,
-    tail: CachePadded<AtomicU64>,
-    mask: u64,
-    capacity: u64,
-    registry: Registry,
-    config: CasQueueConfig,
-    stats: Option<Box<OpStats>>,
-    /// Node recycler: after warm-up the enqueue/dequeue hot path never
-    /// touches the global allocator (DESIGN.md §8). Unlike the MS-queue
-    /// baselines no hazard domain holds pointers into this pool, so it
-    /// needs no boxed/stable address.
-    pool: NodePool<T>,
-    _marker: PhantomData<T>,
-}
+pub type CasQueue<T> = Ring<T, SimLink>;
 
-// SAFETY: slot words own their nodes; transferring T across threads via
-// the queue requires T: Send. All shared state is atomic.
-unsafe impl<T: Send> Send for CasQueue<T> {}
-unsafe impl<T: Send> Sync for CasQueue<T> {}
+/// Per-thread handle for [`CasQueue`] (owns a registered `LLSCvar`).
+pub type CasHandle<'q, T> = RingHandle<'q, T, SimLink>;
 
 impl<T: Send> CasQueue<T> {
     /// Creates a queue with room for at least `capacity` items (rounded up
@@ -120,181 +121,102 @@ impl<T: Send> CasQueue<T> {
 
     /// [`Self::with_capacity`] with explicit tuning.
     pub fn with_config(capacity: usize, config: CasQueueConfig) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        let cap = capacity.next_power_of_two().max(2);
-        let slots: Box<[AtomicU64]> = (0..cap).map(|_| AtomicU64::new(NULL)).collect();
-        Self {
-            slots,
-            head: CachePadded::new(AtomicU64::new(0)),
-            tail: CachePadded::new(AtomicU64::new(0)),
-            mask: (cap - 1) as u64,
-            capacity: cap as u64,
+        let link = SimLink {
             registry: Registry::new(),
-            config,
-            stats: None,
-            pool: NodePool::new(),
-            _marker: PhantomData,
-        }
+            gate: config.gate,
+        };
+        Ring::new(capacity, config.backoff, link, |_| AtomicU64::new(NULL))
     }
 
     /// [`Self::with_capacity`] plus per-operation synchronization-
     /// instruction accounting (experiment `t4-opcounts`); see
     /// [`OpStats`].
     pub fn with_stats(capacity: usize) -> Self {
-        let mut q = Self::with_capacity(capacity);
-        q.stats = Some(Box::default());
-        q
+        Self::with_capacity(capacity).counted()
     }
 
     /// [`Self::with_config`] plus instruction/contention accounting — the
     /// combination the tuning ablations use to attribute time differences
     /// to retry pressure.
     pub fn with_config_stats(capacity: usize, config: CasQueueConfig) -> Self {
-        let mut q = Self::with_config(capacity, config);
-        q.stats = Some(Box::default());
-        q
-    }
-
-    /// The instruction counters, if built via [`Self::with_stats`].
-    pub fn stats(&self) -> Option<&OpStats> {
-        self.stats.as_deref()
-    }
-
-    /// Number of slots (power of two ≥ requested capacity).
-    pub fn capacity(&self) -> usize {
-        self.capacity as usize
-    }
-
-    /// Approximate number of queued items.
-    ///
-    /// **Advisory snapshot**: the two index reads are individually
-    /// acquire-ordered but not mutually atomic, so under concurrent
-    /// operations the result may be stale by the time it returns (it is
-    /// exact when quiescent, and always within `0..=capacity`). Callers
-    /// must not use it to guarantee a subsequent `enqueue`/`dequeue`
-    /// succeeds.
-    pub fn len(&self) -> usize {
-        let t = self.tail.load(mem::INDEX_LOAD);
-        let h = self.head.load(mem::INDEX_LOAD);
-        t.wrapping_sub(h).min(self.capacity) as usize
-    }
-
-    /// True when the queue appears empty — the same advisory-snapshot
-    /// contract as [`Self::len`].
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Registers the calling thread (paper `Register`) and returns its
-    /// handle. Dropping the handle deregisters.
-    pub fn handle(&self) -> CasHandle<'_, T> {
-        CasHandle {
-            queue: self,
-            var: self.registry.register(),
-            pool: self.pool.handle(),
-        }
-    }
-
-    /// The node pool's own counters (tests/diagnostics); the per-handle
-    /// tallies fold in when handles drop.
-    pub fn pool_stats(&self) -> nbq_util::pool::PoolStats {
-        self.pool.stats()
+        Self::with_config(capacity, config).counted()
     }
 
     /// Total `LLSCvar`s ever allocated — tracks the maximum number of
     /// concurrently registered threads (population-obliviousness metric).
     pub fn vars_allocated(&self) -> usize {
-        self.registry.total_vars()
-    }
-
-    /// The registry (diagnostics/tests).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+        self.link.registry.total_vars()
     }
 }
 
-impl<T> Drop for CasQueue<T> {
-    fn drop(&mut self) {
-        // Exclusive access, and no handle can be mid-operation (handles
-        // borrow the queue), so no slot holds a reservation tag: every
-        // operation removes its tag before returning.
-        for cell in self.slots.iter() {
-            let v = cell.load(Ordering::Relaxed);
-            debug_assert_eq!(v & 1, 0, "reservation tag leaked into Drop");
-            if v != NULL {
-                // SAFETY: non-null even slot words are uniquely-owned node
-                // addresses created by node_into_raw::<T> against our pool,
-                // and `&mut self` means no live handles.
-                drop(unsafe { node_take_exclusive::<T>(&self.pool, v) });
-            }
+/// The simulated slot link: the queue's `LLSCvar` registry and gate
+/// placement.
+pub struct SimLink {
+    registry: Registry,
+    gate: GatePolicy,
+}
+
+impl Link for SimLink {
+    type Slot = AtomicU64;
+    type Handle<'q> = SimHandle<'q>;
+    const NAME: &'static str = "FIFO Array Simulated CAS";
+
+    fn handle<'q>(&'q self, slots: &'q [AtomicU64], stats: Option<&'q OpStats>) -> SimHandle<'q> {
+        SimHandle {
+            slots,
+            link: self,
+            var: self.registry.register(),
+            stats,
         }
-        // `registry` and `pool` drop afterwards, freeing the LLSCvar list
-        // and the node slabs.
+    }
+
+    fn load(slot: &AtomicU64) -> u64 {
+        slot.load(Ordering::Relaxed)
     }
 }
 
-/// Per-thread handle for [`CasQueue`] (owns a registered `LLSCvar`).
-pub struct CasHandle<'q, T> {
-    queue: &'q CasQueue<T>,
+/// One handle's side of the simulated link: the `LLSCvar` it owns.
+/// Dropping it deregisters.
+pub struct SimHandle<'q> {
+    slots: &'q [AtomicU64],
+    link: &'q SimLink,
     var: *const LlScVar,
-    pool: PoolHandle<'q, T>,
+    stats: Option<&'q OpStats>,
 }
 
 // SAFETY: the handle owns its LLSCvar registration; moving the handle to
-// another thread moves the ownership wholesale. It is not Sync/Clone.
-unsafe impl<T: Send> Send for CasHandle<'_, T> {}
+// another thread moves the ownership wholesale. It is not Sync/Clone. The
+// other fields are shared references to atomics (`slots`, `stats`) and to
+// the `Sync` registry (`link`).
+unsafe impl Send for SimHandle<'_> {}
 
-impl<T: Send> CasHandle<'_, T> {
-    #[inline]
-    fn op_stats(&self) -> Option<&OpStats> {
-        self.queue.stats.as_deref()
-    }
-
-    /// Wraps `value` in a pool node and returns its slot word, recording
-    /// where the node came from.
-    #[inline]
-    fn pool_acquire(&mut self, value: T) -> u64 {
-        let (node, src) = node_into_raw(&mut self.pool, value);
-        if let Some(st) = self.queue.stats.as_deref() {
-            st.record_pool_acquire(src);
-        }
-        node
-    }
-
-    /// Unwraps a slot word this handle owns exclusively, recycling the
-    /// node and recording where it went.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`node_from_raw`].
-    #[inline]
-    unsafe fn pool_release(&mut self, addr: u64) -> T {
-        // SAFETY: forwarded caller contract.
-        let (value, target) = unsafe { node_from_raw(&mut self.pool, addr) };
-        if let Some(st) = self.queue.stats.as_deref() {
-            st.record_pool_release(target);
-        }
-        value
-    }
-
-    /// Slot CAS with instruction accounting (the Fig. 5 "SC").
+impl SimHandle<'_> {
+    /// Counted slot CAS `expected → new` (an "SC", a restore, or a tag
+    /// installation).
     ///
     /// TAG_CAS (SeqCst-pinned): every slot CAS either installs or removes
     /// a reservation tag, and tag removal is one edge of the Dekker cycle
     /// with the owner's `r` gate (DESIGN.md §7). Pinning is free here —
     /// an RMW compiles identically at AcqRel on x86-64/AArch64.
     #[inline]
-    fn counted_slot_cas(&self, cell: &AtomicU64, expected: u64, new: u64) -> bool {
+    fn slot_cas(&self, cell: &AtomicU64, expected: u64, new: u64) -> bool {
         let ok = cell
             .compare_exchange(expected, new, mem::TAG_CAS, mem::TAG_CAS_FAIL)
             .is_ok();
-        if let Some(st) = self.op_stats() {
+        if let Some(st) = self.stats {
             OpStats::bump(&st.slot_cas_attempts);
             if ok {
                 OpStats::bump(&st.slot_cas_successes);
             }
         }
         ok
+    }
+
+    #[inline]
+    fn count_faa(&self) {
+        if let Some(st) = self.stats {
+            OpStats::bump(&st.faa_ops);
+        }
     }
 
     /// Owner-side gate: ensure `self.var` is exclusively ours before
@@ -304,16 +226,17 @@ impl<T: Send> CasHandle<'_, T> {
     fn gate(&mut self) {
         // SAFETY: self.var came from this queue's registry and is owned
         // by this handle.
-        self.var = unsafe { self.queue.registry.reregister(self.var) };
+        self.var = unsafe { self.link.registry.reregister(self.var) };
     }
 
     /// The simulated `LL` (paper Fig. 5, L1–L17, with the reader
     /// re-validation correction). On return, the caller's tag is installed
-    /// in slot `idx` and the returned word is the slot's logical value.
-    fn sim_ll(&mut self, idx: usize) -> u64 {
-        let cell = &self.queue.slots[idx];
+    /// in slot `idx`; returns the slot's logical value and that tag.
+    #[inline]
+    fn sim_ll(&mut self, idx: usize) -> (u64, u64) {
+        let cell = &self.slots[idx];
         loop {
-            if self.queue.config.gate == GatePolicy::PerLink {
+            if self.link.gate == GatePolicy::PerLink {
                 self.gate();
             }
             let var = self.var;
@@ -329,9 +252,7 @@ impl<T: Send> CasHandle<'_, T> {
                 // Dekker race with the owner's REFCOUNT_GATE load — must
                 // be globally ordered before TAG_REVALIDATE below.
                 other.r.fetch_add(1, mem::REFCOUNT_ACQUIRE); // L7
-                if let Some(st) = self.op_stats() {
-                    OpStats::bump(&st.faa_ops);
-                }
+                self.count_faa();
                 // Correction: only trust other->node if the reservation is
                 // still physically installed now that we hold a reference —
                 // this orders our read against the owner's next rewrite
@@ -340,9 +261,7 @@ impl<T: Send> CasHandle<'_, T> {
                 // exclude both threads missing each other's write.
                 if cell.load(mem::TAG_REVALIDATE) != slot {
                     other.r.fetch_sub(1, mem::REFCOUNT_RELEASE);
-                    if let Some(st) = self.op_stats() {
-                        OpStats::bump(&st.faa_ops);
-                    }
+                    self.count_faa();
                     continue;
                 }
                 // L8
@@ -352,593 +271,73 @@ impl<T: Send> CasHandle<'_, T> {
                 // NODE_PUBLISH (release): readers acquire via NODE_READ;
                 // visibility before tag install is carried by TAG_CAS.
                 unsafe { &*var }.node.store(value, mem::NODE_PUBLISH);
-                let installed = cell
-                    .compare_exchange(slot, tag, mem::TAG_CAS, mem::TAG_CAS_FAIL)
-                    .is_ok(); // L12
+                let installed = self.slot_cas(cell, slot, tag); // L12
                 other.r.fetch_sub(1, mem::REFCOUNT_RELEASE); // L13–L14
-                if let Some(st) = self.op_stats() {
-                    OpStats::bump(&st.slot_cas_attempts);
-                    OpStats::bump(&st.faa_ops);
-                    if installed {
-                        OpStats::bump(&st.slot_cas_successes);
-                    }
-                }
+                self.count_faa();
                 if installed {
-                    return value; // L16
+                    return (value, tag); // L16
                 }
             } else {
                 // Slot holds data (or null): copy it to our placeholder
                 // and try to install the reservation.
                 // SAFETY: as above, `var` is exclusively ours.
                 unsafe { &*var }.node.store(slot, mem::NODE_PUBLISH); // L11
-                let installed = cell
-                    .compare_exchange(slot, tag, mem::TAG_CAS, mem::TAG_CAS_FAIL)
-                    .is_ok();
-                if let Some(st) = self.op_stats() {
-                    OpStats::bump(&st.slot_cas_attempts);
-                    if installed {
-                        OpStats::bump(&st.slot_cas_successes);
-                    }
+                if self.slot_cas(cell, slot, tag) {
+                    return (slot, tag);
                 }
-                if installed {
-                    return slot;
-                }
-            }
-        }
-    }
-
-    fn backoff(&self) -> Backoff {
-        if self.queue.config.backoff {
-            Backoff::new()
-        } else {
-            Backoff::disabled()
-        }
-    }
-
-    /// Folds a finished retry loop's snooze count into the stats
-    /// (contention reporting for `abl-backoff`/`abl-ordering`).
-    #[inline]
-    fn record_snoozes(&self, backoff: &Backoff) {
-        if let Some(st) = self.op_stats() {
-            st.add_snoozes(backoff.snoozes());
-        }
-    }
-
-    /// Fig. 5 `Enqueue`.
-    fn enqueue_value(&mut self, value: T) -> Result<(), Full<T>> {
-        if self.queue.config.gate == GatePolicy::PerOperation {
-            self.gate();
-        }
-        let q = self.queue;
-        let node = self.pool_acquire(value);
-        let mut backoff = self.backoff();
-        loop {
-            // INDEX_LOAD (acquire): index staleness is caught by the
-            // `t == Tail` recheck after sim_ll; the full/empty tests only
-            // need Head/Tail monotonicity, as in Algorithm 1.
-            let t = q.tail.load(mem::INDEX_LOAD);
-            // Full test; Head read after Tail (same monotonicity argument
-            // as Algorithm 1).
-            if t == q.head.load(mem::INDEX_LOAD).wrapping_add(q.capacity) {
-                self.record_snoozes(&backoff);
-                // SAFETY: the node was never published.
-                return Err(Full(unsafe { self.pool_release(node) }));
-            }
-            let idx = (t & q.mask) as usize;
-            let slot = self.sim_ll(idx); // our tag is now installed
-            let tag = LlScVar::tag(self.var);
-            let cell = &q.slots[idx];
-            if t == q.tail.load(mem::INDEX_LOAD) {
-                if slot != NULL {
-                    // Slot already filled by a peer whose Tail update is
-                    // lagging: restore the value over our tag, help
-                    // advance Tail, retry.
-                    let restored =
-                        cell.compare_exchange(tag, slot, mem::TAG_CAS, mem::TAG_CAS_FAIL);
-                    let helped = q.tail.compare_exchange(
-                        t,
-                        t.wrapping_add(1),
-                        mem::INDEX_CAS,
-                        mem::INDEX_CAS_FAIL,
-                    );
-                    if let Some(st) = self.op_stats() {
-                        OpStats::bump(&st.slot_cas_attempts);
-                        if restored.is_ok() {
-                            OpStats::bump(&st.slot_cas_successes);
-                        }
-                        OpStats::bump(&st.index_cas_attempts);
-                        if helped.is_ok() {
-                            OpStats::bump(&st.index_cas_successes);
-                        }
-                        OpStats::bump(&st.helps);
-                    }
-                } else if self.counted_slot_cas(cell, tag, node) {
-                    // "SC": install the item over our own reservation.
-                    let advanced = q.tail.compare_exchange(
-                        t,
-                        t.wrapping_add(1),
-                        mem::INDEX_CAS,
-                        mem::INDEX_CAS_FAIL,
-                    );
-                    if let Some(st) = self.op_stats() {
-                        OpStats::bump(&st.index_cas_attempts);
-                        if advanced.is_ok() {
-                            OpStats::bump(&st.index_cas_successes);
-                        }
-                        OpStats::bump(&st.operations);
-                    }
-                    self.record_snoozes(&backoff);
-                    return Ok(());
-                } else {
-                    // Reservation stolen by a competing LL; retry.
-                    backoff.snooze();
-                }
-            } else {
-                // Tail moved since we read it: undo the reservation
-                // (paper's trailing `else CAS(&Q[tail], var^1, slot)`).
-                let restored = cell.compare_exchange(tag, slot, mem::TAG_CAS, mem::TAG_CAS_FAIL);
-                if let Some(st) = self.op_stats() {
-                    OpStats::bump(&st.slot_cas_attempts);
-                    if restored.is_ok() {
-                        OpStats::bump(&st.slot_cas_successes);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fig. 5 `Dequeue`.
-    fn dequeue_value(&mut self) -> Option<T> {
-        if self.queue.config.gate == GatePolicy::PerOperation {
-            self.gate();
-        }
-        let q = self.queue;
-        let mut backoff = self.backoff();
-        loop {
-            let h = q.head.load(mem::INDEX_LOAD);
-            if h == q.tail.load(mem::INDEX_LOAD) {
-                self.record_snoozes(&backoff);
-                return None; // empty
-            }
-            let idx = (h & q.mask) as usize;
-            let slot = self.sim_ll(idx);
-            let tag = LlScVar::tag(self.var);
-            let cell = &q.slots[idx];
-            if h == q.head.load(mem::INDEX_LOAD) {
-                if slot == NULL {
-                    // Item already removed, Head lagging: restore the null
-                    // and help advance Head.
-                    let restored =
-                        cell.compare_exchange(tag, NULL, mem::TAG_CAS, mem::TAG_CAS_FAIL);
-                    let helped = q.head.compare_exchange(
-                        h,
-                        h.wrapping_add(1),
-                        mem::INDEX_CAS,
-                        mem::INDEX_CAS_FAIL,
-                    );
-                    if let Some(st) = self.op_stats() {
-                        OpStats::bump(&st.slot_cas_attempts);
-                        if restored.is_ok() {
-                            OpStats::bump(&st.slot_cas_successes);
-                        }
-                        OpStats::bump(&st.index_cas_attempts);
-                        if helped.is_ok() {
-                            OpStats::bump(&st.index_cas_successes);
-                        }
-                        OpStats::bump(&st.helps);
-                    }
-                } else if self.counted_slot_cas(cell, tag, NULL) {
-                    // "SC": null out the slot; the item is ours.
-                    let advanced = q.head.compare_exchange(
-                        h,
-                        h.wrapping_add(1),
-                        mem::INDEX_CAS,
-                        mem::INDEX_CAS_FAIL,
-                    );
-                    if let Some(st) = self.op_stats() {
-                        OpStats::bump(&st.index_cas_attempts);
-                        if advanced.is_ok() {
-                            OpStats::bump(&st.index_cas_successes);
-                        }
-                        OpStats::bump(&st.operations);
-                    }
-                    self.record_snoozes(&backoff);
-                    // SAFETY: the successful CAS removed the node word from
-                    // the array; we own it exclusively.
-                    return Some(unsafe { self.pool_release(slot) });
-                } else {
-                    backoff.snooze();
-                }
-            } else {
-                let restored = cell.compare_exchange(tag, slot, mem::TAG_CAS, mem::TAG_CAS_FAIL);
-                if let Some(st) = self.op_stats() {
-                    OpStats::bump(&st.slot_cas_attempts);
-                    if restored.is_ok() {
-                        OpStats::bump(&st.slot_cas_successes);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Restore `word` over our own reservation tag in `cell` (a non-SC
-    /// exit path), with instruction accounting.
-    #[inline]
-    fn restore_slot(&self, cell: &AtomicU64, tag: u64, word: u64) {
-        let restored = cell.compare_exchange(tag, word, mem::TAG_CAS, mem::TAG_CAS_FAIL);
-        if let Some(st) = self.op_stats() {
-            OpStats::bump(&st.slot_cas_attempts);
-            if restored.is_ok() {
-                OpStats::bump(&st.slot_cas_successes);
-            }
-        }
-    }
-
-    /// Batched-enqueue slot fill: installs `node` into the first free slot
-    /// at or after `*pos` with the full tag/restore protocol, **without**
-    /// advancing `Tail` (the caller publishes the whole run with one
-    /// [`Self::publish_tail`]). Returns the logical index filled, or gives
-    /// `node` back if the queue is full at `*pos`.
-    ///
-    /// ABA safety matches [`Self::enqueue_value`]'s with the `t == Tail`
-    /// recheck generalized to `Tail <= pos`: `Tail` cannot pass a
-    /// logically-free slot, so while the recheck holds, physical slot
-    /// `pos & mask` is logical position `pos` (no wrap), and any
-    /// interleaved write fails our tag-expecting "SC" CAS. See DESIGN.md
-    /// "Batched operations".
-    fn fill_slot(&mut self, node: u64, pos: &mut u64) -> Result<u64, u64> {
-        let q = self.queue;
-        let mut backoff = self.backoff();
-        loop {
-            let t = q.tail.load(mem::INDEX_LOAD);
-            if index_precedes(*pos, t) {
-                // Tail already moved past our cursor; re-anchor (same as
-                // the single-op loop re-reading Tail).
-                *pos = t;
-            }
-            if (*pos).wrapping_sub(q.head.load(mem::INDEX_LOAD)) >= q.capacity {
-                // Positions [Head, pos) are all occupied (each verified at
-                // or after the anchor, and Head is monotone), so this is a
-                // genuine full — unless the cursor is stale.
-                let t = q.tail.load(mem::INDEX_LOAD);
-                if index_precedes(*pos, t) {
-                    *pos = t;
-                    continue;
-                }
-                self.record_snoozes(&backoff);
-                return Err(node);
-            }
-            let idx = (*pos & q.mask) as usize;
-            let slot = self.sim_ll(idx); // our tag is now installed
-            let tag = LlScVar::tag(self.var);
-            let cell = &q.slots[idx];
-            if index_precedes(*pos, q.tail.load(mem::INDEX_LOAD)) {
-                // Generalized recheck failed: position already published
-                // past; undo the reservation and retry against fresh Tail.
-                self.restore_slot(cell, tag, slot);
-                continue;
-            }
-            if slot != NULL {
-                // A peer filled `pos` but its Tail update lags: restore,
-                // help (succeeds only if Tail is exactly here), move on.
-                self.restore_slot(cell, tag, slot);
-                let helped = q.tail.compare_exchange(
-                    *pos,
-                    (*pos).wrapping_add(1),
-                    mem::INDEX_CAS,
-                    mem::INDEX_CAS_FAIL,
-                );
-                if let Some(st) = self.op_stats() {
-                    OpStats::bump(&st.index_cas_attempts);
-                    if helped.is_ok() {
-                        OpStats::bump(&st.index_cas_successes);
-                    }
-                    OpStats::bump(&st.helps);
-                }
-                *pos = (*pos).wrapping_add(1);
-                continue;
-            }
-            if self.counted_slot_cas(cell, tag, node) {
-                // "SC": the item is in; Tail publication is deferred.
-                let filled = *pos;
-                *pos = filled.wrapping_add(1);
-                self.record_snoozes(&backoff);
-                return Ok(filled);
-            }
-            backoff.snooze();
-        }
-    }
-
-    /// Batched-dequeue slot drain: removes the item at the first occupied
-    /// slot at or after `*pos`, without advancing `Head` (the caller
-    /// publishes with one [`Self::publish_head`]). `None` means the queue
-    /// is empty past `*pos`. Symmetric to [`Self::fill_slot`].
-    fn drain_slot(&mut self, pos: &mut u64) -> Option<u64> {
-        let q = self.queue;
-        let mut backoff = self.backoff();
-        loop {
-            let h = q.head.load(mem::INDEX_LOAD);
-            if index_precedes(*pos, h) {
-                *pos = h;
-            }
-            if *pos == q.tail.load(mem::INDEX_LOAD) {
-                self.record_snoozes(&backoff);
-                return None; // nothing published at or after the cursor
-            }
-            let idx = (*pos & q.mask) as usize;
-            let slot = self.sim_ll(idx);
-            let tag = LlScVar::tag(self.var);
-            let cell = &q.slots[idx];
-            if index_precedes(*pos, q.head.load(mem::INDEX_LOAD)) {
-                // Generalized recheck: position consumed; undo and retry.
-                self.restore_slot(cell, tag, slot);
-                continue;
-            }
-            if slot == NULL {
-                // A peer removed `pos` but its Head update lags: help.
-                self.restore_slot(cell, tag, NULL);
-                let helped = q.head.compare_exchange(
-                    *pos,
-                    (*pos).wrapping_add(1),
-                    mem::INDEX_CAS,
-                    mem::INDEX_CAS_FAIL,
-                );
-                if let Some(st) = self.op_stats() {
-                    OpStats::bump(&st.index_cas_attempts);
-                    if helped.is_ok() {
-                        OpStats::bump(&st.index_cas_successes);
-                    }
-                    OpStats::bump(&st.helps);
-                }
-                *pos = (*pos).wrapping_add(1);
-                continue;
-            }
-            if self.counted_slot_cas(cell, tag, NULL) {
-                *pos = (*pos).wrapping_add(1);
-                self.record_snoozes(&backoff);
-                return Some(slot);
-            }
-            backoff.snooze();
-        }
-    }
-
-    /// Publishes a filled run: ensures `Tail >= target` with a single
-    /// jump-CAS in the uncontended case. Jumping is sound because while
-    /// `Tail == t < target` every position in `[t, target)` holds an item
-    /// and a filled position cannot empty until `Tail` passes it; see the
-    /// LL/SC queue's `publish_tail` and DESIGN.md "Batched operations".
-    fn publish_tail(&self, target: u64) {
-        let q = self.queue;
-        loop {
-            let t = q.tail.load(mem::INDEX_LOAD);
-            if !index_precedes(t, target) {
-                return; // helpers already published past us
-            }
-            let ok = q
-                .tail
-                .compare_exchange(t, target, mem::INDEX_CAS, mem::INDEX_CAS_FAIL)
-                .is_ok();
-            if let Some(st) = self.op_stats() {
-                OpStats::bump(&st.index_cas_attempts);
-                if ok {
-                    OpStats::bump(&st.index_cas_successes);
-                }
-            }
-            if ok {
-                return;
-            }
-        }
-    }
-
-    /// Publishes a drained run: ensures `Head >= target`; symmetric to
-    /// [`Self::publish_tail`] (a drained slot cannot refill until `Head`
-    /// passes it, because the enqueuer of `pos + capacity` is
-    /// full-checked).
-    fn publish_head(&self, target: u64) {
-        let q = self.queue;
-        loop {
-            let h = q.head.load(mem::INDEX_LOAD);
-            if !index_precedes(h, target) {
-                return;
-            }
-            let ok = q
-                .head
-                .compare_exchange(h, target, mem::INDEX_CAS, mem::INDEX_CAS_FAIL)
-                .is_ok();
-            if let Some(st) = self.op_stats() {
-                OpStats::bump(&st.index_cas_attempts);
-                if ok {
-                    OpStats::bump(&st.index_cas_successes);
-                }
-            }
-            if ok {
-                return;
             }
         }
     }
 }
 
-impl<T: Send> QueueHandle<T> for CasHandle<'_, T> {
-    fn enqueue(&mut self, value: T) -> Result<(), Full<T>> {
-        self.enqueue_value(value)
-    }
+impl SlotLink for SimHandle<'_> {
+    /// Our reservation tag, as installed by `SimHandle::sim_ll`.
+    type Token = u64;
 
-    fn dequeue(&mut self) -> Option<T> {
-        self.dequeue_value()
-    }
-
-    fn enqueue_batch(
-        &mut self,
-        items: impl ExactSizeIterator<Item = T>,
-    ) -> Result<usize, BatchFull<T>> {
-        if self.queue.config.gate == GatePolicy::PerOperation {
+    #[inline]
+    fn begin_op(&mut self) {
+        if self.link.gate == GatePolicy::PerOperation {
             self.gate();
         }
-        let q = self.queue;
-        let mut items = items;
-        // One amortized pool grab for the whole batch (capped at the
-        // handle-cache capacity): per-element acquires below then hit the
-        // private cache even when the cache started cold.
-        self.pool.reserve(items.len());
-        let mut pos = q.tail.load(mem::INDEX_LOAD);
-        let mut end = None;
-        let mut enqueued = 0usize;
-        let result = loop {
-            let Some(value) = items.next() else {
-                break Ok(enqueued);
-            };
-            let node = self.pool_acquire(value);
-            match self.fill_slot(node, &mut pos) {
-                Ok(filled) => {
-                    end = Some(filled.wrapping_add(1));
-                    enqueued += 1;
-                }
-                Err(node) => {
-                    // SAFETY: the queue rejected the word; we still own it.
-                    let value = unsafe { self.pool_release(node) };
-                    let mut remaining = Vec::with_capacity(items.len() + 1);
-                    remaining.push(value);
-                    remaining.extend(items);
-                    break Err(BatchFull {
-                        enqueued,
-                        remaining,
-                    });
-                }
-            }
-        };
-        if let Some(end) = end {
-            // Publication obligation: the items are not linearized until
-            // Tail covers them, so the batch must not return beforehand.
-            self.publish_tail(end);
-        }
-        if let Some(st) = self.op_stats() {
-            st.operations.fetch_add(enqueued as u64, Ordering::Relaxed);
-            OpStats::bump(&st.batch_ops);
-            st.batch_items.fetch_add(enqueued as u64, Ordering::Relaxed);
-        }
-        result
     }
 
-    fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        if self.queue.config.gate == GatePolicy::PerOperation {
-            self.gate();
-        }
-        let q = self.queue;
-        let mut pos = q.head.load(mem::INDEX_LOAD);
-        let mut taken = 0usize;
-        while taken < max {
-            match self.drain_slot(&mut pos) {
-                // SAFETY: the successful tag-expecting CAS to null inside
-                // drain_slot transferred the node word to us exclusively.
-                Some(raw) => {
-                    out.push(unsafe { self.pool_release(raw) });
-                    taken += 1;
-                }
-                None => break,
-            }
-        }
-        if taken > 0 {
-            self.publish_head(pos); // cursor sits one past the last drain
-        }
-        if let Some(st) = self.op_stats() {
-            st.operations.fetch_add(taken as u64, Ordering::Relaxed);
-            OpStats::bump(&st.batch_ops);
-            st.batch_items.fetch_add(taken as u64, Ordering::Relaxed);
-        }
-        taken
+    #[inline]
+    fn ll(&mut self, idx: usize) -> (u64, u64) {
+        self.sim_ll(idx)
+    }
+
+    /// The "SC": a CAS whose expected value is our tag, so it can only
+    /// succeed while the reservation is still physically in the slot.
+    #[inline]
+    fn sc(&mut self, idx: usize, tag: u64, new: u64) -> bool {
+        self.slot_cas(&self.slots[idx], tag, new)
+    }
+
+    /// Restores the slot's logical value over our tag (the paper's
+    /// `CAS(&Q[i], var^1, slot)`). It fails only if a competing LL already
+    /// replaced our tag with its own — which carries the same value.
+    #[inline]
+    fn unlink(&mut self, idx: usize, tag: u64, word: u64) {
+        self.slot_cas(&self.slots[idx], tag, word);
     }
 }
 
-impl<T> Drop for CasHandle<'_, T> {
+impl Drop for SimHandle<'_> {
     fn drop(&mut self) {
         // Paper `Deregister`: drop the owner reference; the variable is
         // recycled by a future Register once readers drain.
         // SAFETY: self.var came from this queue's registry and is owned by
         // this handle, which is going away.
-        unsafe { self.queue.registry.deregister(self.var) };
-    }
-}
-
-impl<T: Send> ConcurrentQueue<T> for CasQueue<T> {
-    type Handle<'q>
-        = CasHandle<'q, T>
-    where
-        Self: 'q;
-
-    fn handle(&self) -> Self::Handle<'_> {
-        CasQueue::handle(self)
-    }
-
-    fn capacity(&self) -> Option<usize> {
-        Some(self.capacity())
-    }
-
-    fn len(&self) -> Option<usize> {
-        Some(CasQueue::len(self))
-    }
-
-    fn is_empty(&self) -> Option<bool> {
-        Some(CasQueue::is_empty(self))
-    }
-
-    fn algorithm_name(&self) -> &'static str {
-        "FIFO Array Simulated CAS"
+        unsafe { self.link.registry.deregister(self.var) };
     }
 }
 
 #[cfg(test)]
 mod tests {
+    // The queue behaviours both links share run from `ring`'s generic
+    // suite; these pin down the registry's population-oblivious space.
     use super::*;
-
-    #[test]
-    fn fifo_order_single_thread() {
-        let q = CasQueue::<u32>::with_capacity(8);
-        let mut h = q.handle();
-        for i in 0..8 {
-            h.enqueue(i).unwrap();
-        }
-        for i in 0..8 {
-            assert_eq!(h.dequeue(), Some(i));
-        }
-        assert_eq!(h.dequeue(), None);
-    }
-
-    #[test]
-    fn full_queue_rejects_and_returns_value() {
-        let q = CasQueue::<String>::with_capacity(2);
-        let mut h = q.handle();
-        h.enqueue("a".into()).unwrap();
-        h.enqueue("b".into()).unwrap();
-        let e = h.enqueue("c".into()).unwrap_err();
-        assert_eq!(e.into_inner(), "c");
-        assert_eq!(h.dequeue().as_deref(), Some("a"));
-    }
-
-    #[test]
-    fn wraparound_many_laps() {
-        let q = CasQueue::<u64>::with_capacity(4);
-        let mut h = q.handle();
-        for lap in 0..1000u64 {
-            for i in 0..3 {
-                h.enqueue(lap * 3 + i).unwrap();
-            }
-            for i in 0..3 {
-                assert_eq!(h.dequeue(), Some(lap * 3 + i));
-            }
-        }
-    }
-
-    #[test]
-    fn two_handles_share_the_queue() {
-        let q = CasQueue::<u32>::with_capacity(8);
-        let mut producer = q.handle();
-        let mut consumer = q.handle();
-        producer.enqueue(1).unwrap();
-        producer.enqueue(2).unwrap();
-        assert_eq!(consumer.dequeue(), Some(1));
-        assert_eq!(consumer.dequeue(), Some(2));
-        assert_eq!(q.vars_allocated(), 2);
-    }
+    use nbq_util::QueueHandle;
 
     #[test]
     fn handles_recycle_llscvars() {
@@ -980,395 +379,5 @@ mod tests {
             "vars allocated {} > max concurrent threads 4",
             q.vars_allocated()
         );
-    }
-
-    #[test]
-    fn drop_frees_queued_values() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        struct Tracked(Arc<AtomicUsize>);
-        impl Drop for Tracked {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let drops = Arc::new(AtomicUsize::new(0));
-        {
-            let q = CasQueue::<Tracked>::with_capacity(8);
-            let mut h = q.handle();
-            for _ in 0..5 {
-                h.enqueue(Tracked(drops.clone())).unwrap();
-            }
-        }
-        assert_eq!(drops.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn per_operation_gate_mode_works() {
-        let q = CasQueue::<u32>::with_config(
-            8,
-            CasQueueConfig {
-                backoff: false,
-                gate: GatePolicy::PerOperation,
-            },
-        );
-        let mut h = q.handle();
-        for i in 0..500 {
-            h.enqueue(i).unwrap();
-            assert_eq!(h.dequeue(), Some(i));
-        }
-    }
-
-    #[test]
-    fn paper_instruction_accounting_uncontended() {
-        // The paper: "our CAS-based implementation requires three 32-bit
-        // CAS and two FetchAndAdd operations" per queue operation. In the
-        // uncontended case the three CASes are: install the reservation
-        // tag, replace it with the item (or null), advance the index. The
-        // FAAs only arise when an LL finds a *foreign* tag, i.e. under
-        // contention (see `faa_appears_under_contention`).
-        let q = CasQueue::<u64>::with_stats(64);
-        let mut h = q.handle();
-        for i in 0..1_000 {
-            h.enqueue(i).unwrap();
-            assert_eq!(h.dequeue(), Some(i));
-        }
-        let s = q.stats().unwrap().snapshot();
-        assert_eq!(s.operations, 2_000);
-        assert!(
-            (s.slot_cas_successes - 2.0).abs() < 0.01,
-            "2 slot CASes/op, got {}",
-            s.slot_cas_successes
-        );
-        assert!(
-            (s.index_cas_successes - 1.0).abs() < 0.01,
-            "1 index CAS/op, got {}",
-            s.index_cas_successes
-        );
-        assert_eq!(s.faa_ops, 0.0, "no foreign tags single-threaded");
-        assert_eq!(s.helps, 0.0);
-        // Attempts == successes when uncontended.
-        assert!((s.slot_cas_attempts - s.slot_cas_successes).abs() < 0.01);
-    }
-
-    #[test]
-    fn pool_counters_show_steady_state_recycling() {
-        let q = CasQueue::<u64>::with_stats(8);
-        {
-            let mut h = q.handle();
-            for i in 0..1_000 {
-                h.enqueue(i).unwrap();
-                assert_eq!(h.dequeue(), Some(i));
-            }
-        }
-        let s = q.stats().unwrap().snapshot();
-        if cfg!(feature = "no-pool") {
-            assert_eq!(s.pool_alloc, 1_000, "no-pool: every acquire is fresh");
-            assert_eq!(s.pool_recycle_hits, 0);
-        } else {
-            assert_eq!(s.pool_alloc, 1, "only the very first acquire carves");
-            assert_eq!(s.pool_recycle_hits, 999, "steady state is all recycling");
-            assert_eq!(s.pool_spills, 0, "single handle never overflows its cache");
-            assert_eq!(q.pool_stats().recycled, 999);
-        }
-    }
-
-    #[test]
-    fn faa_appears_under_contention() {
-        let q = CasQueue::<u64>::with_stats(16);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let q = &q;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    for i in 0..2_000u64 {
-                        while h.enqueue(i).is_err() {
-                            h.dequeue();
-                        }
-                        h.dequeue();
-                    }
-                });
-            }
-        });
-        let snap = q.stats().unwrap().snapshot();
-        assert!(snap.operations > 0);
-        // Under real contention some LLs must have chased foreign tags
-        // (each chase is a +1/-1 FAA pair) and some helping occurred.
-        // (On a single-CPU host preemption guarantees plenty of both; we
-        // only assert the counters are wired, not a specific rate.)
-        assert!(snap.slot_cas_attempts >= snap.slot_cas_successes);
-        assert!(snap.index_cas_attempts >= snap.index_cas_successes);
-    }
-
-    #[test]
-    fn zero_sized_values() {
-        let q = CasQueue::<()>::with_capacity(4);
-        let mut h = q.handle();
-        h.enqueue(()).unwrap();
-        h.enqueue(()).unwrap();
-        assert_eq!(h.dequeue(), Some(()));
-        assert_eq!(h.dequeue(), Some(()));
-        assert_eq!(h.dequeue(), None);
-    }
-
-    #[test]
-    fn mpmc_stress_no_loss_no_dup() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        const PRODUCERS: u64 = 4;
-        const CONSUMERS: u64 = 4;
-        const PER_PRODUCER: u64 = 2_000;
-        let q = CasQueue::<u64>::with_capacity(64);
-        let seen = Mutex::new(HashSet::new());
-        std::thread::scope(|s| {
-            for p in 0..PRODUCERS {
-                let q = &q;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    for i in 0..PER_PRODUCER {
-                        let v = p * PER_PRODUCER + i;
-                        while h.enqueue(v).is_err() {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-            for _ in 0..CONSUMERS {
-                let q = &q;
-                let seen = &seen;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    let mut got = Vec::new();
-                    let target = PRODUCERS * PER_PRODUCER / CONSUMERS;
-                    while (got.len() as u64) < target {
-                        if let Some(v) = h.dequeue() {
-                            got.push(v);
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                    let mut s = seen.lock().unwrap();
-                    for v in got {
-                        assert!(s.insert(v), "duplicate value {v}");
-                    }
-                });
-            }
-        });
-        assert_eq!(seen.lock().unwrap().len() as u64, PRODUCERS * PER_PRODUCER);
-        assert!(q.is_empty());
-        assert!(q.vars_allocated() <= (PRODUCERS + CONSUMERS) as usize);
-    }
-
-    #[test]
-    fn batch_round_trip_single_thread() {
-        let q = CasQueue::<u32>::with_capacity(32);
-        let mut h = q.handle();
-        assert_eq!(
-            h.enqueue_batch((0u32..20).collect::<Vec<_>>().into_iter())
-                .unwrap(),
-            20
-        );
-        assert_eq!(q.len(), 20);
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 64), 20);
-        assert_eq!(out, (0..20).collect::<Vec<_>>());
-        assert!(q.is_empty());
-        assert_eq!(h.dequeue(), None);
-    }
-
-    #[test]
-    fn batch_enqueue_reports_partial_fill_in_order() {
-        let q = CasQueue::<u32>::with_capacity(8);
-        let mut h = q.handle();
-        let e = h
-            .enqueue_batch((0u32..12).collect::<Vec<_>>().into_iter())
-            .unwrap_err();
-        assert_eq!(e.enqueued, 8);
-        assert_eq!(e.remaining, vec![8, 9, 10, 11]);
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 64), 8);
-        assert_eq!(out, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn batch_interleaves_with_single_ops() {
-        let q = CasQueue::<u32>::with_capacity(16);
-        let mut h = q.handle();
-        h.enqueue(1).unwrap();
-        assert_eq!(h.enqueue_batch(vec![2, 3, 4].into_iter()).unwrap(), 3);
-        h.enqueue(5).unwrap();
-        assert_eq!(h.dequeue(), Some(1));
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 3), 3);
-        assert_eq!(out, vec![2, 3, 4]);
-        assert_eq!(h.dequeue(), Some(5));
-        assert_eq!(h.dequeue(), None);
-    }
-
-    #[test]
-    fn batch_wraparound_many_laps() {
-        let q = CasQueue::<u64>::with_capacity(8);
-        let mut h = q.handle();
-        let mut out = Vec::new();
-        for lap in 0..500u64 {
-            let base = lap * 5;
-            let items: Vec<u64> = (base..base + 5).collect();
-            assert_eq!(h.enqueue_batch(items.into_iter()).unwrap(), 5);
-            out.clear();
-            assert_eq!(h.dequeue_batch(&mut out, 5), 5);
-            assert_eq!(out, (base..base + 5).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn batch_per_operation_gate_mode_works() {
-        let q = CasQueue::<u32>::with_config(
-            16,
-            CasQueueConfig {
-                backoff: false,
-                gate: GatePolicy::PerOperation,
-            },
-        );
-        let mut h = q.handle();
-        let mut out = Vec::new();
-        for lap in 0..200u32 {
-            let base = lap * 10;
-            let items: Vec<u32> = (base..base + 10).collect();
-            assert_eq!(h.enqueue_batch(items.into_iter()).unwrap(), 10);
-            out.clear();
-            assert_eq!(h.dequeue_batch(&mut out, 10), 10);
-            assert_eq!(out, (base..base + 10).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn batch_amortizes_index_cas() {
-        // The point of the batch API on this queue: the slot protocol is
-        // per-element (2 successful slot CASes, unavoidable — each element
-        // needs its reservation installed and replaced), but the Head/Tail
-        // advance is one jump-CAS per *batch*. At batch 16 the index-CAS
-        // rate per element must drop below 25% of the single-op rate of 1.
-        let q = CasQueue::<u64>::with_stats(64);
-        let mut h = q.handle();
-        let mut out = Vec::new();
-        for lap in 0..200u64 {
-            let base = lap * 16;
-            let items: Vec<u64> = (base..base + 16).collect();
-            assert_eq!(h.enqueue_batch(items.into_iter()).unwrap(), 16);
-            out.clear();
-            assert_eq!(h.dequeue_batch(&mut out, 16), 16);
-        }
-        let s = q.stats().unwrap().snapshot();
-        assert_eq!(s.operations, 6_400);
-        assert_eq!(s.batch_ops, 400);
-        assert_eq!(s.batch_items, 6_400);
-        assert!(
-            s.index_cas_attempts < 0.25,
-            "index CAS per element {} not amortized",
-            s.index_cas_attempts
-        );
-        // Slot cost is unchanged relative to the single-op path.
-        assert!(
-            (s.slot_cas_successes - 2.0).abs() < 0.01,
-            "2 slot CASes per element expected, got {}",
-            s.slot_cas_successes
-        );
-        assert_eq!(s.faa_ops, 0.0, "no foreign tags single-threaded");
-    }
-
-    #[test]
-    fn batch_mpmc_no_loss_no_dup() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        const PRODUCERS: u64 = 3;
-        const CONSUMERS: u64 = 3;
-        const BATCHES: u64 = 300;
-        const BATCH: u64 = 7;
-        let q = CasQueue::<u64>::with_capacity(64);
-        let seen = Mutex::new(HashSet::new());
-        let total = PRODUCERS * BATCHES * BATCH;
-        std::thread::scope(|s| {
-            for p in 0..PRODUCERS {
-                let q = &q;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    for b in 0..BATCHES {
-                        let base = p * BATCHES * BATCH + b * BATCH;
-                        let mut pending: Vec<u64> = (base..base + BATCH).collect();
-                        loop {
-                            match h.enqueue_batch(pending.into_iter()) {
-                                Ok(_) => break,
-                                Err(e) => {
-                                    pending = e.remaining;
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            let taken = std::sync::atomic::AtomicU64::new(0);
-            std::thread::scope(|cs| {
-                for _ in 0..CONSUMERS {
-                    let q = &q;
-                    let seen = &seen;
-                    let taken = &taken;
-                    cs.spawn(move || {
-                        let mut h = q.handle();
-                        let mut got = Vec::new();
-                        loop {
-                            let before = got.len();
-                            h.dequeue_batch(&mut got, 5);
-                            if got.len() == before {
-                                if taken.load(Ordering::SeqCst) >= total {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            } else {
-                                taken.fetch_add((got.len() - before) as u64, Ordering::SeqCst);
-                            }
-                        }
-                        let mut s = seen.lock().unwrap();
-                        for v in got {
-                            assert!(s.insert(v), "duplicate value {v}");
-                        }
-                    });
-                }
-            });
-        });
-        assert_eq!(seen.lock().unwrap().len() as u64, total);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn per_producer_order_under_concurrency() {
-        const ITEMS: u64 = 5_000;
-        let q = CasQueue::<u64>::with_capacity(16);
-        std::thread::scope(|s| {
-            let producer = {
-                let q = &q;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    for i in 0..ITEMS {
-                        while h.enqueue(i).is_err() {
-                            std::thread::yield_now();
-                        }
-                    }
-                })
-            };
-            // Single consumer: order must be exactly 0..ITEMS.
-            let q = &q;
-            let mut h = q.handle();
-            let mut expected = 0u64;
-            while expected < ITEMS {
-                if let Some(v) = h.dequeue() {
-                    assert_eq!(v, expected, "FIFO violated");
-                    expected += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            producer.join().unwrap();
-        });
     }
 }

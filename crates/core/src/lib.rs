@@ -2,17 +2,23 @@
 //! queues over a circular array, using only single-word synchronization
 //! primitives.
 //!
-//! * [`LlScQueue`] — Algorithm 1 (paper Fig. 3), driven by load-linked/
-//!   store-conditional with the full Fig. 2 semantics (emulated by
-//!   [`nbq_llsc::VersionedCell`] on CAS-only hardware). Immune to all
-//!   three ABA problems of §3 by construction; keeps **no per-thread
-//!   state**, so its space consumption depends only on the queue capacity.
-//! * [`CasQueue`] — Algorithm 2 (paper Fig. 5), driven by plain
-//!   pointer-wide CAS plus fetch-and-add. Simulates the LL with tagged
-//!   thread-owned [`registry::LlScVar`] reservations; space consumption is
-//!   `O(capacity + max concurrent threads)` and — like Algorithm 1 —
-//!   requires **no advance knowledge of the thread count**
-//!   (population-oblivious).
+//! Both are one ring, [`ring::Ring`]: Algorithm 1's (paper Fig. 3) loop,
+//! written once over a per-handle slot-link protocol (`ll`, `sc`,
+//! `unlink`). They differ only in the link:
+//!
+//! * [`LlScQueue`] — Algorithm 1 (paper Fig. 3), the ring over
+//!   load-linked/store-conditional cells with the full Fig. 2 semantics
+//!   (emulated by [`nbq_llsc::VersionedCell`] on CAS-only hardware).
+//!   Immune to all three ABA problems of §3 by construction; keeps **no
+//!   per-thread state**, so its space consumption depends only on the
+//!   queue capacity.
+//! * [`CasQueue`] — Algorithm 2 (paper Fig. 5), the ring over plain
+//!   pointer-wide words whose `LL` is simulated with CAS plus
+//!   fetch-and-add: it installs a tagged thread-owned
+//!   [`registry::LlScVar`] reservation, and every non-SC exit restores the
+//!   slot over it. Space consumption is `O(capacity + max concurrent
+//!   threads)` and — like Algorithm 1 — requires **no advance knowledge of
+//!   the thread count** (population-oblivious).
 //!
 //! Both implement [`nbq_util::ConcurrentQueue`], the workspace-wide trait
 //! the harness and tests drive every algorithm through.
@@ -58,6 +64,7 @@ pub mod llsc_queue;
 pub mod mpsc;
 pub mod opstats;
 pub mod registry;
+pub mod ring;
 pub mod sharded;
 pub mod spmc;
 pub mod spsc;

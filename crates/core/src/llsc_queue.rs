@@ -1,42 +1,20 @@
 //! Algorithm 1 (paper Fig. 3): the LL/SC circular-array FIFO queue.
 //!
-//! The queue is a power-of-two array of LL/SC cells plus two unbounded
-//! `Head`/`Tail` counters. A slot holds a node address or `null`; `Head`
-//! is the logical index of the oldest item, `Tail` of the next free slot.
-//! `index mod capacity` locates the slot; letting the counters run free
-//! (only ever incremented) dissolves the index-ABA problem of the paper's
-//! Fig. 1.
-//!
-//! The LL/SC pair on the slot, combined with re-validating the index
-//! (`t == Tail` at line E10 / `h == Head` at D10), eliminates the data-ABA
-//! and null-ABA problems outright: an SC fails if *anything* wrote the slot
-//! since the LL, so a preempted thread can never install or remove a value
-//! based on a stale view (the Fig. 4 scenario).
-//!
-//! Helping makes the queue lock-free rather than merely obstruction-free:
-//! a thread that finds the slot in the "wrong" state concludes the index is
-//! lagging behind a preempted peer's half-finished operation and advances
-//! the index on the peer's behalf (lines E12–13 / D12–13).
-//!
-//! ## Mapping from the paper's pseudocode
-//!
-//! | Paper | Here |
-//! |---|---|
-//! | `LL(&Q[tail]) / SC(&Q[tail], node)` | [`LlScCell::ll`]/[`LlScCell::sc`] on the slot |
-//! | `if (LL(&Tail) == t) SC(&Tail, t+1)` | `tail.compare_exchange(t, t+1)` — for a *monotonically increasing* counter the LL/SC pair and a CAS are equivalent (the counter can never return to `t` after leaving it, so CAS's ABA blind spot is vacuous). This is also why the paper's own Algorithm 2 uses a plain CAS here. |
-//! | `t == Head + Q_LENGTH` | `t == head + capacity` with wrapping arithmetic (erratum 3 in DESIGN.md) |
+//! The algorithm itself — the E5–E18/D5–D18 loops, helping, the batch
+//! paths — is the shared [`Ring`]; see its module docs for the paper-line
+//! mapping. This module supplies the ring's slot link over real LL/SC
+//! cells: `LL`/`SC` are [`LlScCell::ll`]/[`LlScCell::sc`] on the slot, and
+//! a link that ends without an SC simply lapses, so `unlink` does nothing.
 //!
 //! The queue is generic over the cell type so the test suite can run the
 //! *same algorithm* over the strong emulation, the spurious-failure
 //! emulation, and the Fig. 2 oracle.
 
-use crate::node::{index_precedes, node_from_raw, node_into_raw, node_take_exclusive, NULL};
+use crate::node::NULL;
 use crate::opstats::OpStats;
+use crate::ring::{Link, Ring, RingHandle, SlotLink};
 use core::marker::PhantomData;
-use core::sync::atomic::AtomicU64;
 use nbq_llsc::{LlScCell, VersionedCell};
-use nbq_util::pool::{NodePool, PoolHandle};
-use nbq_util::{mem, Backoff, BatchFull, CachePadded, ConcurrentQueue, Full, QueueHandle};
 
 /// Tuning knobs (ablation points, see DESIGN.md `abl-backoff`).
 #[derive(Debug, Clone, Copy)]
@@ -55,33 +33,19 @@ impl Default for LlScQueueConfig {
 /// Algorithm 1: non-blocking bounded MPMC FIFO over LL/SC cells.
 ///
 /// `C` is the LL/SC cell implementation; the default
-/// [`VersionedCell`] is the production strong emulation.
-pub struct LlScQueue<T, C: LlScCell = VersionedCell> {
-    slots: Box<[C]>,
-    head: CachePadded<AtomicU64>,
-    tail: CachePadded<AtomicU64>,
-    mask: u64,
-    capacity: u64,
-    config: LlScQueueConfig,
-    stats: Option<Box<OpStats>>,
-    /// Node recycler: after warm-up the enqueue/dequeue hot path never
-    /// touches the global allocator (DESIGN.md §8).
-    pool: NodePool<T>,
-    _marker: PhantomData<T>,
-}
+/// [`VersionedCell`] is the production strong emulation. Algorithm 1
+/// keeps **no per-thread state** of its own, so a handle is a reference
+/// plus the thread's private node-pool cache.
+pub type LlScQueue<T, C = VersionedCell> = Ring<T, CellLink<C>>;
 
-// SAFETY: values are owned by the queue while in slots; handing a value to
-// another thread through the queue requires T: Send. Cells are Sync.
-unsafe impl<T: Send, C: LlScCell> Send for LlScQueue<T, C> {}
-unsafe impl<T: Send, C: LlScCell> Sync for LlScQueue<T, C> {}
+/// Per-thread handle for [`LlScQueue`].
+pub type LlScHandle<'q, T, C = VersionedCell> = RingHandle<'q, T, CellLink<C>>;
 
 impl<T: Send> LlScQueue<T> {
     /// Creates a queue over [`VersionedCell`]s with room for at least
     /// `capacity` items (rounded up to a power of two, minimum 2).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_cells(capacity, LlScQueueConfig::default(), |_, v| {
-            VersionedCell::new(v)
-        })
+        Self::with_config(capacity, LlScQueueConfig::default())
     }
 
     /// [`Self::with_capacity`] with explicit tuning.
@@ -89,21 +53,18 @@ impl<T: Send> LlScQueue<T> {
         Self::with_cells(capacity, config, |_, v| VersionedCell::new(v))
     }
 
-    /// [`Self::with_capacity`] plus contention accounting (backoff snooze
-    /// counts); see [`OpStats`].
+    /// [`Self::with_capacity`] plus instruction/contention accounting; see
+    /// [`OpStats`]. Slot counts stay zero: the cells' LL/SC is not a
+    /// counted CAS.
     pub fn with_stats(capacity: usize) -> Self {
-        let mut q = Self::with_capacity(capacity);
-        q.stats = Some(Box::default());
-        q
+        Self::with_capacity(capacity).counted()
     }
 
     /// [`Self::with_config`] plus contention accounting — the combination
     /// the tuning ablations use to attribute time differences to retry
     /// pressure.
     pub fn with_config_stats(capacity: usize, config: LlScQueueConfig) -> Self {
-        let mut q = Self::with_config(capacity, config);
-        q.stats = Some(Box::default());
-        q
+        Self::with_config(capacity, config).counted()
     }
 }
 
@@ -116,924 +77,46 @@ impl<T: Send, C: LlScCell> LlScQueue<T, C> {
         config: LlScQueueConfig,
         factory: impl Fn(usize, u64) -> C,
     ) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        let cap = capacity.next_power_of_two().max(2);
-        let slots: Box<[C]> = (0..cap).map(|i| factory(i, NULL)).collect();
-        Self {
-            slots,
-            head: CachePadded::new(AtomicU64::new(0)),
-            tail: CachePadded::new(AtomicU64::new(0)),
-            mask: (cap - 1) as u64,
-            capacity: cap as u64,
-            config,
-            stats: None,
-            pool: NodePool::new(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// The contention counters, if built via [`Self::with_stats`].
-    pub fn stats(&self) -> Option<&OpStats> {
-        self.stats.as_deref()
-    }
-
-    /// The node pool's own counters (tests/diagnostics); the per-handle
-    /// tallies fold in when handles drop.
-    pub fn pool_stats(&self) -> nbq_util::pool::PoolStats {
-        self.pool.stats()
-    }
-
-    /// Folds a finished retry loop's backoff count into the stats.
-    #[inline]
-    fn record_snoozes(&self, backoff: &Backoff) {
-        if let Some(st) = self.stats.as_deref() {
-            st.add_snoozes(backoff.snoozes());
-        }
-    }
-
-    /// Number of slots (power of two ≥ requested capacity).
-    pub fn capacity(&self) -> usize {
-        self.capacity as usize
-    }
-
-    /// Approximate number of queued items.
-    ///
-    /// **Advisory snapshot**: the two index reads are individually
-    /// acquire-ordered but not mutually atomic, so under concurrent
-    /// operations the result may be stale by the time it returns (it is
-    /// exact when quiescent, and always within `0..=capacity`). Callers
-    /// must not use it to guarantee a subsequent `enqueue`/`dequeue`
-    /// succeeds.
-    pub fn len(&self) -> usize {
-        let t = self.tail.load(mem::INDEX_LOAD);
-        let h = self.head.load(mem::INDEX_LOAD);
-        t.wrapping_sub(h).min(self.capacity) as usize
-    }
-
-    /// True when the queue appears empty — the same advisory-snapshot
-    /// contract as [`Self::len`].
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Registers the calling thread. Algorithm 1 keeps no per-thread
-    /// state of its own, so the handle is a reference plus the thread's
-    /// private node-pool cache.
-    pub fn handle(&self) -> LlScHandle<'_, T, C> {
-        LlScHandle {
-            queue: self,
-            pool: self.pool.handle(),
-        }
-    }
-
-    /// Fig. 3 `Enqueue`, operating on raw node words.
-    fn enqueue_raw(&self, node: u64) -> Result<(), u64> {
-        let mut backoff = if self.config.backoff {
-            Backoff::new()
-        } else {
-            Backoff::disabled()
-        };
-        loop {
-            // INDEX_LOAD (acquire): a stale Tail is caught by the E10
-            // recheck; correctness rests on the LL/SC version check plus
-            // Head/Tail monotonicity, not on SC index reads (DESIGN.md §7).
-            let t = self.tail.load(mem::INDEX_LOAD); // E5
-                                                     // E6: full test. Reading Head *after* Tail is load-bearing:
-                                                     // Head is monotone, so head >= (true head when t was read),
-                                                     // hence t <= head + capacity always, and strict equality is the
-                                                     // only full indication (see the invariant argument in
-                                                     // DESIGN.md §1 / the module docs).
-            if t == self.head.load(mem::INDEX_LOAD).wrapping_add(self.capacity) {
-                self.record_snoozes(&backoff);
-                return Err(node); // E7
-            }
-            let idx = (t & self.mask) as usize; // E8
-            let (slot, token) = self.slots[idx].ll(); // E9
-            if t == self.tail.load(mem::INDEX_LOAD) {
-                // E10: Tail unchanged since E5 → the slot we linked is the
-                // one Tail designates (defeats null-ABA).
-                if slot != NULL {
-                    // E11–E13: a peer stored its item but was preempted
-                    // before advancing Tail; help it. (CAS ≡ LL/SC on a
-                    // monotone counter, see module docs.)
-                    let _ = self.tail.compare_exchange(
-                        t,
-                        t.wrapping_add(1),
-                        mem::INDEX_CAS,
-                        mem::INDEX_CAS_FAIL,
-                    );
-                } else if self.slots[idx].sc(token, node) {
-                    // E15–E18: item in; advance Tail (best effort — a
-                    // failed CAS means someone helped us).
-                    let _ = self.tail.compare_exchange(
-                        t,
-                        t.wrapping_add(1),
-                        mem::INDEX_CAS,
-                        mem::INDEX_CAS_FAIL,
-                    );
-                    self.record_snoozes(&backoff);
-                    if let Some(st) = self.stats.as_deref() {
-                        OpStats::bump(&st.operations);
-                    }
-                    return Ok(());
-                } else {
-                    // SC lost a race (or failed spuriously on a WeakCell).
-                    backoff.snooze();
-                }
-            }
-        }
-    }
-
-    /// Fig. 3 `Dequeue`, returning the raw node word.
-    fn dequeue_raw(&self) -> Option<u64> {
-        let mut backoff = if self.config.backoff {
-            Backoff::new()
-        } else {
-            Backoff::disabled()
-        };
-        loop {
-            let h = self.head.load(mem::INDEX_LOAD); // D5
-            if h == self.tail.load(mem::INDEX_LOAD) {
-                self.record_snoozes(&backoff);
-                return None; // D6–D7: empty
-            }
-            let idx = (h & self.mask) as usize; // D8
-            let (slot, token) = self.slots[idx].ll(); // D9
-            if h == self.head.load(mem::INDEX_LOAD) {
-                // D10: Head unchanged → this is still the oldest item
-                // (defeats the Fig. 4 wrap-around scenario).
-                if slot == NULL {
-                    // D11–D13: item already removed, Head lagging; help.
-                    let _ = self.head.compare_exchange(
-                        h,
-                        h.wrapping_add(1),
-                        mem::INDEX_CAS,
-                        mem::INDEX_CAS_FAIL,
-                    );
-                } else if self.slots[idx].sc(token, NULL) {
-                    // D15–D18: removed; advance Head (best effort).
-                    let _ = self.head.compare_exchange(
-                        h,
-                        h.wrapping_add(1),
-                        mem::INDEX_CAS,
-                        mem::INDEX_CAS_FAIL,
-                    );
-                    self.record_snoozes(&backoff);
-                    if let Some(st) = self.stats.as_deref() {
-                        OpStats::bump(&st.operations);
-                    }
-                    return Some(slot);
-                } else {
-                    backoff.snooze();
-                }
-            }
-        }
-    }
-
-    /// Batched-enqueue slot fill: installs `node` into the first free slot
-    /// at or after `*pos` with the per-slot LL/SC protocol, **without**
-    /// advancing `Tail`. Returns the logical index filled (the caller
-    /// publishes the whole run with one [`Self::publish_tail`]), or gives
-    /// `node` back if the queue is full at `*pos`.
-    ///
-    /// ABA safety is the same as [`Self::enqueue_raw`]'s with the E10
-    /// `t == Tail` recheck generalized to `Tail <= pos`: `Tail` cannot
-    /// pass a logically-free slot, so while the recheck holds, physical
-    /// slot `pos & mask` is logical position `pos` (no wrap), and any
-    /// interleaved write to it fails our SC via the cell's LL token.
-    /// See DESIGN.md "Batched operations".
-    fn fill_slot_raw(&self, node: u64, pos: &mut u64) -> Result<u64, u64> {
-        let mut backoff = if self.config.backoff {
-            Backoff::new()
-        } else {
-            Backoff::disabled()
-        };
-        loop {
-            let t = self.tail.load(mem::INDEX_LOAD);
-            if index_precedes(*pos, t) {
-                // Tail already moved past our cursor; re-anchor (same as
-                // the single-op loop re-reading Tail).
-                *pos = t;
-            }
-            if (*pos).wrapping_sub(self.head.load(mem::INDEX_LOAD)) >= self.capacity {
-                // Positions [Head, pos) are all occupied (we verified each
-                // one at or after the anchor, and Head is monotone), so
-                // this is a genuine full — unless the cursor is stale.
-                let t = self.tail.load(mem::INDEX_LOAD);
-                if index_precedes(*pos, t) {
-                    *pos = t;
-                    continue;
-                }
-                self.record_snoozes(&backoff);
-                return Err(node);
-            }
-            let idx = (*pos & self.mask) as usize;
-            let (slot, token) = self.slots[idx].ll();
-            if index_precedes(*pos, self.tail.load(mem::INDEX_LOAD)) {
-                // Generalized E10 recheck failed: position already
-                // published past; retry against the fresh Tail.
-                continue;
-            }
-            if slot != NULL {
-                // A peer filled `pos` but its Tail update lags: help
-                // (succeeds only if Tail is exactly here) and move on.
-                let _ = self.tail.compare_exchange(
-                    *pos,
-                    (*pos).wrapping_add(1),
-                    mem::INDEX_CAS,
-                    mem::INDEX_CAS_FAIL,
-                );
-                *pos = (*pos).wrapping_add(1);
-                continue;
-            }
-            if self.slots[idx].sc(token, node) {
-                let filled = *pos;
-                *pos = filled.wrapping_add(1);
-                self.record_snoozes(&backoff);
-                if let Some(st) = self.stats.as_deref() {
-                    OpStats::bump(&st.operations);
-                }
-                return Ok(filled);
-            }
-            backoff.snooze();
-        }
-    }
-
-    /// Batched-dequeue slot drain: removes the item at the first occupied
-    /// slot at or after `*pos`, without advancing `Head` (the caller
-    /// publishes with one [`Self::publish_head`]). `None` means the queue
-    /// is empty past `*pos`. Symmetric to [`Self::fill_slot_raw`].
-    fn drain_slot_raw(&self, pos: &mut u64) -> Option<u64> {
-        let mut backoff = if self.config.backoff {
-            Backoff::new()
-        } else {
-            Backoff::disabled()
-        };
-        loop {
-            let h = self.head.load(mem::INDEX_LOAD);
-            if index_precedes(*pos, h) {
-                *pos = h;
-            }
-            if *pos == self.tail.load(mem::INDEX_LOAD) {
-                self.record_snoozes(&backoff);
-                return None; // nothing published at or after the cursor
-            }
-            let idx = (*pos & self.mask) as usize;
-            let (slot, token) = self.slots[idx].ll();
-            if index_precedes(*pos, self.head.load(mem::INDEX_LOAD)) {
-                continue; // D10 recheck (generalized): position consumed
-            }
-            if slot == NULL {
-                // A peer removed `pos` but its Head update lags: help.
-                let _ = self.head.compare_exchange(
-                    *pos,
-                    (*pos).wrapping_add(1),
-                    mem::INDEX_CAS,
-                    mem::INDEX_CAS_FAIL,
-                );
-                *pos = (*pos).wrapping_add(1);
-                continue;
-            }
-            if self.slots[idx].sc(token, NULL) {
-                *pos = (*pos).wrapping_add(1);
-                self.record_snoozes(&backoff);
-                if let Some(st) = self.stats.as_deref() {
-                    OpStats::bump(&st.operations);
-                }
-                return Some(slot);
-            }
-            backoff.snooze();
-        }
-    }
-
-    /// Publishes a filled run: ensures `Tail >= target` with a single
-    /// jump-CAS in the uncontended case.
-    ///
-    /// Jumping is sound because while `Tail == t < target` every logical
-    /// position in `[t, target)` holds an item — each was observed or
-    /// installed by the batch, and a filled position cannot empty until
-    /// `Tail` passes it — so the jump is indistinguishable from `target -
-    /// t` rapid single advances.
-    fn publish_tail(&self, target: u64) {
-        loop {
-            let t = self.tail.load(mem::INDEX_LOAD);
-            if !index_precedes(t, target) {
-                return; // someone (helpers) already published past us
-            }
-            if self
-                .tail
-                .compare_exchange(t, target, mem::INDEX_CAS, mem::INDEX_CAS_FAIL)
-                .is_ok()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Publishes a drained run: ensures `Head >= target`; see
-    /// [`Self::publish_tail`] (the emptied-run argument is symmetric: a
-    /// slot drained at position `p` cannot refill until `Head` passes
-    /// `p`, because the enqueuer of `p + capacity` is full-checked).
-    fn publish_head(&self, target: u64) {
-        loop {
-            let h = self.head.load(mem::INDEX_LOAD);
-            if !index_precedes(h, target) {
-                return;
-            }
-            if self
-                .head
-                .compare_exchange(h, target, mem::INDEX_CAS, mem::INDEX_CAS_FAIL)
-                .is_ok()
-            {
-                return;
-            }
-        }
+        Ring::new(capacity, config.backoff, CellLink(PhantomData), |i| {
+            factory(i, NULL)
+        })
     }
 }
 
-impl<T, C: LlScCell> Drop for LlScQueue<T, C> {
-    fn drop(&mut self) {
-        // Exclusive access: free every still-queued node.
-        for cell in self.slots.iter() {
-            let v = cell.load();
-            if v != NULL {
-                // SAFETY: non-null slot words are uniquely-owned node
-                // addresses created by node_into_raw::<T> against our pool,
-                // and `&mut self` means no live handles.
-                drop(unsafe { node_take_exclusive::<T>(&self.pool, v) });
-            }
-        }
-    }
-}
+/// The slot link over real LL/SC cells of type `C`.
+pub struct CellLink<C>(PhantomData<C>);
 
-/// Per-thread handle for [`LlScQueue`].
-pub struct LlScHandle<'q, T, C: LlScCell = VersionedCell> {
-    queue: &'q LlScQueue<T, C>,
-    pool: PoolHandle<'q, T>,
-}
-
-impl<T: Send, C: LlScCell> LlScHandle<'_, T, C> {
-    /// Wraps `value` in a pool node and returns its slot word, recording
-    /// where the node came from.
-    #[inline]
-    fn pool_acquire(&mut self, value: T) -> u64 {
-        let (node, src) = node_into_raw(&mut self.pool, value);
-        if let Some(st) = self.queue.stats.as_deref() {
-            st.record_pool_acquire(src);
-        }
-        node
-    }
-
-    /// Unwraps a slot word this handle owns exclusively, recycling the
-    /// node and recording where it went.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`node_from_raw`].
-    #[inline]
-    unsafe fn pool_release(&mut self, addr: u64) -> T {
-        // SAFETY: forwarded caller contract.
-        let (value, target) = unsafe { node_from_raw(&mut self.pool, addr) };
-        if let Some(st) = self.queue.stats.as_deref() {
-            st.record_pool_release(target);
-        }
-        value
-    }
-}
-
-impl<T: Send, C: LlScCell> QueueHandle<T> for LlScHandle<'_, T, C> {
-    fn enqueue(&mut self, value: T) -> Result<(), Full<T>> {
-        let node = self.pool_acquire(value);
-        match self.queue.enqueue_raw(node) {
-            Ok(()) => Ok(()),
-            // SAFETY: the queue rejected the word; we still own it.
-            Err(n) => Err(Full(unsafe { self.pool_release(n) })),
-        }
-    }
-
-    fn dequeue(&mut self) -> Option<T> {
-        let raw = self.queue.dequeue_raw()?;
-        // SAFETY: a successful SC(slot, null) transferred ownership of
-        // the node word to this thread exclusively.
-        Some(unsafe { self.pool_release(raw) })
-    }
-
-    fn enqueue_batch(
-        &mut self,
-        items: impl ExactSizeIterator<Item = T>,
-    ) -> Result<usize, BatchFull<T>> {
-        let q = self.queue;
-        let mut items = items;
-        // One amortized pool grab for the whole batch (capped at the
-        // handle-cache capacity): per-element acquires below then hit the
-        // private cache even when the cache started cold.
-        self.pool.reserve(items.len());
-        let mut pos = q.tail.load(mem::INDEX_LOAD);
-        let mut end = None;
-        let mut enqueued = 0usize;
-        let result = loop {
-            let Some(value) = items.next() else {
-                break Ok(enqueued);
-            };
-            let node = self.pool_acquire(value);
-            match q.fill_slot_raw(node, &mut pos) {
-                Ok(filled) => {
-                    end = Some(filled.wrapping_add(1));
-                    enqueued += 1;
-                }
-                Err(node) => {
-                    // SAFETY: the queue rejected the word; we still own it.
-                    let value = unsafe { self.pool_release(node) };
-                    let mut remaining = Vec::with_capacity(items.len() + 1);
-                    remaining.push(value);
-                    remaining.extend(items);
-                    break Err(BatchFull {
-                        enqueued,
-                        remaining,
-                    });
-                }
-            }
-        };
-        if let Some(end) = end {
-            // Publication obligation: the items are not linearized until
-            // Tail covers them, so the batch must not return beforehand.
-            q.publish_tail(end);
-        }
-        result
-    }
-
-    fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let q = self.queue;
-        let mut pos = q.head.load(mem::INDEX_LOAD);
-        let mut taken = 0usize;
-        while taken < max {
-            match q.drain_slot_raw(&mut pos) {
-                // SAFETY: the successful SC(slot, null) inside
-                // drain_slot_raw transferred the node word to us.
-                Some(raw) => {
-                    out.push(unsafe { self.pool_release(raw) });
-                    taken += 1;
-                }
-                None => break,
-            }
-        }
-        if taken > 0 {
-            q.publish_head(pos); // cursor sits one past the last drain
-        }
-        taken
-    }
-}
-
-impl<T: Send, C: LlScCell> ConcurrentQueue<T> for LlScQueue<T, C> {
+impl<C: LlScCell> Link for CellLink<C> {
+    type Slot = C;
     type Handle<'q>
-        = LlScHandle<'q, T, C>
+        = &'q [C]
     where
-        Self: 'q;
+        C: 'q;
+    const NAME: &'static str = "FIFO Array LL/SC";
 
-    fn handle(&self) -> Self::Handle<'_> {
-        LlScQueue::handle(self)
+    fn handle<'q>(&'q self, slots: &'q [C], _stats: Option<&'q OpStats>) -> &'q [C] {
+        slots
     }
 
-    fn capacity(&self) -> Option<usize> {
-        Some(self.capacity())
-    }
-
-    fn len(&self) -> Option<usize> {
-        Some(LlScQueue::len(self))
-    }
-
-    fn is_empty(&self) -> Option<bool> {
-        Some(LlScQueue::is_empty(self))
-    }
-
-    fn algorithm_name(&self) -> &'static str {
-        "FIFO Array LL/SC"
+    fn load(slot: &C) -> u64 {
+        slot.load()
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use core::sync::atomic::Ordering;
-    use nbq_llsc::{FaultPlan, OracleCell, WeakCell};
+impl<C: LlScCell> SlotLink for &[C] {
+    type Token = C::Token;
 
-    #[test]
-    fn fifo_order_single_thread() {
-        let q = LlScQueue::<u32>::with_capacity(8);
-        let mut h = q.handle();
-        for i in 0..8 {
-            h.enqueue(i).unwrap();
-        }
-        for i in 0..8 {
-            assert_eq!(h.dequeue(), Some(i));
-        }
-        assert_eq!(h.dequeue(), None);
+    #[inline]
+    fn ll(&mut self, idx: usize) -> (u64, C::Token) {
+        self[idx].ll()
     }
 
-    #[test]
-    fn capacity_rounds_to_power_of_two() {
-        let q = LlScQueue::<u8>::with_capacity(5);
-        assert_eq!(q.capacity(), 8);
-        let q = LlScQueue::<u8>::with_capacity(1);
-        assert_eq!(q.capacity(), 2);
-        let q = LlScQueue::<u8>::with_capacity(16);
-        assert_eq!(q.capacity(), 16);
+    #[inline]
+    fn sc(&mut self, idx: usize, token: C::Token, new: u64) -> bool {
+        self[idx].sc(token, new)
     }
 
-    #[test]
-    fn full_queue_rejects_and_returns_value() {
-        let q = LlScQueue::<String>::with_capacity(2);
-        let mut h = q.handle();
-        h.enqueue("a".into()).unwrap();
-        h.enqueue("b".into()).unwrap();
-        let err = h.enqueue("c".into()).unwrap_err();
-        assert_eq!(err.into_inner(), "c");
-        assert_eq!(h.dequeue().as_deref(), Some("a"));
-        h.enqueue("c".into()).unwrap();
-        assert_eq!(h.dequeue().as_deref(), Some("b"));
-        assert_eq!(h.dequeue().as_deref(), Some("c"));
-    }
-
-    #[test]
-    fn wraparound_many_laps() {
-        let q = LlScQueue::<u64>::with_capacity(4);
-        let mut h = q.handle();
-        for lap in 0..1000u64 {
-            for i in 0..3 {
-                h.enqueue(lap * 3 + i).unwrap();
-            }
-            for i in 0..3 {
-                assert_eq!(h.dequeue(), Some(lap * 3 + i));
-            }
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn len_tracks_occupancy() {
-        let q = LlScQueue::<u8>::with_capacity(8);
-        let mut h = q.handle();
-        assert_eq!(q.len(), 0);
-        for i in 0..5 {
-            h.enqueue(i).unwrap();
-        }
-        assert_eq!(q.len(), 5);
-        h.dequeue();
-        assert_eq!(q.len(), 4);
-    }
-
-    #[test]
-    fn drop_frees_queued_values() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        struct Tracked(Arc<AtomicUsize>);
-        impl Drop for Tracked {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let drops = Arc::new(AtomicUsize::new(0));
-        {
-            let q = LlScQueue::<Tracked>::with_capacity(8);
-            let mut h = q.handle();
-            for _ in 0..6 {
-                h.enqueue(Tracked(drops.clone())).unwrap();
-            }
-            drop(h.dequeue()); // one dropped by the consumer
-            assert_eq!(drops.load(Ordering::SeqCst), 1);
-        }
-        assert_eq!(drops.load(Ordering::SeqCst), 6, "queue drop frees the rest");
-    }
-
-    #[test]
-    fn works_over_weak_cells_with_spurious_failures() {
-        let q: LlScQueue<u32, WeakCell> =
-            LlScQueue::with_cells(8, LlScQueueConfig::default(), |_, v| {
-                WeakCell::new(
-                    v,
-                    FaultPlan::Probability {
-                        seed: 1234,
-                        num: 1,
-                        den: 3,
-                    },
-                )
-            });
-        let mut h = q.handle();
-        for round in 0..50 {
-            for i in 0..6 {
-                h.enqueue(round * 6 + i).unwrap();
-            }
-            for i in 0..6 {
-                assert_eq!(h.dequeue(), Some(round * 6 + i));
-            }
-        }
-    }
-
-    #[test]
-    fn works_over_the_fig2_oracle() {
-        let q: LlScQueue<u32, OracleCell> =
-            LlScQueue::with_cells(4, LlScQueueConfig::default(), |_, v| OracleCell::new(v));
-        let mut h = q.handle();
-        for i in 0..100 {
-            h.enqueue(i).unwrap();
-            assert_eq!(h.dequeue(), Some(i));
-        }
-    }
-
-    #[test]
-    fn backoff_disabled_still_correct() {
-        let q = LlScQueue::<u32>::with_config(4, LlScQueueConfig { backoff: false });
-        let mut h = q.handle();
-        for i in 0..100 {
-            h.enqueue(i).unwrap();
-            assert_eq!(h.dequeue(), Some(i));
-        }
-    }
-
-    #[test]
-    fn pool_counters_show_steady_state_recycling() {
-        let q = LlScQueue::<u64>::with_stats(8);
-        {
-            let mut h = q.handle();
-            for i in 0..1_000 {
-                h.enqueue(i).unwrap();
-                assert_eq!(h.dequeue(), Some(i));
-            }
-        }
-        let s = q.stats().unwrap().snapshot();
-        if cfg!(feature = "no-pool") {
-            assert_eq!(s.pool_alloc, 1_000, "no-pool: every acquire is fresh");
-            assert_eq!(s.pool_recycle_hits, 0);
-        } else {
-            assert_eq!(s.pool_alloc, 1, "only the very first acquire carves");
-            assert_eq!(s.pool_recycle_hits, 999, "steady state is all recycling");
-            assert_eq!(s.pool_spills, 0, "single handle never overflows its cache");
-            assert_eq!(q.pool_stats().recycled, 999);
-        }
-    }
-
-    #[test]
-    fn mpmc_stress_no_loss_no_dup() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        const PRODUCERS: u64 = 4;
-        const CONSUMERS: u64 = 4;
-        const PER_PRODUCER: u64 = 2_000;
-        let q = LlScQueue::<u64>::with_capacity(64);
-        let seen = Mutex::new(HashSet::new());
-        std::thread::scope(|s| {
-            for p in 0..PRODUCERS {
-                let q = &q;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    for i in 0..PER_PRODUCER {
-                        let v = p * PER_PRODUCER + i;
-                        while h.enqueue(v).is_err() {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-            for _ in 0..CONSUMERS {
-                let q = &q;
-                let seen = &seen;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    let mut got = Vec::new();
-                    let target = PRODUCERS * PER_PRODUCER / CONSUMERS;
-                    while (got.len() as u64) < target {
-                        if let Some(v) = h.dequeue() {
-                            got.push(v);
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                    let mut s = seen.lock().unwrap();
-                    for v in got {
-                        assert!(s.insert(v), "duplicate value {v}");
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            seen.lock().unwrap().len() as u64,
-            PRODUCERS * PER_PRODUCER,
-            "every value dequeued exactly once"
-        );
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn batch_round_trip_single_thread() {
-        let q = LlScQueue::<u64>::with_capacity(64);
-        let mut h = q.handle();
-        assert_eq!(
-            h.enqueue_batch((0..20u64).collect::<Vec<_>>().into_iter())
-                .unwrap(),
-            20
-        );
-        assert_eq!(q.len(), 20);
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 7), 7);
-        assert_eq!(h.dequeue_batch(&mut out, 64), 13);
-        assert_eq!(out, (0..20).collect::<Vec<_>>());
-        assert!(q.is_empty());
-        assert_eq!(h.dequeue_batch(&mut out, 4), 0);
-    }
-
-    #[test]
-    fn batch_enqueue_reports_partial_fill_in_order() {
-        let q = LlScQueue::<u64>::with_capacity(8);
-        let mut h = q.handle();
-        let err = h
-            .enqueue_batch((0..12u64).collect::<Vec<_>>().into_iter())
-            .unwrap_err();
-        assert_eq!(err.enqueued, 8);
-        assert_eq!(err.remaining, vec![8, 9, 10, 11]);
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 100), 8);
-        assert_eq!(out, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn batch_interleaves_with_single_ops() {
-        let q = LlScQueue::<u64>::with_capacity(16);
-        let mut h = q.handle();
-        h.enqueue(100).unwrap();
-        assert_eq!(h.enqueue_batch(vec![101, 102, 103].into_iter()).unwrap(), 3);
-        h.enqueue(104).unwrap();
-        assert_eq!(h.dequeue(), Some(100));
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 3), 3);
-        assert_eq!(out, vec![101, 102, 103]);
-        assert_eq!(h.dequeue(), Some(104));
-    }
-
-    #[test]
-    fn batch_wraparound_many_laps() {
-        let q = LlScQueue::<u64>::with_capacity(8);
-        let mut h = q.handle();
-        let mut out = Vec::new();
-        for lap in 0..500u64 {
-            let base = lap * 5;
-            assert_eq!(
-                h.enqueue_batch((base..base + 5).collect::<Vec<_>>().into_iter())
-                    .unwrap(),
-                5
-            );
-            out.clear();
-            assert_eq!(h.dequeue_batch(&mut out, 5), 5);
-            assert_eq!(out, (base..base + 5).collect::<Vec<_>>());
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn batch_works_over_weak_cells_with_spurious_failures() {
-        let q: LlScQueue<u64, WeakCell> =
-            LlScQueue::with_cells(16, LlScQueueConfig::default(), |_, v| {
-                WeakCell::new(
-                    v,
-                    FaultPlan::Probability {
-                        seed: 77,
-                        num: 1,
-                        den: 3,
-                    },
-                )
-            });
-        let mut h = q.handle();
-        let mut out = Vec::new();
-        for round in 0..100u64 {
-            let base = round * 10;
-            assert_eq!(
-                h.enqueue_batch((base..base + 10).collect::<Vec<_>>().into_iter())
-                    .unwrap(),
-                10
-            );
-            out.clear();
-            assert_eq!(h.dequeue_batch(&mut out, 10), 10);
-            assert_eq!(out, (base..base + 10).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn batch_mpmc_no_loss_no_dup() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        const PRODUCERS: u64 = 3;
-        const CONSUMERS: u64 = 3;
-        const BATCHES: u64 = 300;
-        const BATCH: u64 = 7;
-        let q = LlScQueue::<u64>::with_capacity(64);
-        let seen = Mutex::new(HashSet::new());
-        let total = PRODUCERS * BATCHES * BATCH;
-        let consumed = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for p in 0..PRODUCERS {
-                let q = &q;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    for b in 0..BATCHES {
-                        let base = (p * BATCHES + b) * BATCH;
-                        let mut pending: Vec<u64> = (base..base + BATCH).collect();
-                        loop {
-                            match h.enqueue_batch(pending.into_iter()) {
-                                Ok(_) => break,
-                                Err(e) => {
-                                    pending = e.remaining;
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            for _ in 0..CONSUMERS {
-                let q = &q;
-                let seen = &seen;
-                let consumed = &consumed;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    let mut out = Vec::new();
-                    loop {
-                        let n = h.dequeue_batch(&mut out, 5);
-                        if n == 0 {
-                            if consumed.load(Ordering::Relaxed) >= total {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        } else {
-                            consumed.fetch_add(n as u64, Ordering::Relaxed);
-                        }
-                    }
-                    let mut s = seen.lock().unwrap();
-                    for v in out {
-                        assert!(s.insert(v), "duplicate value {v}");
-                    }
-                });
-            }
-        });
-        assert_eq!(seen.lock().unwrap().len() as u64, total);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn per_producer_order_is_preserved() {
-        // FIFO: a single producer's items must come out in insertion order
-        // regardless of how many consumers compete. A shared atomic count
-        // of consumed items is the consumers' exit condition (any
-        // consumer-local scheme can livelock both consumers against each
-        // other).
-        use std::sync::atomic::{AtomicU64, Ordering};
-        const ITEMS: u64 = 5_000;
-        let q = LlScQueue::<u64>::with_capacity(32);
-        let consumed = AtomicU64::new(0);
-        let order = std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            let q1 = &q;
-            s.spawn(move || {
-                let mut h = q1.handle();
-                for i in 0..ITEMS {
-                    while h.enqueue(i).is_err() {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-            for _ in 0..2 {
-                let q = &q;
-                let order = &order;
-                let consumed = &consumed;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    let mut local = Vec::new();
-                    loop {
-                        match h.dequeue() {
-                            Some(v) => {
-                                local.push(v);
-                                consumed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            None => {
-                                if consumed.load(Ordering::Relaxed) >= ITEMS {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                    order.lock().unwrap().push(local);
-                });
-            }
-        });
-        let batches = order.into_inner().unwrap();
-        let mut all: Vec<u64> = Vec::new();
-        for batch in &batches {
-            assert!(
-                batch.windows(2).all(|w| w[0] < w[1]),
-                "each consumer sees the producer's items in order"
-            );
-            all.extend_from_slice(batch);
-        }
-        all.sort_unstable();
-        assert_eq!(all, (0..ITEMS).collect::<Vec<_>>());
-    }
+    /// A real link lapses on its own: nothing was written.
+    #[inline]
+    fn unlink(&mut self, _idx: usize, _token: C::Token, _word: u64) {}
 }
