@@ -26,7 +26,12 @@
 //! For scaling past the single `Head`/`Tail` pair both algorithms share,
 //! [`ShardedQueue`] composes `N` independent lanes of either queue into a
 //! relaxed-FIFO frontend (per-lane FIFO strict, per-producer FIFO
-//! preserved on-lane, cross-lane order advisory — see [`sharded`]).
+//! preserved on-lane, cross-lane order advisory — see [`sharded`]). A
+//! lane can front its queue with one wait-free ring for the arity it
+//! actually serves: [`SpscRing`], [`MpscRing`] (fan-in) or [`SpmcRing`]
+//! (fan-out), the three instances of one ring,
+//! [`arity_ring::ArityRing`], whose producer and consumer ends are each
+//! `Single` or `Shared`.
 //!
 //! ```
 //! use nbq_core::CasQueue;
@@ -59,21 +64,20 @@
 
 mod node;
 
+pub mod arity_ring;
 pub mod cas_queue;
 pub mod llsc_queue;
-pub mod mpsc;
 pub mod opstats;
 pub mod registry;
 pub mod ring;
 pub mod sharded;
-pub mod spmc;
-pub mod spsc;
 
+pub use arity_ring::{
+    MpscConsumer, MpscProducer, MpscRing, MpscRingHandle, SpmcConsumer, SpmcProducer, SpmcRing,
+    SpmcRingHandle, SpscConsumer, SpscProducer, SpscRing, SpscRingHandle,
+};
 pub use cas_queue::{CasHandle, CasQueue, CasQueueConfig, GatePolicy};
 pub use llsc_queue::{LlScHandle, LlScQueue, LlScQueueConfig};
-pub use mpsc::{MpscConsumer, MpscProducer, MpscRing, MpscRingHandle};
 pub use opstats::{OpStats, OpStatsSnapshot};
 pub use registry::ArityRegistry;
 pub use sharded::{BatchPolicy, LanePolicy, ShardedConfig, ShardedHandle, ShardedQueue};
-pub use spmc::{SpmcConsumer, SpmcProducer, SpmcRing, SpmcRingHandle};
-pub use spsc::{SpscConsumer, SpscProducer, SpscRing, SpscRingHandle};

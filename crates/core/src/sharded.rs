@@ -49,9 +49,9 @@
 //! [`nbq_util::QueueKind`] capability envelopes: an [`SpscRing`]
 //! (one registrant per side), an [`MpscRing`] (fan-in: any number of
 //! FAA-ticketing producers, one consumer) or an [`SpmcRing`] (fan-out:
-//! one producer, FAA-arbitrated consumers). A ring side is either
-//! *single* (claimed by one handle through the ring's
-//! [`crate::ArityRegistry`]) or *multi* (any number of registrations).
+//! one producer, FAA-arbitrated consumers), each an `ArityRing`. A ring
+//! end is either *single* (claimed by one handle through the ring's
+//! [`crate::ArityRegistry`]) or *shared* (any number of them).
 //! A handle holds what it claimed or registered as an owned endpoint
 //! value that releases itself on drop, so handle turnover (thread
 //! pools) keeps the fast path alive. The protocol has four rules:
@@ -68,7 +68,7 @@
 //!   keeps its wait-free path until everything *it* pushed has drained:
 //!   for a single producer, the exact-empty instant (it owns `tail`); for
 //!   a fan-in producer, its own last ticket passed by the monotone
-//!   `head` ([`crate::MpscProducer::drained`]). Its ring values thus all
+//!   `head` (`Endpoint::drained`). Its ring values thus all
 //!   precede its first MPMC value, so per-producer FIFO survives
 //!   promotion with no drain/transfer machinery. The same rule keeps a
 //!   dequeue steal from moving the handle's cursor (and so its later
@@ -121,9 +121,10 @@ use core::fmt;
 use core::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::mpsc::{MpscConsumer, MpscProducer, MpscRing};
-use crate::spmc::{SpmcConsumer, SpmcProducer, SpmcRing};
-use crate::spsc::{SpscConsumer, SpscProducer, SpscRing};
+use crate::arity_ring::{
+    MpscConsumer, MpscProducer, MpscRing, SpmcConsumer, SpmcProducer, SpmcRing, SpscConsumer,
+    SpscProducer, SpscRing,
+};
 use nbq_util::{
     BatchFull, CachePadded, ConcurrentQueue, Full, LaneFactory, QueueHandle, QueueKind,
 };
@@ -222,14 +223,22 @@ impl Default for ShardedConfig {
 }
 
 /// Applies `$body` to whichever ring kind `$value` (a [`LaneRing`],
-/// [`RingProducer`] or [`RingConsumer`]) holds: the three kinds share
-/// their method names, so one expression covers all three.
+/// [`RingProducer`] or [`RingConsumer`]) holds: the three kinds are one
+/// generic ring, so one expression covers all three. The `=> $out` form
+/// wraps the body's `Option` result in the same kind of `$out`.
 macro_rules! each_kind {
     ($value:expr, $enum:ident, $x:ident => $body:expr) => {
         match $value {
             $enum::Spsc($x) => $body,
             $enum::Mpsc($x) => $body,
             $enum::Spmc($x) => $body,
+        }
+    };
+    ($value:expr, $enum:ident => $out:ident, $x:ident => $body:expr) => {
+        match $value {
+            $enum::Spsc($x) => $body.map($out::Spsc),
+            $enum::Mpsc($x) => $body.map($out::Mpsc),
+            $enum::Spmc($x) => $body.map($out::Spmc),
         }
     };
 }
@@ -242,7 +251,7 @@ enum LaneRing<T: Send> {
 }
 
 /// A ring producer endpoint held on one lane: the claim on a single
-/// producer side, or a registration on the fan-in ring's multi side.
+/// producer end, or a registration on the fan-in ring's shared end.
 /// Dropping it releases the claim or registration.
 enum RingProducer<'q, T: Send> {
     Spsc(SpscProducer<'q, T>),
@@ -251,7 +260,7 @@ enum RingProducer<'q, T: Send> {
 }
 
 /// A ring consumer endpoint held on one lane: the claim on a single
-/// consumer side, or a registration on the fan-out ring's drain side.
+/// consumer end, or a registration on the fan-out ring's shared end.
 enum RingConsumer<'q, T: Send> {
     Spsc(SpscConsumer<'q, T>),
     Mpsc(MpscConsumer<'q, T>),
@@ -282,41 +291,26 @@ impl<T: Send> LaneRing<T> {
 
     /// The envelope the ring serves while its lane is unpromoted.
     fn kind(&self) -> QueueKind {
-        match self {
-            Self::Spsc(_) => QueueKind::spsc_wait_free(),
-            Self::Mpsc(_) => QueueKind::mpsc_wait_free(),
-            Self::Spmc(_) => QueueKind::spmc_wait_free(),
-        }
+        each_kind!(self, LaneRing, r => r.kind())
     }
 
     /// Claim-or-promote, producer side: the ring's producer endpoint, or
-    /// `None` after promoting the lane. Producers are the fan-in ring's
-    /// multi side, whose registration fails only once the lane already
-    /// promoted (re-promoting is a no-op).
+    /// `None` after promoting the lane. A fan-in registration fails only
+    /// once the lane already promoted (re-promoting is a no-op).
     fn producer(&self) -> Option<RingProducer<'_, T>> {
-        let endpoint = match self {
-            Self::Spsc(r) => r.claim_producer().map(RingProducer::Spsc),
-            Self::Mpsc(r) => r.register_producer().map(RingProducer::Mpsc),
-            Self::Spmc(r) => r.claim_producer().map(RingProducer::Spmc),
-        };
-        if endpoint.is_none() {
+        each_kind!(self, LaneRing => RingProducer, r => r.claim_producer()).or_else(|| {
             self.promote();
-        }
-        endpoint
+            None
+        })
     }
 
-    /// Claim-or-promote, consumer side. Consumers are the fan-out ring's
-    /// drain side, where registering never fails and never promotes.
+    /// Claim-or-promote, consumer side. A fan-out registration never
+    /// fails, so it never promotes.
     fn consumer(&self) -> Option<RingConsumer<'_, T>> {
-        let endpoint = match self {
-            Self::Spsc(r) => r.claim_consumer().map(RingConsumer::Spsc),
-            Self::Mpsc(r) => r.claim_consumer().map(RingConsumer::Mpsc),
-            Self::Spmc(r) => Some(RingConsumer::Spmc(r.register_consumer())),
-        };
-        if endpoint.is_none() {
+        each_kind!(self, LaneRing => RingConsumer, r => r.claim_consumer()).or_else(|| {
             self.promote();
-        }
-        endpoint
+            None
+        })
     }
 
     /// A consumer endpoint taken only while the ring holds work, even on
@@ -325,11 +319,7 @@ impl<T: Send> LaneRing<T> {
         if self.len() == 0 {
             return None;
         }
-        match self {
-            Self::Spsc(r) => r.reclaim_consumer().map(RingConsumer::Spsc),
-            Self::Mpsc(r) => r.reclaim_consumer().map(RingConsumer::Mpsc),
-            Self::Spmc(r) => Some(RingConsumer::Spmc(r.register_consumer())),
-        }
+        each_kind!(self, LaneRing => RingConsumer, r => r.reclaim_consumer())
     }
 
     /// Whether no ring writer can ever push again; emptiness checked
@@ -350,16 +340,6 @@ impl<T: Send> RingProducer<'_, T> {
 
     fn drained(&self) -> bool {
         each_kind!(self, RingProducer, p => p.drained())
-    }
-}
-
-impl<T: Send> RingConsumer<'_, T> {
-    fn pop(&mut self) -> Option<T> {
-        each_kind!(self, RingConsumer, c => c.pop())
-    }
-
-    fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        each_kind!(self, RingConsumer, c => c.pop_batch(out, max))
     }
 }
 
@@ -551,7 +531,7 @@ struct One<T>(Option<T>);
 
 impl<T: Send> Take<T> for One<T> {
     fn ring(&mut self, c: &mut RingConsumer<'_, T>) -> bool {
-        self.0 = c.pop();
+        self.0 = each_kind!(c, RingConsumer, c => c.pop());
         self.0.is_some()
     }
 
@@ -573,7 +553,7 @@ struct Run<'a, T> {
 
 impl<T: Send> Take<T> for Run<'_, T> {
     fn ring(&mut self, c: &mut RingConsumer<'_, T>) -> bool {
-        let n = c.pop_batch(self.out, self.max - self.got);
+        let n = each_kind!(c, RingConsumer, c => c.pop_batch(self.out, self.max - self.got));
         self.got += n;
         n > 0
     }

@@ -392,7 +392,8 @@ pub fn check_spsc_fifo(h: &History) -> Result<(), Violation> {
 /// cannot make: the single consumer's dequeue stream, restricted to the
 /// values of one producer thread, must be exactly a prefix of that
 /// producer's enqueue stream. Histories from [`MpscRing`] fan-in runs
-/// and from an unpromoted sharded MPSC lane must pass this; the queue's
+/// (the shared-producer instance of `nbq_core::ArityRing`) and from an
+/// unpromoted sharded MPSC lane must pass this; the queue's
 /// only admitted freedom is *interleaving between* producers' streams.
 ///
 /// [`MpscRing`]: https://docs.rs/nbq-core
@@ -452,10 +453,11 @@ pub fn check_mpsc_fan_in(h: &History) -> Result<(), Violation> {
 /// Runs [`check_value_integrity`] first, then orders the single
 /// producer's enqueue stream by program order and verifies each consumer
 /// thread's dequeue stream is strictly ascending in that order —
-/// consumers arbitrate a monotone head, so a consumer can skip values
-/// (taken by its peers) but never step backwards. Histories from
-/// `SpmcRing` fan-out runs and from an unpromoted sharded SPMC lane
-/// must pass this.
+/// consumers take gate-backed FAA tickets on a monotone head, so a
+/// consumer can skip values (taken by its peers) but never step
+/// backwards. Histories from `SpmcRing` fan-out runs (the
+/// shared-consumer instance of `nbq_core::ArityRing`) and from an
+/// unpromoted sharded SPMC lane must pass this.
 pub fn check_spmc_fan_out(h: &History) -> Result<(), Violation> {
     check_value_integrity(h)?;
     // Enqueue position of each value in the producer's program order.

@@ -119,21 +119,22 @@ relaxable! {
     /// only trusted after the versioned head CAS validates it, and pooled
     /// nodes are never individually freed, so a stale read is harmless.
     POOL_NEXT = Relaxed;
-    /// An SPSC ring endpoint's publication of its own monotone cursor
+    /// A lane ring's single end publishing its own monotone cursor
     /// (producer's `tail` store after filling slots, consumer's `head`
-    /// store after draining them). Release: the slot writes/reads it
-    /// covers must be visible before the opposite endpoint trusts the new
-    /// cursor. This single store *is* the batched-publication point — a
-    /// native batch writes k slots and issues it once.
+    /// store after draining them), and a shared end stamping a slot's
+    /// `seq` word. Release: the slot writes/reads it covers must be
+    /// visible before the opposite end trusts the new cursor or stamp.
+    /// The cursor store *is* the batched-publication point — a native
+    /// batch writes k slots and issues it once.
     SPSC_PUBLISH = Release;
-    /// An SPSC ring endpoint's read of the *opposite* cursor (producer
+    /// A lane ring single end's read of the *opposite* cursor (producer
     /// reloading `head` when its shadow says full, consumer reloading
     /// `tail` when its shadow says empty). Acquire pairs with
     /// [`SPSC_PUBLISH`]; a stale value costs a spurious `Full`/`None`,
     /// never safety, because each cursor is monotone.
     SPSC_CURSOR_LOAD = Acquire;
-    /// An SPSC ring endpoint's read of its *own* cursor. Relaxed: the
-    /// endpoint is the only writer of that cursor, so it always reads its
+    /// A lane ring single end's read of its *own* cursor. Relaxed: the
+    /// claimant is the only writer of that cursor, so it always reads its
     /// own latest store.
     SPSC_OWN_CURSOR = Relaxed;
     /// Loads of a lane's arity-registration word (claimed-endpoint bits +
@@ -159,13 +160,13 @@ relaxable! {
     /// costs at most one spurious empty re-probe — the enqueued entry
     /// itself is published by [`SLOT_CAS`].
     RING_STORE = Release;
-    /// Fetch-and-add tickets on the *multi* side of a half-relaxed ring
-    /// (`MpscRing` producers bumping `tail`, `SpmcRing` consumers bumping
-    /// `head`). AcqRel: the RMW chain on the position counter is what
-    /// carries a slow peer's gate acquisition to later ticket holders —
+    /// Fetch-and-add tickets on the shared end of a half-relaxed lane
+    /// ring (`MpscRing` producers bumping `tail`, `SpmcRing` consumers
+    /// bumping `head`). AcqRel: the RMW chain on the position counter is
+    /// what carries a slow peer's gate acquisition to later ticket holders —
     /// ticket `t`'s holder synchronizes with every earlier ticket's FAA,
     /// and through it with the gate release that freed slot `t - N` (see
-    /// the reuse-safety argument in `mpsc.rs`).
+    /// the reuse-safety argument in `nbq_core::arity_ring`).
     RING_TICKET = AcqRel;
     /// RMWs on a half-relaxed ring's occupancy gate (the `credits`
     /// semaphore of `MpscRing`, the `items` count of `SpmcRing`).
@@ -173,7 +174,7 @@ relaxable! {
     /// before the capacity/item becomes claimable again; acquire on the
     /// take side orders the new owner behind that access. Together with
     /// [`RING_TICKET`] this is the whole reuse/publication story for the
-    /// multi side — the gate bounds occupancy so tickets never alias a
+    /// shared end — the gate bounds occupancy so tickets never alias a
     /// live slot.
     RING_GATE = AcqRel;
 }

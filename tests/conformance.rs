@@ -100,6 +100,14 @@ fn batch_suite<Q: ConcurrentQueue<String>>(make: impl Fn(usize) -> Q) {
     assert_eq!(h.enqueue_batch(std::iter::empty()).unwrap(), 0);
     assert_eq!(h.dequeue_batch(&mut out, 8), 0);
     assert_eq!(h.dequeue_batch(&mut out, 0), 0);
+    // An oversized request must not open a gated ring's count.
+    assert_eq!(h.dequeue_batch(&mut out, usize::MAX), 0);
+    assert_eq!(
+        h.dequeue(),
+        None,
+        "{}: nothing invented",
+        q.algorithm_name()
+    );
 
     // Batch and single ops interleave on one FIFO stream.
     h.enqueue("s1".into()).unwrap();
