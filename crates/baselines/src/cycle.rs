@@ -12,34 +12,14 @@
 //! exactly like a seqlock or TCP sequence-number compare. These helpers
 //! centralize that arithmetic; `tests/properties.rs` drives them through
 //! the wrap-around edge cases and the Miri CI leg interprets the unit
-//! tests below.
+//! tests below. The position-to-slot cache remap both rings use is
+//! [`nbq_util::ring_slot`].
 
 /// The lap number of unbounded ring position `pos` on a ring of
 /// `1 << order` entries.
 #[inline]
 pub fn position_cycle(pos: u64, order: u32) -> u64 {
     pos >> order
-}
-
-/// Maps a ring position to a physical slot, spreading *adjacent* positions
-/// across cache lines (Nikolaev's "cache remap").
-///
-/// Eight `u64` entries share a 64-byte line, so with the identity map the
-/// hot head/tail positions of a busy ring all contend on one line. The
-/// remap rotates the masked position right by three bits within the
-/// `order`-bit field: consecutive positions land `2^(order-3)` slots apart
-/// (distinct lines once the ring has ≥ 64 entries) while remaining a pure
-/// permutation of the ring. Rings smaller than eight entries keep the
-/// identity map — there is nothing to spread.
-#[inline]
-pub fn ring_slot(pos: u64, order: u32) -> usize {
-    let mask = (1u64 << order) - 1;
-    let i = pos & mask;
-    if order >= 3 {
-        (((i >> 3) | (i << (order - 3))) & mask) as usize
-    } else {
-        i as usize
-    }
 }
 
 /// Wrapping "less than" on cycles truncated to `bits` bits: true iff `a`
@@ -113,34 +93,5 @@ mod tests {
         // Near the u64 wrap: MAX precedes 1 (difference 2 < 2^63).
         assert!(pos_le(u64::MAX, 1));
         assert!(!pos_le(1, u64::MAX));
-    }
-
-    #[test]
-    fn ring_slot_is_a_permutation() {
-        for order in 0..12u32 {
-            let n = 1usize << order;
-            let mut seen = vec![false; n];
-            for pos in 0..n as u64 {
-                let j = ring_slot(pos, order);
-                assert!(j < n, "slot {j} out of range for order {order}");
-                assert!(!seen[j], "slot {j} hit twice for order {order}");
-                seen[j] = true;
-            }
-            // The remap only depends on the masked position.
-            assert_eq!(ring_slot(0, order), ring_slot(n as u64, order));
-        }
-    }
-
-    #[test]
-    fn ring_slot_spreads_neighbours_across_lines() {
-        // With ≥ 64 entries, positions p and p+1 must not share a
-        // 64-byte line (8 u64 slots).
-        for order in 6..12u32 {
-            for pos in 0..(1u64 << order) - 1 {
-                let a = ring_slot(pos, order) / 8;
-                let b = ring_slot(pos + 1, order) / 8;
-                assert_ne!(a, b, "positions {pos},{} share a line", pos + 1);
-            }
-        }
     }
 }

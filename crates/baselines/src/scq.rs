@@ -40,12 +40,12 @@
 //! ABA defenses, and [`crate::wcq`] for the wait-free successor layered
 //! on the same ring.
 
-use crate::cycle::{cycle_eq, cycle_lt, ones, pos_le, position_cycle, ring_slot};
+use crate::cycle::{cycle_eq, cycle_lt, ones, pos_le, position_cycle};
 use core::cell::UnsafeCell;
 use core::mem::MaybeUninit;
 use core::sync::atomic::{AtomicI64, AtomicU64};
 use nbq_core::OpStats;
-use nbq_util::{mem, CachePadded, ConcurrentQueue, Full, QueueHandle, QueueKind};
+use nbq_util::{mem, ring_slot, CachePadded, ConcurrentQueue, Full, QueueHandle, QueueKind};
 
 /// Packs one SCQ ring entry: `[cycle | safe:1 | index:order]`.
 ///

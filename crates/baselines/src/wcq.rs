@@ -41,12 +41,12 @@
 //! [`QueueKind::mpmc_wait_free`] envelope advertises the *intended*
 //! progress class; treat it with that caveat.
 
-use crate::cycle::{cycle_eq, cycle_lt, ones, pos_le, position_cycle, ring_slot};
+use crate::cycle::{cycle_eq, cycle_lt, ones, pos_le, position_cycle};
 use core::cell::UnsafeCell;
 use core::mem::MaybeUninit;
 use core::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use nbq_core::OpStats;
-use nbq_util::{mem, CachePadded, ConcurrentQueue, Full, QueueHandle, QueueKind};
+use nbq_util::{mem, ring_slot, CachePadded, ConcurrentQueue, Full, QueueHandle, QueueKind};
 
 /// Maximum concurrently registered handles (tag space is 7 bits, and the
 /// registry bitmap is one word).

@@ -356,7 +356,9 @@ mod tests {
 
     #[test]
     fn population_oblivious_space() {
-        // Waves of short-lived threads: allocation tracks max concurrency.
+        // Waves of short-lived threads: allocation tracks max concurrency,
+        // at most one owned var plus one reader-held var per thread
+        // (registry module docs).
         let q = CasQueue::<u64>::with_capacity(64);
         for _wave in 0..5 {
             std::thread::scope(|s| {
@@ -375,8 +377,8 @@ mod tests {
             });
         }
         assert!(
-            q.vars_allocated() <= 4,
-            "vars allocated {} > max concurrent threads 4",
+            q.vars_allocated() <= 2 * 4,
+            "vars allocated {} > twice the max concurrent threads 4",
             q.vars_allocated()
         );
     }

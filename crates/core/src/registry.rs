@@ -12,10 +12,24 @@
 //! Variables are never freed while the queue lives ("allocated variables
 //! are kept permanently in a list but other threads may recycle them"), so
 //! a reader that found a tag in a slot can always dereference it. The list
-//! length therefore tracks the **maximum number of threads that accessed
-//! the queue at any given time** — not the total ever — which is exactly
-//! the population-oblivious space bound the paper claims. The
-//! `population_oblivious` tests pin this down.
+//! length tracks the **maximum number of handles registered at any given
+//! time** — not the total ever — which is the population-oblivious
+//! `O(max concurrent threads)` space the paper claims.
+//!
+//! The bound is two variables per handle, not one. With `T` handles
+//! registered, each owns at most one variable and, inside a simulated `LL`
+//! (lines L7–L14), holds a reference to at most one more, so at most `2T`
+//! variables are busy (`r > 0`) at any instant. `Register` allocates only
+//! after its traversal found every variable busy. The traversal is not a
+//! snapshot, so the list can pass `2T` only if holders keep moving ahead
+//! of a traversal still in progress (an owner re-registering, a reader
+//! taking a newer tag). One variable per handle cannot be kept without
+//! blocking:
+//! when every handle owns a variable and a reader holds one of them, that
+//! variable's owner must move to a fresh one
+//! (`reregister_past_a_reader_needs_a_var_beyond_one_per_handle`). The
+//! `population_oblivious` tests assert `2T` where readers exist and `T`
+//! where none do.
 //!
 //! Reference-count protocol:
 //!
@@ -30,9 +44,14 @@ use nbq_util::mem;
 
 /// A thread-owned simulated-LL/SC variable (paper `struct LLSCvar`).
 ///
-/// `#[repr(align(8))]` guarantees even addresses so bit 0 is free to mark
-/// tags (the paper's `var^1`).
-#[repr(align(8))]
+/// `#[repr(align(128))]` gives each variable lines of its own, like
+/// [`CachePadded`](nbq_util::CachePadded): the owner's gate load and
+/// `node` store never land on a peer's line. Any alignment above 1 keeps
+/// addresses even, so bit 0 stays free to mark tags (the paper's
+/// `var^1`). The registry holds about two variables per concurrently
+/// registered handle at most (module docs), so the padding keeps its space
+/// O(threads).
+#[repr(align(128))]
 pub struct LlScVar {
     /// Placeholder for the logical content of the slot this variable
     /// currently reserves (paper `node`).
@@ -64,7 +83,8 @@ impl LlScVar {
 /// [`CasQueue`](crate::CasQueue).
 pub struct Registry {
     first: AtomicPtr<LlScVar>,
-    /// Total variables ever allocated (= max concurrent registrations).
+    /// Total variables ever allocated (at most twice the max concurrent
+    /// registrations; see the module docs).
     total: AtomicUsize,
 }
 
@@ -163,9 +183,10 @@ impl Registry {
         unsafe { &*var }.r.fetch_sub(1, mem::REFCOUNT_RELEASE);
     }
 
-    /// Total variables ever allocated. Bounded by the maximum number of
-    /// simultaneously registered threads (the population-obliviousness
-    /// claim; see tests).
+    /// Total variables ever allocated. Bounded by twice the maximum number
+    /// of simultaneously registered handles, or once that number when no
+    /// handle reads another's tag (the population-obliviousness claim; see
+    /// the module docs and tests).
     pub fn total_vars(&self) -> usize {
         self.total.load(Ordering::Relaxed)
     }
@@ -529,6 +550,29 @@ mod tests {
     }
 
     #[test]
+    fn reregister_past_a_reader_needs_a_var_beyond_one_per_handle() {
+        // Two handles, each owning a variable; B's simulated LL holds a
+        // reference to A's (line L7). A's gate must leave it, and no
+        // variable is free, so A's ReRegister allocates a third: more than
+        // one per handle, within the two per handle the module docs bound.
+        let reg = Registry::new();
+        let (a, b) = (reg.register(), reg.register());
+        unsafe { &*a }.r.fetch_add(1, Ordering::SeqCst);
+        let a2 = unsafe { reg.reregister(a) };
+        assert!(a2 != a && a2 != b);
+        assert_eq!(reg.total_vars(), 3);
+        assert!(reg.total_vars() <= 2 * 2);
+        // Once B lets go, the abandoned variable is recycled.
+        unsafe { &*a }.r.fetch_sub(1, Ordering::SeqCst);
+        let c = reg.register();
+        assert_eq!(c, a);
+        assert_eq!(reg.total_vars(), 3);
+        for var in [a2, b, c] {
+            unsafe { reg.deregister(var) };
+        }
+    }
+
+    #[test]
     fn tags_round_trip() {
         let reg = Registry::new();
         let a = reg.register();
@@ -536,6 +580,18 @@ mod tests {
         assert_eq!(tag & 1, 1);
         assert_eq!(LlScVar::from_tag(tag), a);
         unsafe { reg.deregister(a) };
+    }
+
+    #[test]
+    fn vars_sit_on_lines_of_their_own() {
+        let reg = Registry::new();
+        let (a, b) = (reg.register(), reg.register());
+        for var in [a, b] {
+            assert_eq!(var as usize % 128, 0, "LLSCvar not line-aligned");
+        }
+        assert!((a as usize).abs_diff(b as usize) >= 128);
+        unsafe { reg.deregister(a) };
+        unsafe { reg.deregister(b) };
     }
 
     #[test]

@@ -43,12 +43,26 @@
 //! [`CasQueue`](crate::CasQueue) is the ring over plain words plus each
 //! handle's `LLSCvar` ([`SimLink`](crate::cas_queue::SimLink)).
 //!
+//! ## Shadow bounds: reading the opposite index only when needed
+//!
+//! Two threads working one queue pay mostly for cache lines moving between
+//! their cores, and the opposite index is written on every op. Each handle
+//! therefore keeps `head_seen`/`tail_seen`, lower bounds of the monotone
+//! `Head`/`Tail` (Torquati's shadow cursor, arXiv 1012.1824, as in the
+//! lane ring). The full test reads `Head` only when `pos - head_seen`
+//! cannot rule full out, and the empty test reads `Tail` only when `pos`
+//! is not before `tail_seen`; `Full` and `None` are still decided on a
+//! fresh read. A bound comes from an earlier acquire load or from the
+//! handle's own index CAS, so it happens-before the slot `LL` that
+//! follows, the same edge the fresh read gives (DESIGN.md §3 erratum 3,
+//! §7a).
+//!
 //! ## Mapping from the paper's pseudocode
 //!
 //! | Paper | Here |
 //! |---|---|
 //! | E5 / D5 `t = Tail` / `h = Head` | `INDEX_LOAD` at the top of [`RingHandle`]'s loops |
-//! | E6–E7 / D6–D7 full / empty test | `t == head + capacity` with wrapping arithmetic (erratum 3 in DESIGN.md) / `h == tail` |
+//! | E6–E7 / D6–D7 full / empty test | `RingHandle::full` / `RingHandle::empty`: the shadow bound first, then a fresh read deciding `t == head + capacity` with wrapping arithmetic (erratum 3 in DESIGN.md) / `h == tail` |
 //! | E9 / D9 `LL(&Q[i])` | [`SlotLink::ll`] |
 //! | E10 / D10 `t == Tail` / `h == Head` | the recheck; on failure [`SlotLink::unlink`] |
 //! | E11–E13 / D11–D13 help a lagging index | `unlink`, then one index CAS (counted as a help) |
@@ -186,16 +200,27 @@ impl<T: Send, L: Link> Ring<T, L> {
 
     /// Approximate number of queued items.
     ///
-    /// **Advisory snapshot**: the two index reads are individually
-    /// acquire-ordered but not mutually atomic, so under concurrent
-    /// operations the result may be stale by the time it returns (it is
-    /// exact when quiescent, and always within `0..=capacity`). Callers
-    /// must not use it to guarantee a subsequent `enqueue`/`dequeue`
-    /// succeeds.
+    /// **Advisory snapshot**: the result may be stale by the time it
+    /// returns (it is exact when quiescent, and always within
+    /// `0..=capacity`). Callers must not use it to guarantee a subsequent
+    /// `enqueue`/`dequeue` succeeds.
+    ///
+    /// The count is the occupancy at one instant: `Tail` is read on both
+    /// sides of the `Head` read, and an unchanged `Tail` (it is monotone)
+    /// held its value when `Head` was read, where `Head <= Tail <= Head +
+    /// capacity`. Reading either index once against a moving other one
+    /// instead drifts: `Tail` first undercounts (wrapping to "full" when
+    /// `Head` passes it), `Head` first overcounts by every enqueue landing
+    /// between the reads. A retry means an enqueue completed, so the loop
+    /// is lock-free like the queue's own operations.
     pub fn len(&self) -> usize {
-        let t = self.tail.load(mem::INDEX_LOAD);
-        let h = self.head.load(mem::INDEX_LOAD);
-        t.wrapping_sub(h).min(self.capacity) as usize
+        loop {
+            let t = self.tail.load(mem::INDEX_LOAD);
+            let h = self.head.load(mem::INDEX_LOAD);
+            if self.tail.load(mem::INDEX_LOAD) == t {
+                return t.saturating_sub(h).min(self.capacity) as usize;
+            }
+        }
     }
 
     /// True when the queue appears empty — the same advisory-snapshot
@@ -211,6 +236,8 @@ impl<T: Send, L: Link> Ring<T, L> {
             queue: self,
             link: self.link.handle(&self.slots, self.stats.as_deref()),
             pool: self.pool.handle(),
+            head_seen: 0,
+            tail_seen: 0,
         }
     }
 }
@@ -234,12 +261,17 @@ impl<T, L: Link> Drop for Ring<T, L> {
     }
 }
 
-/// Per-thread handle for a [`Ring`]: the handle's link state plus its
-/// private node-pool cache.
+/// Per-thread handle for a [`Ring`]: the handle's link state, its
+/// private node-pool cache and its shadows of the two indices.
 pub struct RingHandle<'q, T, L: Link> {
     queue: &'q Ring<T, L>,
     link: L::Handle<'q>,
     pool: PoolHandle<'q, T>,
+    /// Lower bound of `Head`: the last value this handle loaded or
+    /// advanced it to.
+    head_seen: u64,
+    /// Lower bound of `Tail`, kept the same way.
+    tail_seen: u64,
 }
 
 impl<T: Send, L: Link> RingHandle<'_, T, L> {
@@ -307,6 +339,37 @@ impl<T: Send, L: Link> RingHandle<'_, T, L> {
         ok
     }
 
+    /// E6's full test at `pos`: a fresh `Tail` read, or a batch cursor at
+    /// or past one, so `head_seen <= pos`. When `pos - head_seen <
+    /// capacity` the shadow alone rules full out (`Head >= head_seen`);
+    /// otherwise `Head` is reloaded and full is decided on that fresh
+    /// read. `Head` is monotone and read after `pos` was anchored, so
+    /// `pos <= head + capacity` and equality is the only full indication
+    /// (DESIGN.md §1); a `Head` already past `pos` reads as not full and
+    /// the caller's recheck catches the stale position.
+    #[inline]
+    fn full(&mut self, pos: u64) -> bool {
+        let cap = self.queue.capacity;
+        if pos.wrapping_sub(self.head_seen) < cap {
+            return false;
+        }
+        self.head_seen = self.queue.head.load(mem::INDEX_LOAD);
+        pos == self.head_seen.wrapping_add(cap)
+    }
+
+    /// D6's empty test at `pos`: a fresh `Head` read, or a batch cursor
+    /// at or past one. A position before the shadow `tail_seen` is
+    /// published (`Tail >= tail_seen`); otherwise `Tail` is reloaded and
+    /// empty is decided on that fresh read, as D6 decides it.
+    #[inline]
+    fn empty(&mut self, pos: u64) -> bool {
+        if index_precedes(pos, self.tail_seen) {
+            return false;
+        }
+        self.tail_seen = self.queue.tail.load(mem::INDEX_LOAD);
+        pos == self.tail_seen
+    }
+
     /// Helping: advances a lagging index past position `at` on a
     /// preempted peer's behalf (best effort — a failed CAS means someone
     /// else already did).
@@ -340,7 +403,7 @@ impl<T: Send, L: Link> RingHandle<'_, T, L> {
                 // the single-op loop re-reading Tail).
                 *pos = t;
             }
-            if (*pos).wrapping_sub(q.head.load(mem::INDEX_LOAD)) >= q.capacity {
+            if self.full(*pos) {
                 // Positions [Head, pos) are all occupied (each verified at
                 // or after the anchor, and Head is monotone), so this is a
                 // genuine full — unless the cursor is stale.
@@ -392,7 +455,7 @@ impl<T: Send, L: Link> RingHandle<'_, T, L> {
             if index_precedes(*pos, h) {
                 *pos = h;
             }
-            if *pos == q.tail.load(mem::INDEX_LOAD) {
+            if self.empty(*pos) {
                 self.record_snoozes(&backoff);
                 return None; // nothing published at or after the cursor
             }
@@ -421,7 +484,8 @@ impl<T: Send, L: Link> RingHandle<'_, T, L> {
     }
 
     /// Publishes a filled (drained) run: ensures `Tail` (`Head`) `>=
-    /// target` with a single jump-CAS in the uncontended case.
+    /// target` with a single jump-CAS in the uncontended case, and returns
+    /// the index value it last saw or set (a fresh bound for the shadow).
     ///
     /// Jumping `Tail` is sound because while `Tail == t < target` every
     /// logical position in `[t, target)` holds an item — each was observed
@@ -431,14 +495,14 @@ impl<T: Send, L: Link> RingHandle<'_, T, L> {
     /// symmetric: a slot drained at position `p` cannot refill until
     /// `Head` passes `p`, because the enqueuer of `p + capacity` is
     /// full-checked. See DESIGN.md "Batched operations".
-    fn publish(&self, index: &AtomicU64, target: u64) {
+    fn publish(&self, index: &AtomicU64, target: u64) -> u64 {
         loop {
             let at = index.load(mem::INDEX_LOAD);
             if !index_precedes(at, target) {
-                return; // helpers already published past us
+                return at; // helpers already published past us
             }
             if self.advance(index, at, target) {
-                return;
+                return target;
             }
         }
     }
@@ -466,11 +530,9 @@ impl<T: Send, L: Link> QueueHandle<T> for RingHandle<'_, T, L> {
             // monotonicity, not on SC index reads (DESIGN.md §7).
             let t = q.tail.load(mem::INDEX_LOAD); // E5
 
-            // E6: full test. Reading Head *after* Tail is load-bearing:
-            // Head is monotone, so head >= (true head when t was read),
-            // hence t <= head + capacity always, and strict equality is the
-            // only full indication (DESIGN.md §1).
-            if t == q.head.load(mem::INDEX_LOAD).wrapping_add(q.capacity) {
+            // E6: full test (shadow first; any Head read comes after
+            // Tail, which `full` relies on).
+            if self.full(t) {
                 self.record_snoozes(&backoff);
                 // SAFETY: the node was never published.
                 return Err(Full(unsafe { self.pool_release(node) })); // E7
@@ -491,7 +553,9 @@ impl<T: Send, L: Link> QueueHandle<T> for RingHandle<'_, T, L> {
             } else if self.link.sc(idx, token, node) {
                 // E14–E18: item in; advance Tail (best effort — a failed
                 // CAS means someone helped us).
-                self.advance(&q.tail, t, t.wrapping_add(1));
+                if self.advance(&q.tail, t, t.wrapping_add(1)) {
+                    self.tail_seen = t.wrapping_add(1);
+                }
                 self.record_snoozes(&backoff);
                 if let Some(st) = self.op_stats() {
                     OpStats::bump(&st.operations);
@@ -512,7 +576,7 @@ impl<T: Send, L: Link> QueueHandle<T> for RingHandle<'_, T, L> {
         let mut backoff = self.backoff();
         loop {
             let h = q.head.load(mem::INDEX_LOAD); // D5
-            if h == q.tail.load(mem::INDEX_LOAD) {
+            if self.empty(h) {
                 self.record_snoozes(&backoff);
                 return None; // D6–D7: empty
             }
@@ -528,7 +592,9 @@ impl<T: Send, L: Link> QueueHandle<T> for RingHandle<'_, T, L> {
                 self.help(&q.head, h);
             } else if self.link.sc(idx, token, NULL) {
                 // D14–D18: removed; advance Head (best effort).
-                self.advance(&q.head, h, h.wrapping_add(1));
+                if self.advance(&q.head, h, h.wrapping_add(1)) {
+                    self.head_seen = h.wrapping_add(1);
+                }
                 self.record_snoozes(&backoff);
                 if let Some(st) = self.op_stats() {
                     OpStats::bump(&st.operations);
@@ -582,7 +648,7 @@ impl<T: Send, L: Link> QueueHandle<T> for RingHandle<'_, T, L> {
         if let Some(end) = end {
             // Publication obligation: the items are not linearized until
             // Tail covers them, so the batch must not return beforehand.
-            self.publish(&q.tail, end);
+            self.tail_seen = self.publish(&q.tail, end);
         }
         self.record_batch(enqueued);
         result
@@ -605,7 +671,8 @@ impl<T: Send, L: Link> QueueHandle<T> for RingHandle<'_, T, L> {
             }
         }
         if taken > 0 {
-            self.publish(&q.head, pos); // cursor sits one past the last drain
+            // The cursor sits one past the last drain.
+            self.head_seen = self.publish(&q.head, pos);
         }
         self.record_batch(taken);
         taken
@@ -763,6 +830,9 @@ mod tests {
                 batch_wraparound_many_laps,
                 batch_rounds_without_backoff,
                 batch_amortizes_index_cas,
+                stale_head_shadow_still_sees_full,
+                stale_tail_shadow_still_sees_empty,
+                stale_shadows_through_batches,
             );
         };
     }
@@ -775,6 +845,7 @@ mod tests {
                 batch_mpmc_no_loss_no_dup,
                 per_producer_order_under_concurrency,
                 per_producer_order_is_preserved,
+                len_of_a_near_empty_queue_stays_small,
             );
         };
     }
@@ -1102,6 +1173,107 @@ mod tests {
         assert_eq!(s.faa_ops, 0.0, "no foreign tags single-threaded");
     }
 
+    fn stale_head_shadow_still_sees_full<I: Instance>() {
+        let q = I::make::<u32>(8, true);
+        let (mut a, mut b) = (q.handle(), q.handle());
+        // A's shadows settle at an empty queue: both bounds at 3.
+        for i in 0..3 {
+            a.enqueue(i).unwrap();
+        }
+        for i in 0..3 {
+            assert_eq!(a.dequeue(), Some(i));
+        }
+        assert_eq!(a.dequeue(), None);
+        for i in 10..18 {
+            b.enqueue(i).unwrap();
+        }
+        assert_eq!(a.enqueue(99).unwrap_err().into_inner(), 99);
+        assert_eq!(b.dequeue(), Some(10));
+        a.enqueue(18).unwrap();
+        assert_eq!(a.enqueue(99).unwrap_err().into_inner(), 99);
+        for i in 11..19 {
+            assert_eq!(a.dequeue(), Some(i));
+        }
+        assert_eq!(b.dequeue(), None);
+    }
+
+    fn stale_tail_shadow_still_sees_empty<I: Instance>() {
+        let q = I::make::<u32>(8, true);
+        let (mut a, mut b) = (q.handle(), q.handle());
+        for k in [1, 5, 8] {
+            for i in 0..k {
+                a.enqueue(i).unwrap();
+            }
+            for i in 0..k {
+                assert_eq!(b.dequeue(), Some(i));
+            }
+            assert_eq!(a.dequeue(), None);
+            b.enqueue(100 + k).unwrap();
+            assert_eq!(a.dequeue(), Some(100 + k));
+            assert_eq!(a.dequeue(), None);
+        }
+    }
+
+    fn stale_shadows_through_batches<I: Instance>() {
+        let q = I::make::<u32>(8, true);
+        let (mut a, mut b) = (q.handle(), q.handle());
+        let mut out = Vec::new();
+        // Full: A's head shadow is stale once B fills the ring.
+        assert_eq!(a.enqueue_batch(vec![0, 1, 2].into_iter()).unwrap(), 3);
+        assert_eq!(a.dequeue_batch(&mut out, 8), 3);
+        assert_eq!(a.dequeue_batch(&mut out, 8), 0);
+        assert_eq!(
+            b.enqueue_batch((10..18).collect::<Vec<_>>().into_iter())
+                .unwrap(),
+            8
+        );
+        let e = a.enqueue_batch(vec![98, 99].into_iter()).unwrap_err();
+        assert_eq!((e.enqueued, e.remaining), (0, vec![98, 99]));
+        assert_eq!(b.dequeue(), Some(10));
+        let e = a.enqueue_batch(vec![18, 99].into_iter()).unwrap_err();
+        assert_eq!((e.enqueued, e.remaining), (1, vec![99]));
+        out.clear();
+        assert_eq!(a.dequeue_batch(&mut out, 16), 8);
+        assert_eq!(out, (11..19).collect::<Vec<_>>());
+        // Empty: A's tail shadow is stale once B drains A's items.
+        assert_eq!(
+            a.enqueue_batch((0..5).collect::<Vec<_>>().into_iter())
+                .unwrap(),
+            5
+        );
+        out.clear();
+        assert_eq!(b.dequeue_batch(&mut out, 16), 5);
+        assert_eq!(a.dequeue_batch(&mut out, 16), 0);
+        assert_eq!(b.enqueue_batch(vec![7].into_iter()).unwrap(), 1);
+        out.clear();
+        assert_eq!(a.dequeue_batch(&mut out, 16), 1);
+        assert_eq!(out, vec![7]);
+    }
+
+    fn len_of_a_near_empty_queue_stays_small<I: Instance>() {
+        // One thread keeps at most one item queued while another reads
+        // `len`: a Head that passes the sampled Tail must not read as
+        // `Tail - Head` wrapping round to "full".
+        const ROUNDS: u32 = 200_000;
+        let q = I::make::<u32>(64, true);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut h = q.handle();
+                for i in 0..ROUNDS {
+                    h.enqueue(i).unwrap();
+                    assert_eq!(h.dequeue(), Some(i));
+                }
+                done.store(true, Ordering::Release);
+            });
+            while !done.load(Ordering::Acquire) {
+                let n = q.len();
+                assert!(n <= 1, "len() == {n} with at most one item queued");
+            }
+        });
+        assert_eq!(q.len(), 0);
+    }
+
     fn faa_appears_under_contention<I: Instance>() {
         let q = I::make::<u64>(16, true).counted();
         std::thread::scope(|s| {
@@ -1175,7 +1347,10 @@ mod tests {
         );
         assert!(q.is_empty());
         if let Some(vars) = I::vars_allocated(&q) {
-            assert!(vars <= (PRODUCERS + CONSUMERS) as usize);
+            // Each handle owns one var and holds at most one reader
+            // reference (registry module docs).
+            let threads = (PRODUCERS + CONSUMERS) as usize;
+            assert!(vars <= 2 * threads, "{vars} vars for {threads} handles");
         }
     }
 

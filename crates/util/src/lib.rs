@@ -4,7 +4,9 @@
 //! harness need but that are not themselves part of any single algorithm:
 //!
 //! * [`CachePadded`] — false-sharing avoidance for hot atomics such as the
-//!   `Head` and `Tail` indices of the array queues.
+//!   `Head` and `Tail` indices of the array queues, and [`ring_slot`], the
+//!   cache remap the SCQ/wCQ rings use to keep adjacent positions on
+//!   different lines.
 //! * [`Backoff`] — bounded exponential backoff for retry loops around failed
 //!   CAS/SC attempts.
 //! * [`ConcurrentQueue`] / [`QueueHandle`] — the uniform bounded-FIFO
@@ -42,7 +44,7 @@ pub mod stats;
 pub use backoff::Backoff;
 pub use blocking::{BlockingHandle, BlockingQueue};
 pub use latency::LatencyHistogram;
-pub use pad::CachePadded;
+pub use pad::{ring_slot, CachePadded};
 pub use queue::{
     Arity, BatchFull, Closed, ConcurrentQueue, Full, LaneFactory, QueueHandle, QueueKind,
     TrySendError,

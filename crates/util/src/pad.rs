@@ -1,4 +1,6 @@
-//! Cache-line padding to avoid false sharing between hot shared variables.
+//! False-sharing avoidance: cache-line padding for hot shared variables
+//! ([`CachePadded`]) and the cache remap that spreads a ring's adjacent
+//! positions across lines ([`ring_slot`]).
 
 use core::fmt;
 use core::ops::{Deref, DerefMut};
@@ -62,6 +64,28 @@ impl<T> From<T> for CachePadded<T> {
     }
 }
 
+/// Maps a ring position to a physical slot, spreading *adjacent* positions
+/// across cache lines (Nikolaev's "cache remap", arXiv 1908.04511).
+///
+/// Eight `u64` entries share a 64-byte line, so with the identity map the
+/// hot head/tail positions of a busy ring all contend on one line. The
+/// remap rotates the masked position right by three bits within the
+/// `order`-bit field of a `1 << order`-entry ring: consecutive positions
+/// land `2^(order-3)` slots apart (distinct lines once the ring has ≥ 64
+/// entries) while remaining a pure permutation of each lap. Rings under
+/// 16 entries keep the identity map (rotating a field of at most three
+/// bits by three is the identity) — there is nothing to spread.
+#[inline]
+pub fn ring_slot(pos: u64, order: u32) -> usize {
+    let mask = (1u64 << order) - 1;
+    let i = pos & mask;
+    if order >= 3 {
+        (((i >> 3) | (i << (order - 3))) & mask) as usize
+    } else {
+        i as usize
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,5 +132,43 @@ mod tests {
     fn from_value() {
         let p: CachePadded<&str> = "x".into();
         assert_eq!(*p, "x");
+    }
+
+    #[test]
+    fn ring_slot_is_a_permutation() {
+        for order in 0..12u32 {
+            let n = 1usize << order;
+            let mut seen = vec![false; n];
+            for pos in 0..n as u64 {
+                let j = ring_slot(pos, order);
+                assert!(j < n, "slot {j} out of range for order {order}");
+                assert!(!seen[j], "slot {j} hit twice for order {order}");
+                seen[j] = true;
+            }
+            // The remap only depends on the masked position.
+            assert_eq!(ring_slot(0, order), ring_slot(n as u64, order));
+        }
+    }
+
+    #[test]
+    fn ring_slot_keeps_small_rings_in_order() {
+        for order in 0..4u32 {
+            for pos in 0..1u64 << order {
+                assert_eq!(ring_slot(pos, order), pos as usize);
+            }
+        }
+    }
+
+    #[test]
+    fn ring_slot_spreads_neighbours_across_lines() {
+        // With ≥ 64 entries, positions p and p+1 must not share a
+        // 64-byte line (8 u64 slots).
+        for order in 6..12u32 {
+            for pos in 0..(1u64 << order) - 1 {
+                let a = ring_slot(pos, order) / 8;
+                let b = ring_slot(pos + 1, order) / 8;
+                assert_ne!(a, b, "positions {pos},{} share a line", pos + 1);
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! reference model, differential testing of the LL/SC emulations, and
 //! cross-validation of the two linearizability checkers.
 
-use nbq::baselines::cycle::{cycle_eq, cycle_lt, ones, pos_le, position_cycle, ring_slot};
+use nbq::baselines::cycle::{cycle_eq, cycle_lt, ones, pos_le, position_cycle};
 use nbq::baselines::scq::{scq_cycle, scq_cycle_bits, scq_idx, scq_is_safe, scq_pack};
 use nbq::baselines::wcq::{
     wcq_cycle, wcq_cycle_bits, wcq_idx, wcq_is_live, wcq_is_safe, wcq_pack, wcq_tag,
@@ -20,6 +20,7 @@ use nbq::{
     BatchPolicy, CasQueue, ConcurrentQueue, LanePolicy, LlScQueue, QueueHandle, ShardedConfig,
     ShardedQueue,
 };
+use nbq_util::ring_slot;
 use proptest::prelude::*;
 use std::collections::{HashSet, VecDeque};
 

@@ -293,9 +293,10 @@ fn modern_rival_recorded_histories_keep_producer_fifo_and_values() {
 #[test]
 fn population_obliviousness_end_to_end() {
     // 20 sequential waves of 3 threads each against one CAS queue: 60
-    // threads total, at most 3 concurrent -> at most 3 LLSCvars (+1 slack
-    // for scheduling overlap at wave boundaries is NOT allowed here since
-    // waves are strictly joined).
+    // threads total, at most 3 concurrent -> at most 2 * 3 LLSCvars (each
+    // thread owns one and, mid-LL, holds a reference to at most one more;
+    // see the registry module docs). No slack for overlap at wave
+    // boundaries: waves are strictly joined.
     let q = CasQueue::<u64>::with_capacity(128);
     for wave in 0..20u64 {
         std::thread::scope(|s| {
@@ -315,8 +316,8 @@ fn population_obliviousness_end_to_end() {
         });
     }
     assert!(
-        q.vars_allocated() <= 3,
-        "60 threads must reuse at most 3 LLSCvars, got {}",
+        q.vars_allocated() <= 2 * 3,
+        "60 threads must reuse at most 2 * 3 LLSCvars, got {}",
         q.vars_allocated()
     );
 }
