@@ -234,7 +234,14 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     /// means empty *or* closed-and-drained; disambiguate with
     /// [`AsyncQueue::is_closed`] if needed.
     pub fn try_recv(&self) -> Option<T> {
-        match self.try_recv_with(&mut self.inner.handle()) {
+        self.try_recv_with_handle(&mut self.inner.handle())
+    }
+
+    /// Non-blocking receive through a caller-built handle (the
+    /// synchronous twin of [`AsyncQueue::recv_with_handle`]), with
+    /// [`AsyncQueue::try_recv`]'s `None`.
+    pub fn try_recv_with_handle(&self, handle: &mut Q::Handle<'_>) -> Option<T> {
+        match self.try_recv_with(handle) {
             RecvAttempt::Item(v) => Some(v),
             RecvAttempt::Empty | RecvAttempt::Closed => None,
         }

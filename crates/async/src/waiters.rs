@@ -34,8 +34,16 @@
 //! A future whose cancel CAS *fails* learns it was concurrently notified:
 //! it has consumed a wake token it will not act on, and must pass the
 //! token on (`wake_one` on its own side) so a peer does not sleep through
-//! an available item/slot. Cancelled slots left in the stack are pruned
-//! lazily by the next wake path that walks over them.
+//! an available item/slot. A cancel that *wins* sweeps the stack: it
+//! detaches the chain like a wake path holding no token, prunes every
+//! cancelled slot and splices the waiting ones back. Leaving the slot for
+//! the next wake path to prune is not enough, because the no-waiter fast
+//! path (below) means no wake path walks the stack while nobody waits: a
+//! future that registered and then found its re-attempt succeed, or was
+//! dropped while parked (a `select` loser), would leave its slot on the
+//! stack for as long as no other future parked. A slot can still outlive
+//! its cancel when two sweeps race (one holds the chain while the other's
+//! slot is cancelled); the next walk prunes it.
 //!
 //! ## Wake tokens and the hidden-chain race
 //!
@@ -234,13 +242,18 @@ impl WaiterRegistry {
         }
     }
 
-    /// Cancels `slot` from the owning future.
+    /// Cancels `slot` from the owning future, sweeping it off the stack
+    /// on a win (see module docs).
     ///
     /// Returns `false` if a wake path got there first — the caller now
     /// holds a wake token it must either act on (retry the operation) or
     /// pass on (`wake_one` its own side) before discarding.
     pub(crate) fn cancel(&self, slot: &WaiterSlot) -> bool {
-        self.claim(slot, CANCELLED)
+        let won = self.claim(slot, CANCELLED);
+        if won {
+            self.walk(0);
+        }
+        won
     }
 
     /// Moves `slot` out of `WAITING` into `to` and uncounts it if this
@@ -283,13 +296,23 @@ impl WaiterRegistry {
             // the count does not show yet re-tries after this operation.
             return false;
         }
+        self.walk(1)
+    }
+
+    /// Detaches the chain and walks it, delivering `held` wake tokens
+    /// (none for a cancel's sweep) and pruning cancelled slots; splices
+    /// the still-waiting ones back. Returns whether a waker fired.
+    fn walk(&self, mut held: usize) -> bool {
         let mut woke = false;
-        // Tokens this call is responsible for: its own, plus any it
-        // adopts from the bank after re-exposing hidden waiters.
-        let mut held: usize = 1;
-        while held > 0 {
+        // `held` counts the tokens this call is responsible for: its
+        // own, plus any it adopts from the bank after re-exposing hidden
+        // waiters.
+        loop {
             let mut chain = self.take_all();
             if chain.is_null() {
+                if held == 0 {
+                    break;
+                }
                 // No visible waiter. Bank the tokens, then Dekker-check
                 // the head: either a concurrent splicer sees our deposit,
                 // or we see its splice and reclaim a token to retry.
@@ -351,6 +374,9 @@ impl WaiterRegistry {
             }
             // `held > 0` here means more tokens than waiters were seen;
             // go around — the next swap will usually bank them.
+            if held == 0 {
+                break;
+            }
         }
         woke
     }
@@ -431,6 +457,27 @@ mod tests {
         drop((a, b));
         assert_eq!(live.load(Ordering::Relaxed), 0, "all slots reclaimed");
         assert!(!r.wake_one(), "stack drained");
+    }
+
+    #[test]
+    fn a_won_cancel_takes_its_slot_off_the_stack() {
+        let (r, live) = registry();
+        let a = r.register(Waker::noop().clone());
+        let b = r.register(Waker::noop().clone());
+        // No wake path runs after these cancels (nobody is waiting, so
+        // `wake_one` returns before it walks): each cancel must prune
+        // its own slot, and keep the other one's.
+        assert!(r.cancel(&b));
+        drop(b);
+        assert_eq!(live.load(Ordering::Relaxed), 1, "only a's slot is left");
+        assert!(r.cancel(&a));
+        drop(a);
+        assert_eq!(
+            live.load(Ordering::Relaxed),
+            0,
+            "no slot outlives its cancel"
+        );
+        assert!(r.head.load(Ordering::Relaxed).is_null());
     }
 
     #[test]

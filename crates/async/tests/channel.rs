@@ -410,6 +410,34 @@ fn poll_once<F: std::future::Future + Unpin>(
     std::pin::Pin::new(fut).poll(&mut std::task::Context::from_waker(waker))
 }
 
+/// A future that parks and is then dropped, or re-polled without a wake,
+/// cancels its slot; the slot must leave the registry with it even
+/// though no wake path ever runs again (nobody else is waiting, so every
+/// notify takes the no-waiter fast path).
+#[test]
+fn cancelled_slots_leave_the_registry_at_once() {
+    let q = channel(2);
+    let (wake, waker) = CountWake::pair();
+    for round in 0..100 {
+        let mut recv = q.recv();
+        assert!(poll_once(&mut recv, &waker).is_pending());
+        assert_eq!(q.live_waiters(), 1);
+        drop(recv);
+        assert_eq!(q.live_waiters(), 0, "round {round}: dropped recv");
+    }
+    while q.try_send(0).is_ok() {}
+    for round in 0..100 {
+        let mut send = q.send(1);
+        assert!(poll_once(&mut send, &waker).is_pending());
+        // A poll without a wake cancels the old slot and parks anew.
+        assert!(poll_once(&mut send, &waker).is_pending());
+        assert_eq!(q.live_waiters(), 1, "round {round}: re-polled send");
+        drop(send);
+        assert_eq!(q.live_waiters(), 0, "round {round}: dropped send");
+    }
+    assert_eq!(wake.count(), 0, "nothing was ever notified");
+}
+
 /// A wake token delivered to a receiver that cannot reach the item (its
 /// handle is pinned to a different lane) must be forwarded to the peers
 /// instead of dying with the re-park — otherwise the only capable

@@ -288,12 +288,22 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
 
     /// Point-in-time occupancy, counting ticketed values still being
     /// written (fan-in) and excluding ticketed ones being read (fan-out).
-    /// Loading `head` first keeps the subtraction from going negative
-    /// when the other end races the two loads.
+    ///
+    /// Reads `tail`, `head`, `tail` and retries until `tail` held still,
+    /// so both cursors are read as of the `head` load and the result lies
+    /// in `0..=capacity()` (a ticket is only taken against a gate unit,
+    /// so neither cursor ever runs past the other's bound). Reading each
+    /// cursor once against a moving other one instead overcounts by every
+    /// push landing between the loads. A retry means a push completed, so
+    /// the loop is lock-free.
     pub fn len(&self) -> usize {
-        let head = self.head.load(mem::SPSC_CURSOR_LOAD);
-        let tail = self.tail.load(mem::SPSC_CURSOR_LOAD);
-        tail.saturating_sub(head) as usize
+        loop {
+            let tail = self.tail.load(mem::SPSC_CURSOR_LOAD);
+            let head = self.head.load(mem::SPSC_CURSOR_LOAD);
+            if self.tail.load(mem::SPSC_CURSOR_LOAD) == tail {
+                return tail.saturating_sub(head) as usize;
+            }
+        }
     }
 
     /// Whether the ring appears empty (exact when quiescent).
@@ -917,6 +927,7 @@ mod tests {
         split_roles_occupy_one_side_each,
         drop_releases_in_flight_values,
         oversubscribed_shared_end_conserves_values,
+        len_stays_within_capacity_under_traffic,
     );
 
     #[test]
@@ -1230,6 +1241,41 @@ mod tests {
         });
         assert_eq!(claimed.load(Ordering::Relaxed), per * producers as u64);
         assert!(ring.is_empty());
+    }
+
+    fn len_stays_within_capacity_under_traffic<P: End, C: End>() {
+        // A producer keeps a tiny ring full while a consumer drains it, so
+        // both cursors move between any two loads an observer makes.
+        const N: u64 = 200_000;
+        let ring = ArityRing::<u64, P, C>::with_capacity(2);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut h = ring.handle();
+                for v in 0..N {
+                    let mut v = v;
+                    while let Err(Full(back)) = h.enqueue(v) {
+                        v = back;
+                        std::hint::spin_loop();
+                    }
+                }
+            });
+            s.spawn(|| {
+                let mut h = ring.handle();
+                let mut got = 0;
+                while got < N {
+                    got += u64::from(h.dequeue().is_some());
+                }
+                done.store(true, Ordering::Relaxed);
+            });
+            let mut reads = 0u64;
+            while !done.load(Ordering::Relaxed) {
+                let len = ring.len();
+                assert!(len <= ring.capacity(), "len {len} after {reads} reads");
+                reads += 1;
+            }
+        });
+        assert_eq!(ring.len(), 0);
     }
 
     fn two_thread_pipe_batched<P: End, C: End>() {

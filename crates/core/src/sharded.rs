@@ -95,6 +95,19 @@
 //! ones); SPSC and SPMC lane emptiness is exact. See DESIGN.md §10 and
 //! §13 for the full state machine.
 //!
+//! # Handles
+//!
+//! A [`ShardedHandle`] keeps, per lane it touched, the lane's inner
+//! MPMC handle (built the first time an operation reaches the MPMC
+//! queue) and its producer and consumer roles there. The *home* lane's
+//! state (the affinity lane at construction) is stored inline; the table
+//! for every other lane is allocated the first time the handle touches
+//! one of them (a steal probe, a striped batch, a migrated cursor). A
+//! pinned handle, or any handle on a one-lane queue, therefore never
+//! allocates, so a caller that builds a handle per operation (the async
+//! frontend's `send`/`recv`, the broker's per-message paths) pays what a
+//! held handle pays plus the endpoint claim and release.
+//!
 //! `capacity()` under any fast-path policy reports the conservative
 //! reachable bound — each lane's MPMC capacity, to which the lane's ring
 //! is sized — so `enqueue` on a lane never reports `Full` below the
@@ -457,15 +470,9 @@ impl<T: Send, Q: ConcurrentQueue<T>> ShardedQueue<T, Q> {
 
     fn make_handle(&self, cursor: usize, steal_attempts: usize) -> ShardedHandle<'_, T, Q> {
         ShardedHandle {
-            handles: self.lanes.iter().map(|_| None).collect(),
-            roles: self
-                .lanes
-                .iter()
-                .map(|_| LaneRole {
-                    prod: ProdRole::Unknown,
-                    cons: ConsRole::Unknown,
-                })
-                .collect(),
+            home_lane: cursor,
+            home: LaneState::new(),
+            others: None,
             lanes: &self.lanes,
             cursor,
             steal_attempts,
@@ -507,10 +514,26 @@ enum ConsRole<'q, T: Send> {
     RingDead,
 }
 
-/// Per-lane routing state of one handle.
-struct LaneRole<'q, T: Send> {
+/// One handle's state on one lane: the inner MPMC handle, built the
+/// first time an operation reaches that lane's MPMC queue, and the
+/// handle's producer and consumer roles there. A handle that stays on
+/// its fast-path ring never builds the inner handle, and so never pays
+/// for what the inner queue's handle sets up (a `CasQueue` handle
+/// registers an LL/SC variable and a node-pool cache).
+struct LaneState<'q, T: Send, Q: ConcurrentQueue<T> + 'q> {
+    mpmc: Option<Q::Handle<'q>>,
     prod: ProdRole<'q, T>,
     cons: ConsRole<'q, T>,
+}
+
+impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> LaneState<'q, T, Q> {
+    fn new() -> Self {
+        Self {
+            mpmc: None,
+            prod: ProdRole::Unknown,
+            cons: ConsRole::Unknown,
+        }
+    }
 }
 
 /// Where one dequeue step puts what it takes: the scalar path holds one
@@ -567,18 +590,18 @@ impl<T: Send> Take<T> for Run<'_, T> {
     }
 }
 
-/// Per-thread handle to a [`ShardedQueue`]: one inner MPMC handle per
-/// lane (built on first use), the per-lane ring endpoints and roles, and
-/// the affinity cursor steering lane selection. Dropping it drops the
-/// endpoints, which release their claims and registrations.
+/// Per-thread handle to a [`ShardedQueue`]: its state on each lane it
+/// touched (inner MPMC handle, ring endpoints and roles) and the
+/// affinity cursor steering lane selection. Dropping it drops the
+/// endpoints, which release their claims and registrations. The home
+/// lane's state is inline and the other lanes' table is allocated on
+/// first touch (see the [module docs](self#handles)).
 pub struct ShardedHandle<'q, T: Send, Q: ConcurrentQueue<T> + 'q> {
-    /// Each lane's inner MPMC handle, built the first time an operation
-    /// reaches that lane's MPMC queue. A handle that stays on its
-    /// fast-path ring never builds one, and so never pays for what the
-    /// inner queue's handle sets up (a `CasQueue` handle registers an
-    /// LL/SC variable and a node-pool cache).
-    handles: Box<[Option<Q::Handle<'q>>]>,
-    roles: Box<[LaneRole<'q, T>]>,
+    /// The affinity lane at construction; its state is `home`.
+    home_lane: usize,
+    home: LaneState<'q, T, Q>,
+    /// Every lane but the home lane, in lane order.
+    others: Option<Box<[LaneState<'q, T, Q>]>>,
     lanes: &'q [CachePadded<ShardLane<T, Q>>],
     /// Affinity lane; migrates to the serving lane on successful steals.
     cursor: usize,
@@ -592,10 +615,38 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
         self.cursor
     }
 
+    /// Where `lane` (not the home lane) sits in the other lanes' table.
+    fn other(&self, lane: usize) -> usize {
+        lane - usize::from(lane > self.home_lane)
+    }
+
+    /// This handle's state on `lane`, allocating the other lanes' table
+    /// on the first touch of a lane other than the home lane.
+    fn state(&mut self, lane: usize) -> &mut LaneState<'q, T, Q> {
+        if lane == self.home_lane {
+            return &mut self.home;
+        }
+        let (i, others) = (self.other(lane), self.lanes.len() - 1);
+        let table = self
+            .others
+            .get_or_insert_with(|| (0..others).map(|_| LaneState::new()).collect());
+        &mut table[i]
+    }
+
+    /// This handle's state on `lane` if it ever touched it.
+    fn touched(&self, lane: usize) -> Option<&LaneState<'q, T, Q>> {
+        if lane == self.home_lane {
+            return Some(&self.home);
+        }
+        Some(&self.others.as_deref()?[self.other(lane)])
+    }
+
     /// The inner MPMC handle on `lane`, built on first use.
     fn mpmc(&mut self, lane: usize) -> &mut Q::Handle<'q> {
         let lanes = self.lanes;
-        self.handles[lane].get_or_insert_with(|| lanes[lane].mpmc.handle())
+        self.state(lane)
+            .mpmc
+            .get_or_insert_with(|| lanes[lane].mpmc.handle())
     }
 
     /// Lane probe order: affinity lane first, then up to
@@ -613,8 +664,9 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
     /// point — the lane promoted and everything this producer pushed
     /// drained, so its ring values all precede its first MPMC value.
     fn ring_producer(&mut self, lane: usize) -> Option<&mut RingProducer<'q, T>> {
-        let ring = self.lanes[lane].ring.as_ref()?;
-        let role = &mut self.roles[lane].prod;
+        let lanes = self.lanes;
+        let ring = lanes[lane].ring.as_ref()?;
+        let role = &mut self.state(lane).prod;
         if let ProdRole::Unknown = role {
             *role = ring.producer().map_or(ProdRole::Mpmc, ProdRole::Ring);
         }
@@ -637,7 +689,10 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
     /// elsewhere would overtake them — the producer's switch point,
     /// applied to leaving the lane.
     fn may_migrate(&self) -> bool {
-        !matches!(&self.roles[self.cursor].prod, ProdRole::Ring(p) if !p.drained())
+        !matches!(
+            self.touched(self.cursor),
+            Some(LaneState { prod: ProdRole::Ring(p), .. }) if !p.drained()
+        )
     }
 
     /// Enqueue on one specific lane, routed by this handle's role there.
@@ -675,8 +730,9 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
     fn lane_take<S: Take<T>>(&mut self, lane: usize, s: &mut S) {
         let lanes = self.lanes;
         if let Some(ring) = &lanes[lane].ring {
-            let role = &mut self.roles[lane].cons;
-            if matches!(role, ConsRole::Unknown) && lane == self.cursor {
+            let affinity = lane == self.cursor;
+            let role = &mut self.state(lane).cons;
+            if matches!(role, ConsRole::Unknown) && affinity {
                 *role = ring.consumer().map_or(ConsRole::Mpmc, ConsRole::Ring);
             }
             match role {

@@ -11,12 +11,19 @@
 //!
 //! 1. **Per-handle cache** ([`PoolHandle`]): a plain `Vec` of free nodes,
 //!    capacity [`CACHE_CAP`]. Acquire/release here is a push/pop with no
-//!    atomics at all — the common case once the pool is warm.
+//!    atomics at all — the common case once the pool is warm. The `Vec`
+//!    is allocated the first time a node is parked in it, so a handle
+//!    that only ever holds the node it is using never allocates.
 //! 2. **Global spill**: a lock-free Treiber stack threaded through the
 //!    nodes' headers, with a 16-bit version packed beside the 48-bit head
 //!    address in a single `AtomicU64` (the same single-word packing
 //!    discipline as the queues themselves). Cache overflow spills here;
-//!    cache misses refill from here in batches.
+//!    cache misses refill from here in batches that *slow-start*: a
+//!    handle's first refill takes 1 node, each later one twice as many,
+//!    up to `REFILL_BATCH`. A handle built for one operation therefore
+//!    moves one node instead of pulling a full batch and pushing it all
+//!    back on drop, while a long-lived handle reaches full batches after
+//!    five refills.
 //! 3. **Slab refill**: when both are empty, one `Layout::array` slab of
 //!    [`NodePool::chunk_nodes`] nodes is carved — the only allocator call
 //!    the pool ever makes, amortized over the chunk.
@@ -59,9 +66,9 @@ use std::sync::Mutex;
 /// producers promptly.
 pub const CACHE_CAP: usize = 64;
 
-/// How many nodes a cache miss pulls from the global spill in one go
+/// The most nodes a cache miss pulls from the global spill in one go
 /// (half the cache, so a release burst immediately after still has local
-/// room).
+/// room). A handle's refills slow-start up to it: 1, 2, 4, … nodes.
 #[cfg(not(feature = "no-pool"))]
 const REFILL_BATCH: usize = CACHE_CAP / 2;
 
@@ -206,7 +213,8 @@ impl<T> NodePool<T> {
     pub fn handle(&self) -> PoolHandle<'_, T> {
         PoolHandle {
             pool: self,
-            cache: Vec::with_capacity(cache_cap()),
+            cache: Vec::new(),
+            refill: 1,
             local_recycled: 0,
         }
     }
@@ -291,7 +299,7 @@ impl<T> NodePool<T> {
     }
 
     /// Carves a fresh slab; returns one node, parks the rest in `cache`
-    /// (up to its capacity) and spills any remainder.
+    /// (up to the refill watermark) and spills any remainder.
     #[cfg(not(feature = "no-pool"))]
     fn grow_into(&self, cache: &mut Vec<*mut PoolNode<T>>) -> *mut PoolNode<T> {
         let n = self.chunk_nodes;
@@ -323,6 +331,9 @@ impl<T> NodePool<T> {
         // Park only up to the refill watermark: filling the cache to the
         // brim would force the very next release to spill.
         let park = (n - 1).min(REFILL_BATCH.saturating_sub(cache.len()));
+        if park > 0 {
+            open_cache(cache);
+        }
         for i in 1..=park {
             // SAFETY: in-bounds nodes of the slab just carved.
             cache.push(unsafe { base.add(i) });
@@ -354,7 +365,12 @@ impl<T> Drop for NodePool<T> {
 /// free-node cache plus locally-buffered hit counters.
 pub struct PoolHandle<'p, T> {
     pool: &'p NodePool<T>,
+    /// Free nodes; holds no allocation until the first node is parked.
     cache: Vec<*mut PoolNode<T>>,
+    /// Nodes the next spill refill may pull: doubles after each refill,
+    /// up to `REFILL_BATCH` (slow start, see the module docs).
+    #[cfg_attr(feature = "no-pool", allow(dead_code))]
+    refill: usize,
     /// Cache hits buffered locally and flushed to the pool on drop, so
     /// the zero-atomics fast path stays zero-atomics.
     local_recycled: u64,
@@ -392,9 +408,15 @@ impl<T> PoolHandle<'_, T> {
             }
             if let Some(first) = self.pool.pop_spill() {
                 // Hand out the most-recently-spilled node (LIFO: likely
-                // cache-hot) and pull a batch behind it.
+                // cache-hot) and pull the rest of this refill's batch
+                // behind it. The cache is empty here.
+                let batch = self.refill;
+                self.refill = (batch * 2).min(REFILL_BATCH);
                 let mut grabbed = 1u64;
-                while self.cache.len() + 1 < REFILL_BATCH {
+                if batch > 1 {
+                    open_cache(&mut self.cache);
+                }
+                while self.cache.len() + 1 < batch {
                     match self.pool.pop_spill() {
                         Some(node) => {
                             self.cache.push(node);
@@ -438,7 +460,8 @@ impl<T> PoolHandle<'_, T> {
     pub unsafe fn release(&mut self, node: *mut PoolNode<T>) -> ReleaseTarget {
         #[cfg(not(feature = "no-pool"))]
         {
-            if self.cache.len() < self.cache.capacity() {
+            if self.cache.len() < CACHE_CAP {
+                open_cache(&mut self.cache);
                 self.cache.push(node);
                 ReleaseTarget::Cache
             } else {
@@ -471,10 +494,11 @@ impl<T> PoolHandle<'_, T> {
     pub fn reserve(&mut self, n: usize) {
         #[cfg(not(feature = "no-pool"))]
         {
-            let want = n.min(self.cache.capacity());
+            let want = n.min(CACHE_CAP);
             if self.cache.len() >= want {
                 return;
             }
+            open_cache(&mut self.cache);
             let mut grabbed = 0u64;
             while self.cache.len() < want {
                 match self.pool.pop_spill() {
@@ -494,7 +518,7 @@ impl<T> PoolHandle<'_, T> {
                 // reserve parks it instead (or spills if parking filled
                 // the cache to capacity already).
                 let node = self.pool.grow_into(&mut self.cache);
-                if self.cache.len() < self.cache.capacity() {
+                if self.cache.len() < CACHE_CAP {
                     self.cache.push(node);
                 } else {
                     self.pool.push_spill(node);
@@ -537,13 +561,13 @@ impl<T> Drop for PoolHandle<'_, T> {
     }
 }
 
-/// Cache capacity compiled into handles: [`CACHE_CAP`] normally, 0 when
-/// `no-pool` (every release returns straight to the allocator).
-fn cache_cap() -> usize {
-    if cfg!(feature = "no-pool") {
-        0
-    } else {
-        CACHE_CAP
+/// Gives a handle's cache its storage, all [`CACHE_CAP`] slots at once,
+/// the first time a node is parked in it. The cache never holds more
+/// than `CACHE_CAP` nodes, so it is never reallocated after that.
+#[cfg(not(feature = "no-pool"))]
+fn open_cache<T>(cache: &mut Vec<*mut PoolNode<T>>) {
+    if cache.capacity() == 0 {
+        cache.reserve_exact(CACHE_CAP);
     }
 }
 
@@ -624,6 +648,35 @@ mod tests {
         unsafe { consumer.take(n) };
         assert_eq!(pool.stats().fresh, 8, "two 4-node slabs, no more");
         assert!(pool.stats().refills >= 1);
+    }
+
+    #[cfg(not(feature = "no-pool"))]
+    #[test]
+    fn spill_refills_slow_start_from_one_node() {
+        let pool = NodePool::<u64>::with_chunk(4 * CACHE_CAP);
+        // Park a slab's worth of nodes on the spill stack.
+        {
+            let mut h = pool.handle();
+            h.reserve(1);
+        }
+        assert_eq!(pool.stats().fresh, 4 * CACHE_CAP as u64);
+        // A fresh handle acquiring without releasing refills once per
+        // empty cache; each refill pulls twice the last, up to the cap.
+        let mut h = pool.handle();
+        let mut held = Vec::new();
+        let mut batches = Vec::new();
+        while batches.len() < 7 {
+            let (n, src) = h.acquire(0);
+            if src == AcquireSource::Refill {
+                batches.push(h.cached() + 1);
+            }
+            held.push(n);
+        }
+        assert_eq!(batches, [1, 2, 4, 8, 16, REFILL_BATCH, REFILL_BATCH]);
+        assert_eq!(pool.stats().fresh, 4 * CACHE_CAP as u64, "no carve");
+        for n in held {
+            unsafe { h.take(n) };
+        }
     }
 
     #[test]
