@@ -2,12 +2,16 @@
 //! fan-in (3 producers, 1 consumer) through the wait-free-consumer MPSC
 //! ring and fan-out (1 producer, 3 consumers) through the
 //! wait-free-producer SPMC ring, against the paper's CAS queue and a
-//! pinned-MPMC sharded lane serving the same shapes.
+//! pinned-MPMC sharded lane serving the same shapes. A second group runs
+//! each ring `pipe`-shaped: one registrant and one single end, 2
+//! threads, capacity 8 — the fan-in lane of the repository benchmark's
+//! `pipe`, `async-pipe` and broker workloads.
 //!
-//! Each ring keeps its single side CAS-free (one release publication per
-//! op, batched variants one per batch) while the multi side pays one FAA
-//! ticket — so the gap to the MPMC rows is the price of full MPMC
-//! synchronization at an arity that only needs it on one side.
+//! Each ring keeps its single side RMW-free (one release publication per
+//! op, batched variants one per batch) while the multi side pays one
+//! grant RMW and one FAA ticket — so the gap to the MPMC rows is the
+//! price of full MPMC synchronization at an arity that only needs it on
+//! one side.
 
 use criterion::{BenchmarkId, Criterion};
 use nbq_bench::criterion;
@@ -28,6 +32,10 @@ const BATCH: usize = 32;
 
 /// Threads on the wide side of each fan.
 const WIDE: usize = 3;
+
+/// Capacity of the `pipe`-shaped rows: small, so both ends meet the
+/// ring's bounds within a few items.
+const PIPE_CAPACITY: usize = 8;
 
 /// One fan round: `producers` threads stream `VALUES` values total to
 /// `consumers` threads through `queue`.
@@ -201,6 +209,18 @@ fn bench(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("spmc-ring-batched", "fan-out-1p3c"), |b| {
         let q = SpmcRing::<u64>::with_capacity(CAPACITY);
         b.iter(|| fan_out_batched(&q))
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("abl_arity_pipe");
+    group.throughput(criterion::Throughput::Elements((VALUES * 2) as u64));
+    group.bench_function(BenchmarkId::new("mpsc-ring", "pipe-1p1c-cap8"), |b| {
+        let q = MpscRing::<u64>::with_capacity(PIPE_CAPACITY);
+        b.iter(|| fan(&q, 1, 1))
+    });
+    group.bench_function(BenchmarkId::new("spmc-ring", "pipe-1p1c-cap8"), |b| {
+        let q = SpmcRing::<u64>::with_capacity(PIPE_CAPACITY);
+        b.iter(|| fan(&q, 1, 1))
     });
     group.finish();
 }

@@ -24,8 +24,10 @@
 //! The cursors live in [`CachePadded`] cells so the two ends never
 //! false-share, and values live inline in the slot array
 //! (`MaybeUninit<T>`): nothing on the steady-state path touches the
-//! allocator. Slot storage rounds up to a power of two, but the enforced
-//! capacity is exactly what the caller asked for.
+//! allocator. The array starts on a cache-line boundary, so a slot whose
+//! size divides the line never straddles two. Slot storage rounds up to
+//! a power of two, but the enforced capacity is exactly what the caller
+//! asked for.
 //!
 //! # The single end
 //!
@@ -43,44 +45,64 @@
 //! checks the slot's *acknowledgement* on top of the capacity bound.
 //!
 //! An op, or a whole batch, ends with one release store of the owned
-//! cursor ([`mem::SPSC_PUBLISH`]) — the batched single-publication point —
-//! plus, when the other end is shared, one gate RMW handing the moved
-//! units to it. No CAS and no retry loop: the single end is wait-free.
+//! cursor ([`mem::SPSC_PUBLISH`]) — the batched single-publication point.
+//! No RMW, no CAS and no retry loop: the single end is wait-free, and in
+//! every kind it writes only its own cursor and the slots it moves.
 //!
 //! # The shared end
 //!
 //! Any number of registrants take positions with one fetch-and-add on the
-//! end's cursor, and a ticket is only ever issued against a unit first
-//! taken from a signed *gate*: the free capacity (`credits`) for shared
-//! producers, the published values (`items`) for shared consumers. That
-//! rules out the classic failure of ticketed bounded rings — a ticket
-//! taken past a full (or empty) ring, which the other end then waits on
-//! forever: position `t` is ticketed only after `t - slots` was consumed
-//! (fan-in) or after `t` was published (fan-out), so slots never alias. A
-//! registrant that loses the gate race refunds its unit, so the gate is
-//! transiently negative by at most the number of concurrent registrants.
+//! end's cursor, and a ticket is only ever issued against a *grant*: a
+//! registrant first draws `want` units from its end's own `granted`
+//! counter (`t = granted.fetch_add(want)`) and keeps the first
+//! `clamp(bound - t, 0, want)` of them, where `bound` is `shadow + cap`
+//! for shared producers and `shadow` for shared consumers, and `shadow`
+//! is the registrant's lower bound of the *opposite* cursor — `head` for
+//! fan-in producers, `tail` for fan-out consumers — reloaded only when
+//! it cannot grant the whole request. Units not kept are refunded with
+//! one more RMW, so `granted` overstates the tickets issued by at most
+//! the requests in flight, and a registrant that loses the race reports
+//! `Full` or `None` rather than waiting. The single end never touches
+//! `granted`: the shared end checks its grants against the single end's
+//! cursor, the way the single end checks its own moves against a shadow
+//! of the shared end's. When a registrant's own tickets already reach
+//! the bound, one fresh load of the opposite cursor decides `Full` or
+//! `None` with no RMW at all — exactly, since the end's own cursor has
+//! already passed those tickets.
+//!
 //! After moving its value, the registrant stores the slot's `seq`: `pos +
 //! 1` publishes position `pos` to a single consumer, `pos + slots`
-//! acknowledges it to a single producer. Each op costs one gate RMW, one
-//! FAA and one `seq` store; a batch takes its gate units with one RMW and
-//! claims one ticket run per ≤ 32 values in hand.
+//! acknowledges it to a single producer. Each op costs two RMWs on lines
+//! only the shared end writes (the grant and the ticket) and one `seq`
+//! store; a batch takes its grant with one RMW and claims one ticket run
+//! per ≤ 32 values in hand.
 //!
-//! The reuse-safety argument needs one subtlety: the peer whose gate take
-//! observed our slot's release may be a *different* registrant than the
-//! one reusing the slot, so the release chain runs: the other end's gate
-//! return → some registrant's gate take → that registrant's ticket FAA →
-//! our ticket FAA (RMWs on one cell form a release sequence) → our slot
-//! access. Both RMW sites are therefore `AcqRel` ([`mem::RING_GATE`],
-//! [`mem::RING_TICKET`]).
+//! Reuse safety is a "last grant" argument. Take a ticket run `p..p + n`
+//! and the grants that issued every ticket below `p + n`, and let `Z` be
+//! the one among them that comes last in `granted`'s modification order.
+//! Every other grant in the set drew its units before `Z`'s draw `t_Z`
+//! and refunds only units it never tickets, and no grant's net
+//! contribution is ever negative, so `t_Z + g_Z >= p + n`; `Z` granted
+//! `g_Z` only because `t_Z + g_Z <= bound(shadow_Z)`. So `Z`'s view of
+//! the opposite cursor already covered the whole run: position
+//! `p + n - 1 - cap` consumed (fan-in; slots are reused `slots >= cap`
+//! positions apart) or position `p + n - 1` published (fan-out). That
+//! knowledge reaches the run's holder through the ticket chain: the
+//! single end's cursor release → `Z`'s acquire load of it → `Z`'s ticket
+//! FAA, which is ours or an earlier one (RMWs on one cell form a release
+//! sequence) → our ticket FAA → our slot access. The ticket FAA is
+//! therefore `AcqRel` ([`mem::RING_TICKET`]); the argument needs only
+//! `granted`'s modification order, not its orderings
+//! ([`mem::RING_GATE`]).
 //!
 //! # Emptiness and order
 //!
 //! SPSC and SPMC emptiness is exact: the single producer publishes its
-//! cursor, and the gate count, only *after* the value. MPSC emptiness is
-//! slot-local: a stalled producer holding ticket `h` makes `pop` return
-//! `None` even while later tickets are already published — a
-//! bounded-stall relaxation (the analogue of the sharded frontend's
-//! relaxed-FIFO contract). Per-producer FIFO is exact on every kind,
+//! cursor only *after* the value. MPSC emptiness is slot-local: a
+//! stalled producer holding ticket `h` makes `pop` return `None` even
+//! while later tickets are already published — a bounded-stall
+//! relaxation (the analogue of the sharded frontend's relaxed-FIFO
+//! contract). Per-producer FIFO is exact on every kind,
 //! because one producer's tickets are program-ordered and a single
 //! consumer drains in ticket order; the values any one shared consumer
 //! sees form an increasing subsequence of the producer's stream.
@@ -99,7 +121,10 @@
 use core::cell::UnsafeCell;
 use core::fmt;
 use core::mem::MaybeUninit;
-use core::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use core::ops::{Deref, DerefMut};
+use core::ptr::NonNull;
+use core::sync::atomic::{AtomicU64, Ordering};
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 
 use crate::registry::ArityRegistry;
 use nbq_util::{mem, BatchFull, CachePadded, ConcurrentQueue, Full, QueueHandle, QueueKind};
@@ -119,8 +144,9 @@ pub trait End: sealed::Sealed + Send + Sync + 'static {
 #[derive(Debug)]
 pub enum Single {}
 
-/// An end any number of registrants share: a signed gate, one FAA ticket
-/// per run and a per-slot `seq` word.
+/// An end any number of registrants share: a grant counter checked
+/// against a shadow of the opposite cursor, one FAA ticket per run and a
+/// per-slot `seq` word.
 #[derive(Debug)]
 pub enum Shared {}
 
@@ -179,7 +205,7 @@ mod sealed {
 
 /// Stack-staging chunk of a shared producer's batch: tickets are claimed
 /// one FAA per up-to-this-many items already pulled from the caller's
-/// iterator. A ticket, unlike a gate unit, cannot be refunded — an
+/// iterator. A ticket, unlike a granted unit, cannot be refunded — an
 /// unpublished one stalls the consumer at its position forever — so a run
 /// is never claimed for items that might not materialize.
 const PUSH_STAGE: usize = 32;
@@ -192,13 +218,11 @@ pub struct ArityRing<T, P: End, C: End> {
     head: CachePadded<AtomicU64>,
     /// Producer cursor: monotone position of the next slot to fill.
     tail: CachePadded<AtomicU64>,
-    /// The shared end's gate: remaining capacity (`credits`) for shared
-    /// producers, published-but-unclaimed values (`items`) for shared
-    /// consumers; the single end on the other side returns units to it.
-    /// Unused by SPSC.
-    gate: CachePadded<AtomicI64>,
+    /// The shared end's grant counter: units drawn by its registrants,
+    /// net of refunds. Only the shared end touches it; unused by SPSC.
+    granted: CachePadded<AtomicU64>,
     /// Inline slot array; length is a power of two ≥ `cap`.
-    slots: Box<[Slot<T, P, C>]>,
+    slots: SlotArray<Slot<T, P, C>>,
     /// Slot-index mask (`slots.len() - 1`).
     mask: u64,
     /// Enforced capacity (may be less than `slots.len()`).
@@ -222,6 +246,68 @@ struct Slot<T, P: End, C: End> {
     value: UnsafeCell<MaybeUninit<T>>,
 }
 
+/// A ring's slot array, allocated on a cache-line boundary so that a slot
+/// whose size divides the line never straddles two lines: a straddling
+/// slot costs each move two line transfers between the ends instead of
+/// one. A boxed slice is aligned only to its element (16 bytes in
+/// practice), so whether 32-byte slots straddle would depend on where
+/// the heap placed the ring.
+struct SlotArray<S> {
+    ptr: NonNull<S>,
+    len: usize,
+}
+
+impl<S> SlotArray<S> {
+    fn new(len: usize, mut slot: impl FnMut(usize) -> S) -> Self {
+        let layout = Self::layout(len);
+        // SAFETY: `layout` has a nonzero size.
+        let raw = unsafe { alloc(layout) }.cast::<S>();
+        let ptr = NonNull::new(raw).unwrap_or_else(|| handle_alloc_error(layout));
+        for i in 0..len {
+            // SAFETY: `i < len` lies inside the fresh allocation.
+            unsafe { ptr.as_ptr().add(i).write(slot(i)) };
+        }
+        Self { ptr, len }
+    }
+
+    /// `len` slots aligned like [`CachePadded`]; never zero-sized, so
+    /// every array owns an allocation.
+    fn layout(len: usize) -> Layout {
+        let line = core::mem::align_of::<CachePadded<()>>();
+        let array = Layout::array::<S>(len)
+            .and_then(|l| l.align_to(line))
+            .expect("slot array size overflows");
+        Layout::from_size_align(array.size().max(1), array.align()).expect("valid layout")
+    }
+}
+
+impl<S> Deref for SlotArray<S> {
+    type Target = [S];
+
+    fn deref(&self) -> &[S] {
+        // SAFETY: `new` initialized all `len` slots.
+        unsafe { core::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl<S> DerefMut for SlotArray<S> {
+    fn deref_mut(&mut self) -> &mut [S] {
+        // SAFETY: as `deref`, and `&mut self` is exclusive.
+        unsafe { core::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl<S> Drop for SlotArray<S> {
+    fn drop(&mut self) {
+        // SAFETY: the slots are initialized and dropped once, then the
+        // allocation is freed with the layout `new` allocated it with.
+        unsafe {
+            core::ptr::drop_in_place(&mut **self as *mut [S]);
+            dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len));
+        }
+    }
+}
+
 /// Wait-free SPSC ring: one producer, one consumer, no RMW at all.
 pub type SpscRing<T> = ArityRing<T, Single, Single>;
 /// Wait-free-consumer MPSC fan-in ring: FAA-ticketed producers, one
@@ -233,7 +319,7 @@ pub type SpmcRing<T> = ArityRing<T, Single, Shared>;
 
 // SAFETY: values move across threads whole, so `T: Send` is the only
 // requirement: a slot is written by the one holder of its position (the
-// single producer, or a gate-backed ticket) before it is published, and
+// single producer, or a grant-backed ticket) before it is published, and
 // read by the one holder of its position after.
 unsafe impl<T: Send, P: End, C: End> Send for ArityRing<T, P, C> {}
 unsafe impl<T: Send, P: End, C: End> Sync for ArityRing<T, P, C> {}
@@ -267,14 +353,12 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
         Self {
             head: CachePadded::new(AtomicU64::new(0)),
             tail: CachePadded::new(AtomicU64::new(0)),
-            gate: CachePadded::new(AtomicI64::new(if P::SHARED { cap as i64 } else { 0 })),
-            slots: (0..slots as u64)
-                .map(|i| Slot {
-                    published: P::Seq::new(0),
-                    acked: C::Seq::new(i),
-                    value: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect(),
+            granted: CachePadded::new(AtomicU64::new(0)),
+            slots: SlotArray::new(slots, |i| Slot {
+                published: P::Seq::new(0),
+                acked: C::Seq::new(i as u64),
+                value: UnsafeCell::new(MaybeUninit::uninit()),
+            }),
             mask: (slots - 1) as u64,
             cap,
             arity: ArityRegistry::new(),
@@ -291,7 +375,7 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
     ///
     /// Reads `tail`, `head`, `tail` and retries until `tail` held still,
     /// so both cursors are read as of the `head` load and the result lies
-    /// in `0..=capacity()` (a ticket is only taken against a gate unit,
+    /// in `0..=capacity()` (a ticket is only taken against a grant,
     /// so neither cursor ever runs past the other's bound). Reading each
     /// cursor once against a moving other one instead overcounts by every
     /// push landing between the loads. A retry means a push completed, so
@@ -374,15 +458,16 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
         claimed.then(|| self.endpoint())
     }
 
-    /// A fresh endpoint: a single end starts its shadow at the opposite
-    /// cursor's current value, a shared producer with no ticket taken.
+    /// A fresh endpoint: its shadow starts at the opposite cursor's
+    /// current value, and a shared-end registration has no ticket yet.
     fn endpoint<const PUSH: bool>(&self) -> Endpoint<'_, T, P, C, PUSH> {
-        let mark = if Self::is_shared::<PUSH>() {
-            0
-        } else {
-            self.cursors::<PUSH>().1.load(mem::SPSC_CURSOR_LOAD)
-        };
-        Endpoint { ring: self, mark }
+        Endpoint {
+            ring: self,
+            marks: Marks {
+                shadow: self.cursors::<PUSH>().1.load(mem::SPSC_CURSOR_LOAD),
+                last: 0,
+            },
+        }
     }
 
     /// Whether the producer end (`PUSH`) or the consumer end is shared.
@@ -414,27 +499,27 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
     /// # Safety
     ///
     /// The caller holds that end — its claim, or one registration — and
-    /// `mark` is the holding endpoint's.
+    /// `marks` are the holding endpoint's.
     unsafe fn transfer<const PUSH: bool>(
         &self,
-        mark: &mut u64,
+        marks: &mut Marks,
         max: usize,
         values: &mut impl Values<T, PUSH>,
     ) -> usize {
         // SAFETY: forwarded from the caller.
         unsafe {
             if Self::is_shared::<PUSH>() {
-                self.shared(mark, max, values)
+                self.shared(marks, max, values)
             } else {
-                self.single(mark, max, values)
+                self.single(&mut marks.shadow, max, values)
             }
         }
     }
 
     /// The single end, either direction: moves values at consecutive
     /// positions from the owned cursor while each slot is ready, then
-    /// publishes the cursor with one release store and, when the other
-    /// end is shared, hands the moved units to its gate with one RMW.
+    /// publishes the cursor with one release store — its only write to
+    /// shared state besides the slots.
     ///
     /// # Safety
     ///
@@ -485,41 +570,57 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
         }
         if n > 0 {
             own.store(start.wrapping_add(n as u64), mem::SPSC_PUBLISH);
-            // A shared end is the other one: hand it the moved units.
-            if P::SHARED || C::SHARED {
-                self.gate.fetch_add(n as i64, mem::RING_GATE);
-            }
         }
         n
     }
 
-    /// The shared end, either direction: takes up to `want` units from
-    /// the gate with one RMW, then, run by run, claims one FAA ticket per
-    /// run of values in hand, moves each value and stores its slot's
-    /// `seq`; refunds the units it could not use.
+    /// The shared end, either direction: draws a grant of up to `want`
+    /// units with one RMW, keeping those its shadow of the opposite
+    /// cursor covers, then, run by run, claims one FAA ticket per run of
+    /// values in hand, moves each value and stores its slot's `seq`;
+    /// refunds the units it could not use.
     ///
     /// # Safety
     ///
-    /// The caller holds one of this end's registrations; `last` receives
-    /// the position one past its last ticket.
+    /// The caller holds one of this end's registrations, and `marks` are
+    /// that registration's.
     unsafe fn shared<const PUSH: bool>(
         &self,
-        last: &mut u64,
+        marks: &mut Marks,
         want: usize,
         values: &mut impl Values<T, PUSH>,
     ) -> usize {
-        // Clamped before the signed conversion: a request above
-        // `i64::MAX` would turn negative, and `fetch_sub` would then add
-        // to the gate.
-        let want = want.min(self.cap) as i64;
+        let want = want.min(self.cap) as u64;
         if want == 0 {
             return 0;
         }
-        let granted = self.gate.fetch_sub(want, mem::RING_GATE).clamp(0, want);
-        if granted < want {
-            self.gate.fetch_add(want - granted, mem::RING_GATE);
+        let (own, opposite) = self.cursors::<PUSH>();
+        // Positions below the bound are free (a push: within `cap` of
+        // `head`) or published (a pop: below `tail`).
+        let bound = |shadow: u64| {
+            if PUSH {
+                shadow.wrapping_add(self.cap as u64)
+            } else {
+                shadow
+            }
+        };
+        // Our own tickets reach the bound: if a fresh load agrees, the
+        // ring is exactly full (empty) and no RMW is needed to say so.
+        if bound(marks.shadow) <= marks.last && {
+            marks.shadow = opposite.load(mem::SPSC_CURSOR_LOAD);
+            bound(marks.shadow) <= marks.last
+        } {
+            return 0;
         }
-        let (own, _) = self.cursors::<PUSH>();
+        let t = self.granted.fetch_add(want, mem::RING_GATE);
+        let mut granted = bound(marks.shadow).saturating_sub(t).min(want);
+        if granted < want {
+            marks.shadow = opposite.load(mem::SPSC_CURSOR_LOAD);
+            granted = bound(marks.shadow).saturating_sub(t).min(want);
+            if granted < want {
+                self.granted.fetch_sub(want - granted, mem::RING_GATE);
+            }
+        }
         let mut moved = 0;
         while moved < granted {
             let asked = (granted - moved) as usize;
@@ -531,7 +632,7 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
             for i in 0..run {
                 let pos = start.wrapping_add(i as u64);
                 let slot = self.slot(pos);
-                // SAFETY: the gate unit behind this ticket proves position
+                // SAFETY: the grants behind this ticket prove position
                 // `pos - slots` consumed (a push) or `pos` published (a
                 // pop) — see the module docs — and tickets are unique, so
                 // the slot is ours alone until the `seq` store below.
@@ -543,8 +644,8 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
                     slot.acked.store(reuse, mem::SPSC_PUBLISH);
                 }
             }
-            *last = start.wrapping_add(run as u64);
-            moved += run as i64;
+            marks.last = start.wrapping_add(run as u64);
+            moved += run as u64;
             // A run short of a full stage: the push's source ran dry.
             if run < asked.min(PUSH_STAGE) {
                 break;
@@ -553,7 +654,7 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
         if moved < granted {
             // The iterator's `len()` over-reported: refund the units that
             // never became tickets.
-            self.gate.fetch_add(granted - moved, mem::RING_GATE);
+            self.granted.fetch_sub(granted - moved, mem::RING_GATE);
         }
         moved as usize
     }
@@ -694,9 +795,16 @@ impl<T, I: Iterator<Item = T>> Values<T, true> for Staged<'_, I> {
 /// the only way to do either.
 pub struct Endpoint<'q, T, P: End, C: End, const PUSH: bool> {
     ring: &'q ArityRing<T, P, C>,
-    /// A single end's shadow of the opposite cursor; for a shared
-    /// producer, the position one past its last ticket (0: none yet).
-    mark: u64,
+    marks: Marks,
+}
+
+/// An endpoint's private view of the ring.
+struct Marks {
+    /// Lower bound of the opposite cursor.
+    shadow: u64,
+    /// A shared-end registration's position one past its last ticket (0:
+    /// none yet); unused by a single end.
+    last: u64,
 }
 
 /// The producer endpoint of an [`SpscRing`].
@@ -717,7 +825,7 @@ impl<T, P: End, C: End> Endpoint<'_, T, P, C, true> {
     pub fn push(&mut self, value: T) -> Result<(), Full<T>> {
         let mut value = Some(value);
         // SAFETY: this endpoint holds the producer end.
-        unsafe { self.ring.transfer::<true>(&mut self.mark, 1, &mut value) };
+        unsafe { self.ring.transfer::<true>(&mut self.marks, 1, &mut value) };
         value.map_or(Ok(()), |v| Err(Full(v)))
     }
 
@@ -732,7 +840,7 @@ impl<T, P: End, C: End> Endpoint<'_, T, P, C, true> {
             stage: [const { MaybeUninit::uninit() }; PUSH_STAGE],
         };
         // SAFETY: this endpoint holds the producer end.
-        unsafe { self.ring.transfer(&mut self.mark, max, &mut staged) }
+        unsafe { self.ring.transfer(&mut self.marks, max, &mut staged) }
     }
 
     /// Whether everything this producer pushed has been consumed: `head`
@@ -742,7 +850,7 @@ impl<T, P: End, C: End> Endpoint<'_, T, P, C, true> {
     /// point of the sharded lane promotion protocol.
     pub fn drained(&self) -> bool {
         let end = if P::SHARED {
-            self.mark
+            self.marks.last
         } else {
             self.ring.tail.load(mem::SPSC_OWN_CURSOR)
         };
@@ -755,7 +863,7 @@ impl<T, P: End, C: End> Endpoint<'_, T, P, C, false> {
     pub fn pop(&mut self) -> Option<T> {
         let mut out = None;
         // SAFETY: this endpoint holds the consumer end.
-        unsafe { self.ring.transfer::<false>(&mut self.mark, 1, &mut out) };
+        unsafe { self.ring.transfer::<false>(&mut self.marks, 1, &mut out) };
         out
     }
 
@@ -763,7 +871,7 @@ impl<T, P: End, C: End> Endpoint<'_, T, P, C, false> {
     /// single end publishes `head` once.
     pub fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         // SAFETY: this endpoint holds the consumer end.
-        unsafe { self.ring.transfer(&mut self.mark, max, out) }
+        unsafe { self.ring.transfer(&mut self.marks, max, out) }
     }
 }
 
@@ -928,6 +1036,10 @@ mod tests {
         drop_releases_in_flight_values,
         oversubscribed_shared_end_conserves_values,
         len_stays_within_capacity_under_traffic,
+        one_registrant_sees_exact_full_and_empty,
+        stalling_single_end_conserves_values,
+        slots_start_on_a_cache_line,
+        zero_sized_values_round_trip,
     );
 
     #[test]
@@ -1044,6 +1156,30 @@ mod tests {
         }
     }
 
+    fn slots_start_on_a_cache_line<P: End, C: End>() {
+        // 32-byte slots (as on the benchmark's lane) must never straddle
+        // two lines, wherever the heap puts the ring.
+        let line = core::mem::align_of::<CachePadded<()>>();
+        for cap in [1, 3, 8, 64] {
+            let ring = ArityRing::<[u64; 3], P, C>::with_capacity(cap);
+            assert_eq!(ring.slots.as_ptr() as usize % line, 0, "capacity {cap}");
+        }
+    }
+
+    fn zero_sized_values_round_trip<P: End, C: End>() {
+        // A single-ended ring of `()` has zero-sized slots; its array
+        // still allocates and frees a real block.
+        let ring = ArityRing::<(), P, C>::with_capacity(3);
+        let mut prod = ring.claim_producer().unwrap();
+        let mut cons = ring.claim_consumer().unwrap();
+        for _ in 0..3 {
+            prod.push(()).unwrap();
+        }
+        assert!(prod.push(()).is_err());
+        assert_eq!(cons.pop(), Some(()));
+        assert_eq!(ring.len(), 2);
+    }
+
     fn cursors_cross_many_cycles_without_aliasing<P: End, C: End>() {
         // A tiny ring driven far past its slot count: the monotone
         // positions' cycle tags keep every push/pop paired correctly.
@@ -1125,7 +1261,7 @@ mod tests {
         // push must push only the items in hand: a shared end must not
         // claim tickets it cannot publish (an unpublished ticket stalls
         // the consumer at that position forever) and must refund the
-        // over-reserved credits; a single end must publish what it wrote.
+        // over-drawn grant units; a single end must publish what it wrote.
         let ring = ArityRing::<u64, P, C>::with_capacity(8);
         let mut prod = ring.claim_producer().unwrap();
         let mut cons = ring.claim_consumer().unwrap();
@@ -1138,7 +1274,7 @@ mod tests {
         assert_eq!(cons.pop_batch(&mut out, 8), 3);
         assert_eq!(out, vec![0, 1, 2]);
         // Liveness and capacity intact: a full honest batch still fits,
-        // proving the shortfall's credits were refunded.
+        // proving the shortfall's units were refunded.
         let mut items = (10..18).collect::<Vec<_>>().into_iter();
         assert_eq!(prod.push_batch(&mut items), 8);
         out.clear();
@@ -1148,9 +1284,9 @@ mod tests {
     }
 
     fn oversized_requests_cannot_open_the_gate<P: End, C: End>() {
-        // Requests above `i64::MAX` must not wrap negative and *add* to a
-        // shared end's gate: a pop would read a slot nothing wrote, a push
-        // would overfill the ring.
+        // A `usize::MAX` request must not overflow a shared end's grant
+        // arithmetic into a grant past its bound: a pop would read a slot
+        // nothing wrote, a push would overfill the ring.
         let ring = ArityRing::<usize, P, C>::with_capacity(2);
         let mut prod = ring.claim_producer().unwrap();
         let mut cons = ring.claim_consumer().unwrap();
@@ -1373,8 +1509,8 @@ mod tests {
     }
 
     fn oversubscribed_shared_end_conserves_values<P: End, C: End>() {
-        // More threads on the shared end than capacity: the gate must
-        // refund every loser exactly once, or capacity drifts, tickets
+        // More threads on the shared end than capacity: every losing
+        // grant must be refunded exactly once, or capacity drifts, tickets
         // strand and values are lost.
         const VALUES: u64 = 16_000;
         let (producers, consumers) = (threads::<P>(8), threads::<C>(8));
@@ -1410,6 +1546,131 @@ mod tests {
             }
         });
         assert_eq!(got.load(Ordering::Relaxed), VALUES);
+        assert!(ring.is_empty());
+    }
+
+    fn one_registrant_sees_exact_full_and_empty<P: End, C: End>() {
+        // With one endpoint on each end, `Full` means exactly full and
+        // `None` exactly empty, lap after lap, scalar and batch: a shadow
+        // that refuses must be reloaded first, and a grant checked
+        // against the right cursor. Bursts of 0..=CAP + 1 on both sides
+        // meet every fill level; ~150 positions cross ~30 laps of 5.
+        const CAP: usize = 5;
+        let ring = ArityRing::<usize, P, C>::with_capacity(CAP);
+        let mut prod = ring.claim_producer().unwrap();
+        let mut cons = ring.claim_consumer().unwrap();
+        let (mut pushed, mut popped, mut fulls, mut empties) = (0, 0, 0, 0);
+        let mut out = Vec::new();
+        for round in 0..64 {
+            let (n, batch) = (round * 3 % (CAP + 2), round % 3 == 0);
+            if batch {
+                let len = ring.len();
+                let moved = prod.push_batch(&mut (pushed..pushed + n));
+                assert_eq!(moved, n.min(CAP - len), "batch push at len {len}");
+                fulls += usize::from(moved < n);
+                pushed += moved;
+            } else {
+                for _ in 0..n {
+                    let len = ring.len();
+                    if prod.push(pushed).is_ok() {
+                        pushed += 1;
+                    } else {
+                        assert_eq!(len, CAP, "Full below capacity at {pushed}");
+                        fulls += 1;
+                    }
+                }
+            }
+            let (m, batch) = ((round * 5 + 2) % (CAP + 2), round % 4 == 1);
+            if batch {
+                let len = ring.len();
+                out.clear();
+                assert_eq!(
+                    cons.pop_batch(&mut out, m),
+                    m.min(len),
+                    "batch pop at len {len}"
+                );
+                empties += usize::from(out.len() < m);
+                for v in &out {
+                    assert_eq!(*v, popped);
+                    popped += 1;
+                }
+            } else {
+                for _ in 0..m {
+                    let len = ring.len();
+                    if let Some(v) = cons.pop() {
+                        assert_eq!(v, popped);
+                        popped += 1;
+                    } else {
+                        assert_eq!(len, 0, "None while nonempty at {popped}");
+                        empties += 1;
+                    }
+                }
+            }
+            assert!(ring.len() <= CAP);
+        }
+        assert!(pushed > 3 * CAP, "crossed 3 laps");
+        assert!(fulls > 0 && empties > 0, "both bounds were met");
+    }
+
+    fn stalling_single_end_conserves_values<P: End, C: End>() {
+        // Registrants on a capacity-2 ring while the single end stalls in
+        // bursts: the shared end piles up on Full (None) against stale
+        // shadows and refunds, and must still neither lose, duplicate nor
+        // overfill. An observer checks the bound throughout.
+        const VALUES: u64 = 20_000;
+        const BURST: u64 = 32;
+        let (producers, consumers) = (threads::<P>(4), threads::<C>(4));
+        let per = VALUES / producers as u64;
+        let ring = ArityRing::<u64, P, C>::with_capacity(2);
+        let got = AtomicU64::new(0);
+        let seen = std::sync::Mutex::new(Vec::new());
+        let stall = |single: bool, moved: u64| {
+            if single && moved % BURST == 0 {
+                std::thread::sleep(std::time::Duration::from_micros(50));
+            }
+        };
+        std::thread::scope(|s| {
+            for t in 0..producers as u64 {
+                let ring = &ring;
+                s.spawn(move || {
+                    let mut prod = ring.claim_producer().unwrap();
+                    for seq in 0..per {
+                        while prod.push((t << 40) | seq).is_err() {
+                            std::thread::yield_now();
+                        }
+                        stall(!P::SHARED, seq + 1);
+                    }
+                });
+            }
+            for _ in 0..consumers {
+                let (ring, got, seen) = (&ring, &got, &seen);
+                s.spawn(move || {
+                    let mut cons = ring.claim_consumer().unwrap();
+                    let mut mine = Vec::new();
+                    while got.load(Ordering::Relaxed) < per * producers as u64 {
+                        if let Some(v) = cons.pop() {
+                            mine.push(v);
+                            got.fetch_add(1, Ordering::Relaxed);
+                            stall(!C::SHARED, mine.len() as u64);
+                        } else {
+                            std::thread::yield_now();
+                        }
+                    }
+                    seen.lock().unwrap().extend(mine);
+                });
+            }
+            while got.load(Ordering::Relaxed) < per * producers as u64 {
+                let len = ring.len();
+                assert!(len <= ring.capacity(), "len {len} over capacity");
+                std::thread::yield_now();
+            }
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        let expected: Vec<u64> = (0..producers as u64)
+            .flat_map(|t| (0..per).map(move |seq| (t << 40) | seq))
+            .collect();
+        assert_eq!(seen, expected, "every value exactly once");
         assert!(ring.is_empty());
     }
 }

@@ -453,7 +453,7 @@ pub fn check_mpsc_fan_in(h: &History) -> Result<(), Violation> {
 /// Runs [`check_value_integrity`] first, then orders the single
 /// producer's enqueue stream by program order and verifies each consumer
 /// thread's dequeue stream is strictly ascending in that order —
-/// consumers take gate-backed FAA tickets on a monotone head, so a
+/// consumers take grant-backed FAA tickets on a monotone head, so a
 /// consumer can skip values (taken by its peers) but never step
 /// backwards. Histories from `SpmcRing` fan-out runs (the
 /// shared-consumer instance of `nbq_core::ArityRing`) and from an

@@ -163,19 +163,20 @@ relaxable! {
     /// Fetch-and-add tickets on the shared end of a half-relaxed lane
     /// ring (`MpscRing` producers bumping `tail`, `SpmcRing` consumers
     /// bumping `head`). AcqRel: the RMW chain on the position counter is
-    /// what carries a slow peer's gate acquisition to later ticket holders —
-    /// ticket `t`'s holder synchronizes with every earlier ticket's FAA,
-    /// and through it with the gate release that freed slot `t - N` (see
-    /// the reuse-safety argument in `nbq_core::arity_ring`).
+    /// what carries a peer's view of the opposite cursor to later ticket
+    /// holders — ticket `t`'s holder synchronizes with every earlier
+    /// ticket's FAA, and through the one whose grant came last, with the
+    /// single end's cursor release that freed slot `t - N` (fan-in) or
+    /// published position `t` (fan-out). See the "last grant" argument in
+    /// `nbq_core::arity_ring`.
     RING_TICKET = AcqRel;
-    /// RMWs on a half-relaxed ring's occupancy gate (the `credits`
-    /// semaphore of `MpscRing`, the `items` count of `SpmcRing`).
-    /// Release on the return side publishes the completed slot access
-    /// before the capacity/item becomes claimable again; acquire on the
-    /// take side orders the new owner behind that access. Together with
-    /// [`RING_TICKET`] this is the whole reuse/publication story for the
-    /// shared end — the gate bounds occupancy so tickets never alias a
-    /// live slot.
+    /// RMWs on a half-relaxed ring's grant counter (`granted`: the units
+    /// a shared end's registrants drew, net of refunds; only the shared
+    /// end touches it). The reuse-safety argument rests on the counter's
+    /// modification order alone — the happens-before edges run through
+    /// the opposite cursor's acquire load and [`RING_TICKET`] — so this
+    /// is stronger than the protocol needs; it is an RMW on a line only
+    /// the shared end writes, where `AcqRel` costs nothing extra on x86.
     RING_GATE = AcqRel;
 }
 

@@ -75,6 +75,28 @@ fn bounded_suite<Q: ConcurrentQueue<String>>(make: impl Fn(usize) -> Q) {
         drained.push(v);
     }
     assert_eq!(drained.last().map(String::as_str), Some("refill"));
+
+    // Multi-lap exact bound: at capacity, pop one / push one, three laps
+    // round the ring; `Full` must come exactly when the queue is full,
+    // and only then.
+    let q = make(3);
+    let name = q.algorithm_name();
+    let cap = ConcurrentQueue::capacity(&q).expect("bounded");
+    let mut h = q.handle();
+    for i in 0..cap {
+        h.enqueue(format!("v{i}"))
+            .unwrap_or_else(|_| panic!("{name}: Full at {i} of {cap}"));
+    }
+    for step in 0..3 * cap {
+        assert!(
+            h.enqueue("over".into()).is_err(),
+            "{name}: step {step}: full queue took a value"
+        );
+        assert_eq!(h.dequeue(), Some(format!("v{step}")), "{name}: step {step}");
+        h.enqueue(format!("v{}", cap + step))
+            .unwrap_or_else(|_| panic!("{name}: step {step}: Full with a free slot"));
+    }
+    assert!(h.enqueue("over".into()).is_err(), "{name}: full after laps");
 }
 
 /// Batch calls must be observably equivalent to element-wise loops,
