@@ -3,32 +3,31 @@
 //!
 //! Every future follows the same shape:
 //!
-//! 1. **Resolve** any slot left by a previous `Pending` poll. The cancel
-//!    CAS tells the future whether it was genuinely woken (`NOTIFIED`) or
-//!    merely re-polled (timer fired, `select` sibling woke, executor
-//!    quirk).
+//! 1. **Resolve** any entry left by a previous `Pending` poll. Its cancel
+//!    tells the future whether it was genuinely woken (a notifier took
+//!    the entry) or merely re-polled (timer fired, `select` sibling woke,
+//!    executor quirk).
 //! 2. **Attempt** the operation. Success resolves the future.
-//! 3. On failure, **register** a fresh slot carrying the current waker,
+//! 3. On failure, **register** a fresh entry carrying the current waker,
 //!    issue the Dekker fence, and **re-attempt** once. Only if the
 //!    re-attempt also fails does the future return `Pending` — any
 //!    operation that completed before the registration became visible is
-//!    caught by the re-attempt, and any later one sees the slot.
+//!    caught by the re-attempt, and any later one sees the entry.
 //!
-//! Each registration is a *fresh* slot rather than a waker update on the
-//! old one: slot state is a one-shot CAS race, which keeps the waker cell
-//! lock-free (see `waiters`); the price is one `Arc` per park, paid only
-//! on the contended path.
+//! Each registration is a *fresh* entry rather than a waker update on the
+//! old one, so the old entry's cancel is what answers step 1. A future
+//! holds only its entry's [`WaitKey`]; parking allocates nothing of its
+//! own (see `waiters`).
 //!
-//! `Drop` cancels a live slot, passing the wake token to a peer if a
+//! `Drop` cancels a live entry, passing the wake token to a peer if a
 //! notifier got there first, so cancellation (`timeout`, `select`, task
 //! abort, runtime teardown) can never strand another waiter.
 
-use crate::waiters::{dekker_fence, WaiterSlot};
+use crate::waiters::{dekker_fence, WaitKey};
 use crate::{AsyncQueue, RecvAttempt};
 use nbq_util::queue::{Closed, ConcurrentQueue, QueueHandle, TrySendError};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
 use std::task::{Context, Poll};
 
 /// Future returned by [`AsyncQueue::send`].
@@ -36,7 +35,7 @@ pub struct SendFuture<'q, T: Send, Q: ConcurrentQueue<T>> {
     queue: &'q AsyncQueue<T, Q>,
     handle: Q::Handle<'q>,
     value: Option<T>,
-    slot: Option<Arc<WaiterSlot>>,
+    key: Option<WaitKey>,
 }
 
 // The futures never pin-project: fields are only ever used through plain
@@ -58,7 +57,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T>> SendFuture<'q, T, Q> {
             queue,
             handle,
             value: Some(value),
-            slot: None,
+            key: None,
         }
     }
 }
@@ -68,7 +67,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> Future for SendFuture<'_, T, Q> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let was_parked = this.queue.resolve_prior_sender(&mut this.slot);
+        let was_parked = this.queue.senders.resolve_prior(&mut this.key);
         let value = this
             .value
             .take()
@@ -80,20 +79,20 @@ impl<T: Send, Q: ConcurrentQueue<T>> Future for SendFuture<'_, T, Q> {
                 if was_parked {
                     this.queue.record_spurious_poll();
                 }
-                let slot = this.queue.register_sender(cx.waker().clone());
+                let key = this.queue.register(&this.queue.senders, cx.waker());
                 dekker_fence();
                 match this.queue.try_send_with(&mut this.handle, v) {
                     Ok(()) => {
-                        this.queue.resolve_sender_slot(slot);
+                        this.queue.resolve(&this.queue.senders, key);
                         Poll::Ready(Ok(()))
                     }
                     Err(TrySendError::Closed(v)) => {
-                        this.queue.resolve_sender_slot(slot);
+                        this.queue.resolve(&this.queue.senders, key);
                         Poll::Ready(Err(Closed(v)))
                     }
                     Err(TrySendError::Full(v)) => {
                         this.value = Some(v);
-                        this.slot = Some(slot);
+                        this.key = Some(key);
                         if was_parked {
                             // We consumed a wake token yet still see
                             // Full; the freed slot may be reachable only
@@ -110,8 +109,8 @@ impl<T: Send, Q: ConcurrentQueue<T>> Future for SendFuture<'_, T, Q> {
 
 impl<T: Send, Q: ConcurrentQueue<T>> Drop for SendFuture<'_, T, Q> {
     fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            self.queue.resolve_sender_slot(slot);
+        if let Some(key) = self.key.take() {
+            self.queue.resolve(&self.queue.senders, key);
         }
     }
 }
@@ -120,7 +119,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> Drop for SendFuture<'_, T, Q> {
 pub struct RecvFuture<'q, T: Send, Q: ConcurrentQueue<T>> {
     queue: &'q AsyncQueue<T, Q>,
     handle: Q::Handle<'q>,
-    slot: Option<Arc<WaiterSlot>>,
+    key: Option<WaitKey>,
 }
 
 impl<T: Send, Q: ConcurrentQueue<T>> Unpin for RecvFuture<'_, T, Q> {}
@@ -134,7 +133,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T>> RecvFuture<'q, T, Q> {
         Self {
             queue,
             handle,
-            slot: None,
+            key: None,
         }
     }
 }
@@ -144,7 +143,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> Future for RecvFuture<'_, T, Q> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let was_parked = this.queue.resolve_prior_receiver(&mut this.slot);
+        let was_parked = this.queue.receivers.resolve_prior(&mut this.key);
         match this.queue.try_recv_with(&mut this.handle) {
             RecvAttempt::Item(v) => Poll::Ready(Some(v)),
             RecvAttempt::Closed => Poll::Ready(None),
@@ -152,19 +151,19 @@ impl<T: Send, Q: ConcurrentQueue<T>> Future for RecvFuture<'_, T, Q> {
                 if was_parked {
                     this.queue.record_spurious_poll();
                 }
-                let slot = this.queue.register_receiver(cx.waker().clone());
+                let key = this.queue.register(&this.queue.receivers, cx.waker());
                 dekker_fence();
                 match this.queue.try_recv_with(&mut this.handle) {
                     RecvAttempt::Item(v) => {
-                        this.queue.resolve_receiver_slot(slot);
+                        this.queue.resolve(&this.queue.receivers, key);
                         Poll::Ready(Some(v))
                     }
                     RecvAttempt::Closed => {
-                        this.queue.resolve_receiver_slot(slot);
+                        this.queue.resolve(&this.queue.receivers, key);
                         Poll::Ready(None)
                     }
                     RecvAttempt::Empty => {
-                        this.slot = Some(slot);
+                        this.key = Some(key);
                         if was_parked {
                             // We consumed a wake token yet still see
                             // Empty; the item may sit in a lane ring
@@ -181,8 +180,8 @@ impl<T: Send, Q: ConcurrentQueue<T>> Future for RecvFuture<'_, T, Q> {
 
 impl<T: Send, Q: ConcurrentQueue<T>> Drop for RecvFuture<'_, T, Q> {
     fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            self.queue.resolve_receiver_slot(slot);
+        if let Some(key) = self.key.take() {
+            self.queue.resolve(&self.queue.receivers, key);
         }
     }
 }
@@ -198,7 +197,7 @@ pub struct SendBatchFuture<'q, T: Send, Q: ConcurrentQueue<T>> {
     /// The not-yet-enqueued suffix; `None` after completion.
     pending: Option<Vec<T>>,
     enqueued: usize,
-    slot: Option<Arc<WaiterSlot>>,
+    key: Option<WaitKey>,
 }
 
 impl<T: Send, Q: ConcurrentQueue<T>> Unpin for SendBatchFuture<'_, T, Q> {}
@@ -210,7 +209,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T>> SendBatchFuture<'q, T, Q> {
             handle: queue.inner().handle(),
             pending: Some(items),
             enqueued: 0,
-            slot: None,
+            key: None,
         }
     }
 
@@ -223,12 +222,12 @@ impl<'q, T: Send, Q: ConcurrentQueue<T>> SendBatchFuture<'q, T, Q> {
         match self.handle.enqueue_batch(items.into_iter()) {
             Ok(n) => {
                 self.enqueued += n;
-                self.queue.notify_receivers(n);
+                self.queue.notify(&self.queue.receivers, n);
                 Ok(Vec::new())
             }
             Err(partial) => {
                 self.enqueued += partial.enqueued;
-                self.queue.notify_receivers(partial.enqueued);
+                self.queue.notify(&self.queue.receivers, partial.enqueued);
                 Ok(partial.remaining)
             }
         }
@@ -243,7 +242,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> Future for SendBatchFuture<'_, T, Q> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let was_parked = this.queue.resolve_prior_sender(&mut this.slot);
+        let was_parked = this.queue.senders.resolve_prior(&mut this.key);
         let items = this
             .pending
             .take()
@@ -258,20 +257,20 @@ impl<T: Send, Q: ConcurrentQueue<T>> Future for SendBatchFuture<'_, T, Q> {
                 if was_parked {
                     this.queue.record_spurious_poll();
                 }
-                let slot = this.queue.register_sender(cx.waker().clone());
+                let key = this.queue.register(&this.queue.senders, cx.waker());
                 dekker_fence();
                 match this.attempt(rest) {
                     Err(e) => {
-                        this.queue.resolve_sender_slot(slot);
+                        this.queue.resolve(&this.queue.senders, key);
                         Poll::Ready(Err(e))
                     }
                     Ok(rest) if rest.is_empty() => {
-                        this.queue.resolve_sender_slot(slot);
+                        this.queue.resolve(&this.queue.senders, key);
                         Poll::Ready(Ok(this.enqueued))
                     }
                     Ok(rest) => {
                         this.pending = Some(rest);
-                        this.slot = Some(slot);
+                        this.key = Some(key);
                         if was_parked {
                             this.queue.forward_sender_token();
                         }
@@ -285,8 +284,8 @@ impl<T: Send, Q: ConcurrentQueue<T>> Future for SendBatchFuture<'_, T, Q> {
 
 impl<T: Send, Q: ConcurrentQueue<T>> Drop for SendBatchFuture<'_, T, Q> {
     fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            self.queue.resolve_sender_slot(slot);
+        if let Some(key) = self.key.take() {
+            self.queue.resolve(&self.queue.senders, key);
         }
     }
 }
@@ -296,7 +295,7 @@ pub struct RecvBatchFuture<'q, T: Send, Q: ConcurrentQueue<T>> {
     queue: &'q AsyncQueue<T, Q>,
     handle: Q::Handle<'q>,
     max: usize,
-    slot: Option<Arc<WaiterSlot>>,
+    key: Option<WaitKey>,
 }
 
 impl<T: Send, Q: ConcurrentQueue<T>> Unpin for RecvBatchFuture<'_, T, Q> {}
@@ -307,7 +306,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T>> RecvBatchFuture<'q, T, Q> {
             queue,
             handle: queue.inner().handle(),
             max,
-            slot: None,
+            key: None,
         }
     }
 
@@ -318,7 +317,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T>> RecvBatchFuture<'q, T, Q> {
         let mut out = Vec::new();
         let n = self.handle.dequeue_batch(&mut out, self.max);
         if n > 0 {
-            self.queue.notify_senders(n);
+            self.queue.notify(&self.queue.senders, n);
             Ok(out)
         } else {
             Err(closed)
@@ -333,7 +332,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> Future for RecvBatchFuture<'_, T, Q> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let was_parked = this.queue.resolve_prior_receiver(&mut this.slot);
+        let was_parked = this.queue.receivers.resolve_prior(&mut this.key);
         if this.max == 0 {
             return Poll::Ready(Vec::new());
         }
@@ -344,19 +343,19 @@ impl<T: Send, Q: ConcurrentQueue<T>> Future for RecvBatchFuture<'_, T, Q> {
                 if was_parked {
                     this.queue.record_spurious_poll();
                 }
-                let slot = this.queue.register_receiver(cx.waker().clone());
+                let key = this.queue.register(&this.queue.receivers, cx.waker());
                 dekker_fence();
                 match this.attempt() {
                     Ok(out) => {
-                        this.queue.resolve_receiver_slot(slot);
+                        this.queue.resolve(&this.queue.receivers, key);
                         Poll::Ready(out)
                     }
                     Err(true) => {
-                        this.queue.resolve_receiver_slot(slot);
+                        this.queue.resolve(&this.queue.receivers, key);
                         Poll::Ready(Vec::new())
                     }
                     Err(false) => {
-                        this.slot = Some(slot);
+                        this.key = Some(key);
                         if was_parked {
                             this.queue.forward_receiver_token();
                         }
@@ -370,8 +369,8 @@ impl<T: Send, Q: ConcurrentQueue<T>> Future for RecvBatchFuture<'_, T, Q> {
 
 impl<T: Send, Q: ConcurrentQueue<T>> Drop for RecvBatchFuture<'_, T, Q> {
     fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            self.queue.resolve_receiver_slot(slot);
+        if let Some(key) = self.key.take() {
+            self.queue.resolve(&self.queue.receivers, key);
         }
     }
 }

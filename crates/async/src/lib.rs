@@ -10,14 +10,15 @@
 //!
 //! * `try_send`/`try_recv` and the first attempt of every future go
 //!   straight to the wrapped queue. A waiter registry (see [`waiters`],
-//!   two Treiber-style stacks of cache-padded waker slots) is touched
-//!   only *after* a failed attempt, mirroring the blocking adapter's
-//!   "lock only after failure" structure.
+//!   one FIFO list of wakers per direction behind a short lock) is
+//!   touched only *after* a failed attempt, mirroring the blocking
+//!   adapter's "lock only after failure" structure; a notifier takes
+//!   the lock only after it has seen a waiter counted.
 //! * The lost-wakeup race is closed with the classic two-phase protocol:
 //!   a future that fails registers its waker, issues a `SeqCst` fence,
 //!   and re-tries once before returning `Pending`; a successful operation
 //!   issues the same fence before scanning for a waiter to wake.
-//! * Dropping a pending future deregisters its waker slot. If the drop
+//! * Dropping a pending future deregisters its waker entry. If the drop
 //!   races a wake, the consumed wake token is passed to a peer, so
 //!   cancellation (`tokio::time::timeout`, `select`, task aborts) never
 //!   strands another waiter.
@@ -48,12 +49,11 @@ pub use nbq_util::queue::{BatchFull, Closed, Full, TrySendError};
 #[cfg(feature = "futures-io")]
 pub use sinkstream::{RecvStream, SendSink};
 
-use crate::waiters::{dekker_fence, WaiterRegistry, WaiterSlot};
+use crate::waiters::{dekker_fence, WaitKey, WaiterRegistry};
 use nbq_core::OpStats;
 use nbq_util::queue::{ConcurrentQueue, QueueHandle};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::task::Waker;
 
 /// Outcome of one non-blocking receive attempt (internal three-way split;
@@ -72,13 +72,10 @@ pub(crate) enum RecvAttempt<T> {
 pub struct AsyncQueue<T: Send, Q: ConcurrentQueue<T>> {
     inner: Q,
     /// Futures parked on a full queue.
-    senders: WaiterRegistry,
+    pub(crate) senders: WaiterRegistry,
     /// Futures parked on an empty queue.
-    receivers: WaiterRegistry,
+    pub(crate) receivers: WaiterRegistry,
     closed: AtomicBool,
-    /// Waker slots allocated and not yet reclaimed, across both
-    /// registries (see [`AsyncQueue::live_waiters`]).
-    live: Arc<AtomicUsize>,
     stats: Option<Box<OpStats>>,
     _marker: PhantomData<fn(T) -> T>,
 }
@@ -96,13 +93,11 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     }
 
     fn build(inner: Q, stats: bool) -> Self {
-        let live = Arc::new(AtomicUsize::new(0));
         Self {
             inner,
-            senders: WaiterRegistry::new(live.clone()),
-            receivers: WaiterRegistry::new(live.clone()),
+            senders: WaiterRegistry::new(),
+            receivers: WaiterRegistry::new(),
             closed: AtomicBool::new(false),
-            live,
             stats: stats.then(|| Box::new(OpStats::default())),
             _marker: PhantomData,
         }
@@ -181,12 +176,11 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
         }
     }
 
-    /// Waker slots currently allocated (parked futures plus cancelled
-    /// slots awaiting lazy pruning). Quiesces to zero once every future
-    /// is resolved or dropped and the registries have been drained — the
-    /// leak probe the cancellation tests assert on.
+    /// Parked futures across both directions. Quiesces to zero once
+    /// every future is resolved or dropped — the leak probe the
+    /// cancellation tests assert on.
     pub fn live_waiters(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
+        self.senders.len() + self.receivers.len()
     }
 
     /// Whether [`AsyncQueue::close`] has been called.
@@ -204,10 +198,8 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
         let was_closed = self.closed.swap(true, Ordering::SeqCst);
         if !was_closed {
             dekker_fence();
-            let woke = self.senders.wake_all() + self.receivers.wake_all();
-            if let Some(s) = self.stats() {
-                s.waker_wakes.fetch_add(woke, Ordering::Relaxed);
-            }
+            self.broadcast(&self.senders);
+            self.broadcast(&self.receivers);
         }
         !was_closed
     }
@@ -320,7 +312,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
         }
         match h.enqueue(value) {
             Ok(()) => {
-                self.notify_receivers(1);
+                self.notify(&self.receivers, 1);
                 Ok(())
             }
             Err(Full(v)) => Err(TrySendError::Full(v)),
@@ -333,7 +325,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
         let closed = self.is_closed();
         match h.dequeue() {
             Some(v) => {
-                self.notify_senders(1);
+                self.notify(&self.senders, 1);
                 RecvAttempt::Item(v)
             }
             None if closed => RecvAttempt::Closed,
@@ -341,121 +333,48 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
         }
     }
 
-    /// Wakes up to `freed` parked receivers after successful enqueues.
-    pub(crate) fn notify_receivers(&self, freed: usize) {
-        Self::notify(&self.receivers, freed, self.stats());
-    }
-
-    /// Wakes up to `freed` parked senders after successful dequeues.
-    pub(crate) fn notify_senders(&self, freed: usize) {
-        Self::notify(&self.senders, freed, self.stats());
-    }
-
-    fn notify(registry: &WaiterRegistry, n: usize, stats: Option<&OpStats>) {
+    /// Wakes up to `n` futures parked in `registry` after `n` successful
+    /// operations freed items (receivers) or capacity (senders).
+    pub(crate) fn notify(&self, registry: &WaiterRegistry, n: usize) {
         if n == 0 {
             return;
         }
         // Notifier half of the lost-wakeup protocol: the operation that
         // freed capacity/items happens-before this fence, the fence
         // before the registry's waiting count. With no waiter counted,
-        // the first `wake_one` returns at once: no head swap, no banked
-        // token.
+        // the first `wake_one` returns at once, without the lock.
         dekker_fence();
-        let mut woke = 0u64;
-        for _ in 0..n {
-            if registry.wake_one() {
-                woke += 1;
-            } else {
-                break;
-            }
-        }
-        if woke > 0 {
-            if let Some(s) = stats {
-                s.waker_wakes.fetch_add(woke, Ordering::Relaxed);
-            }
-        }
+        let woke = (0..n).take_while(|_| registry.wake_one()).count() as u64;
+        self.record_wakes(woke);
     }
 
-    /// Parks a sender: arms a waker slot on the full-queue side.
-    pub(crate) fn register_sender(&self, waker: Waker) -> Arc<WaiterSlot> {
-        if let Some(s) = self.stats() {
-            s.record_waker_registration();
-        }
-        self.senders.register(waker)
+    /// Wakes every future parked in `registry`.
+    fn broadcast(&self, registry: &WaiterRegistry) {
+        self.record_wakes(registry.wake_all());
     }
 
-    /// Parks a receiver: arms a waker slot on the empty-queue side.
-    pub(crate) fn register_receiver(&self, waker: Waker) -> Arc<WaiterSlot> {
-        if let Some(s) = self.stats() {
-            s.record_waker_registration();
-        }
-        self.receivers.register(waker)
-    }
-
-    /// Retires a sender slot whose future resolved or dropped. If a wake
-    /// beat the cancellation, the consumed token is passed to a peer so
-    /// no other sender sleeps through the freed capacity.
-    pub(crate) fn resolve_sender_slot(&self, slot: Arc<WaiterSlot>) {
-        if !self.senders.cancel(&slot) {
-            Self::notify(&self.senders, 1, self.stats());
-        } else if self.is_closed() {
-            self.drain_after_close(&self.senders);
-        }
-    }
-
-    /// Receiver-side analogue of [`AsyncQueue::resolve_sender_slot`].
-    pub(crate) fn resolve_receiver_slot(&self, slot: Arc<WaiterSlot>) {
-        if !self.receivers.cancel(&slot) {
-            Self::notify(&self.receivers, 1, self.stats());
-        } else if self.is_closed() {
-            self.drain_after_close(&self.receivers);
-        }
-    }
-
-    /// Resolves a sender slot carried over from a previous `Pending`
-    /// poll. Returns whether the future had been parked (so a failed
-    /// re-attempt is a *spurious poll* in the stats' sense). A failed
-    /// cancel means a notifier claimed the slot: the poll now holds a
-    /// wake token, which the attempt that follows consumes (on success)
-    /// or effectively re-arms (by re-registering).
-    pub(crate) fn resolve_prior_sender(&self, slot: &mut Option<Arc<WaiterSlot>>) -> bool {
-        match slot.take() {
-            Some(prior) => {
-                if self.senders.cancel(&prior) && self.is_closed() {
-                    self.drain_after_close(&self.senders);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Receiver-side analogue of [`AsyncQueue::resolve_prior_sender`].
-    pub(crate) fn resolve_prior_receiver(&self, slot: &mut Option<Arc<WaiterSlot>>) -> bool {
-        match slot.take() {
-            Some(prior) => {
-                if self.receivers.cancel(&prior) && self.is_closed() {
-                    self.drain_after_close(&self.receivers);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Sweeps a registry after close. A slot registered *after* `close`'s
-    /// final `wake_all` would otherwise sit cancelled on the stack until
-    /// the queue drops — no further notify ever walks over it — so the
-    /// resolving future prunes its own registry on the way out. Post-close
-    /// every registrant resolves without parking (its re-attempt sees the
-    /// closed flag), so any `WAITING` slot swept here belongs to a future
-    /// that is about to resolve on its own and never needed the wake.
-    fn drain_after_close(&self, registry: &WaiterRegistry) {
-        let woke = registry.wake_all();
+    fn record_wakes(&self, woke: u64) {
         if woke > 0 {
             if let Some(s) = self.stats() {
                 s.waker_wakes.fetch_add(woke, Ordering::Relaxed);
             }
+        }
+    }
+
+    /// Parks a future in `registry` (senders or receivers).
+    pub(crate) fn register(&self, registry: &WaiterRegistry, waker: &Waker) -> WaitKey {
+        if let Some(s) = self.stats() {
+            s.record_waker_registration();
+        }
+        registry.register(waker.clone())
+    }
+
+    /// Retires the entry of a future that resolved or dropped. If a wake
+    /// beat the cancellation, the consumed token is passed to a peer so
+    /// no other waiter sleeps through the freed item or capacity.
+    pub(crate) fn resolve(&self, registry: &WaiterRegistry, key: WaitKey) {
+        if !registry.cancel(key) {
+            self.notify(registry, 1);
         }
     }
 
@@ -475,22 +394,17 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     /// consumer seat ([`ShardedQueue`]'s claim rules) — and `notify`
     /// picks a waiter with no knowledge of which future that is. When
     /// the token lands on a waiter that cannot make progress, a one-shot
-    /// handoff could ping-pong among equally-stuck peers (the registry
-    /// is LIFO), so the rescue is a broadcast: every parked receiver
-    /// re-polls, the capable one drains the item, and the broadcast
-    /// cannot recur once `len()` reads empty. The cost is a thundering
-    /// herd on a path that requires a mis-delivered token to reach at
-    /// all.
+    /// handoff would visit the stuck peers one reschedule at a time, and
+    /// cycle among them while the capable future is not parked, so the
+    /// rescue is a broadcast: every parked receiver re-polls, the capable
+    /// one drains the item, and the broadcast cannot recur once `len()`
+    /// reads empty. The cost is a thundering herd on a path that requires
+    /// a mis-delivered token to reach at all.
     ///
     /// [`ShardedQueue`]: nbq_core::ShardedQueue
     pub(crate) fn forward_receiver_token(&self) {
         if self.len().is_some_and(|n| n > 0) {
-            let woke = self.receivers.wake_all();
-            if woke > 0 {
-                if let Some(s) = self.stats() {
-                    s.waker_wakes.fetch_add(woke, Ordering::Relaxed);
-                }
-            }
+            self.broadcast(&self.receivers);
         }
     }
 
@@ -504,12 +418,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     pub(crate) fn forward_sender_token(&self) {
         if let (Some(len), Some(cap)) = (self.len(), self.capacity()) {
             if len < cap {
-                let woke = self.senders.wake_all();
-                if woke > 0 {
-                    if let Some(s) = self.stats() {
-                        s.waker_wakes.fetch_add(woke, Ordering::Relaxed);
-                    }
-                }
+                self.broadcast(&self.senders);
             }
         }
     }

@@ -438,12 +438,58 @@ fn cancelled_slots_leave_the_registry_at_once() {
     assert_eq!(wake.count(), 0, "nothing was ever notified");
 }
 
+/// Parked receivers are woken in the order they parked: one send wakes
+/// the longest-parked receiver, and none of the others.
+#[test]
+fn parked_receivers_wake_in_fifo_order() {
+    let q = channel(8);
+    let parked: Vec<_> = (0..3)
+        .map(|_| {
+            let (wake, waker) = CountWake::pair();
+            let mut fut = q.recv();
+            assert!(poll_once(&mut fut, &waker).is_pending());
+            (wake, fut)
+        })
+        .collect();
+    for (i, v) in (0..3u64).enumerate() {
+        q.try_send(v).expect("open channel with room");
+        let woken: Vec<usize> = parked.iter().map(|(w, _)| w.count()).collect();
+        let expected: Vec<usize> = (0..3).map(|j| usize::from(j <= i)).collect();
+        assert_eq!(woken, expected, "send {v} must wake receiver {i} next");
+    }
+    drop(parked);
+    assert_eq!(q.live_waiters(), 0);
+}
+
+/// A future dropped after it was woken but before it re-polled (a
+/// `select` loser) holds a wake token; its drop must pass the token on,
+/// or the other parked receiver sleeps beside the item.
+#[test]
+fn a_dropped_woken_receiver_passes_its_token_on() {
+    let q = channel(8);
+    let (wake_a, waker_a) = CountWake::pair();
+    let (wake_b, waker_b) = CountWake::pair();
+    let mut fut_a = q.recv();
+    let mut fut_b = q.recv();
+    assert!(poll_once(&mut fut_a, &waker_a).is_pending());
+    assert!(poll_once(&mut fut_b, &waker_b).is_pending());
+    q.try_send(7).expect("open channel with room");
+    assert_eq!((wake_a.count(), wake_b.count()), (1, 0), "A parked first");
+    drop(fut_a);
+    assert_eq!(wake_b.count(), 1, "A's drop must hand its token to B");
+    match poll_once(&mut fut_b, &waker_b) {
+        std::task::Poll::Ready(Some(v)) => assert_eq!(v, 7),
+        other => panic!("B should take the item, got {other:?}"),
+    }
+    assert_eq!(q.live_waiters(), 0);
+}
+
 /// A wake token delivered to a receiver that cannot reach the item (its
 /// handle is pinned to a different lane) must be forwarded to the peers
 /// instead of dying with the re-park — otherwise the only capable
 /// receiver sleeps forever over a non-empty queue. Manual polls make
-/// the misdelivery deterministic: the waiter registry wakes LIFO, so
-/// the later-registered wrong receiver gets the token first.
+/// the misdelivery deterministic: the waiter registry wakes FIFO, so
+/// the earlier-registered wrong receiver gets the token first.
 #[test]
 fn misdelivered_recv_token_is_forwarded_to_the_pinned_peer() {
     use nbq_core::{ShardedConfig, ShardedQueue};
@@ -455,18 +501,18 @@ fn misdelivered_recv_token_is_forwarded_to_the_pinned_peer() {
     let (wake_a, waker_a) = CountWake::pair();
     let (wake_b, waker_b) = CountWake::pair();
 
-    // A parks pinned to lane 0; B parks pinned to lane 1 (registered
-    // second — LIFO top, so B receives the next token).
+    // B parks pinned to lane 1, then A pinned to lane 0 (B registered
+    // first — FIFO head, so B receives the next token).
     let mut fut_a = q.recv_with_handle(q.inner().handle_pinned(0));
     let mut fut_b = q.recv_with_handle(q.inner().handle_pinned(1));
-    assert!(poll_once(&mut fut_a, &waker_a).is_pending());
     assert!(poll_once(&mut fut_b, &waker_b).is_pending());
+    assert!(poll_once(&mut fut_a, &waker_a).is_pending());
 
     // An item lands in lane 0 — only A can take it, but the token goes
     // to B.
     let mut producer = q.inner().handle_pinned(0);
     q.try_send_with_handle(&mut producer, 42).expect("send");
-    assert!(wake_b.count() >= 1, "LIFO token should reach B first");
+    assert!(wake_b.count() >= 1, "FIFO token should reach B first");
     assert_eq!(wake_a.count(), 0, "token misdelivered past A");
 
     // B re-polls, still sees its empty lane, and must forward the token
@@ -508,8 +554,9 @@ fn misdelivered_send_token_is_forwarded_to_the_pinned_peer() {
     let (wake_b, waker_b) = CountWake::pair();
     let mut fut_a = q.send_with_handle(q.inner().handle_pinned(0), 100);
     let mut fut_b = q.send_with_handle(q.inner().handle_pinned(1), 200);
-    assert!(poll_once(&mut fut_a, &waker_a).is_pending());
+    // B parks first, so it heads the FIFO list.
     assert!(poll_once(&mut fut_b, &waker_b).is_pending());
+    assert!(poll_once(&mut fut_a, &waker_a).is_pending());
 
     // Drain one item from lane 0: the freed slot is A's, the token B's.
     let mut fut_r = q.recv_with_handle(q.inner().handle_pinned(0));
@@ -518,7 +565,7 @@ fn misdelivered_send_token_is_forwarded_to_the_pinned_peer() {
         Poll::Ready(Some(_)) => {}
         other => panic!("lane 0 held items, got {other:?}"),
     }
-    assert!(wake_b.count() >= 1, "LIFO token should reach B first");
+    assert!(wake_b.count() >= 1, "FIFO token should reach B first");
     assert_eq!(wake_a.count(), 0, "token misdelivered past A");
 
     assert!(poll_once(&mut fut_b, &waker_b).is_pending());

@@ -654,7 +654,7 @@ const ASYNC: Frontend = Frontend::Async {
 /// Reported in Mops/s. The interesting contrast is *cost of parking*:
 /// the raw rows spin (cheapest under this balanced workload), the
 /// blocking rows pay a mutex+condvar per park, the async rows pay a
-/// lock-free waiter-slot push plus an executor reschedule. Async rows
+/// waiter-list push plus an executor reschedule. Async rows
 /// run on the vendored tokio stand-in's work-stealing scheduler
 /// (per-worker run queues + LIFO slots; see [`async_latency`] for the
 /// scheduler-mode comparison and the latency distributions behind these

@@ -515,8 +515,17 @@ mod tests {
                     let mut l = m.register();
                     let mut done = 0;
                     while done < OPS {
-                        let va = l.read(a);
-                        let vb = l.read(b);
+                        // Two reads are no snapshot: a peer's `cas2` can
+                        // land between them. Values only grow, so an
+                        // unchanged re-read of `a` brackets `b`'s read
+                        // within one state of the pair.
+                        let (va, vb) = loop {
+                            let va = l.read(a);
+                            let vb = l.read(b);
+                            if l.read(a) == va {
+                                break (va, vb);
+                            }
+                        };
                         assert_eq!(va, vb, "atomicity violated");
                         if l.cas2(a, va, va + 4, b, vb, vb + 4) {
                             done += 1;

@@ -6,8 +6,9 @@
 //!
 //! The paper's queues never block — [`AsyncQueue`] keeps it that way
 //! while adding async channel ergonomics: a full `send` or empty `recv`
-//! parks the *task* in a lock-free waiter registry (no mutex anywhere on
-//! the path) and the executor's worker thread moves on. This example
+//! parks the *task* in a waiter registry (its lock is taken only on the
+//! parking path, never by the queue's own operations) and the executor's
+//! worker thread moves on. This example
 //! runs a classic fan-in/fan-out pipeline on the tokio runtime:
 //!
 //! ```text

@@ -98,13 +98,13 @@
 //! reserved word) turns any of the queues above into an async MPMC
 //! channel: `send().await` parks the task when the queue is full,
 //! `recv().await` when it is empty, with wakeups flowing through a
-//! lock-free waiter registry instead of a mutex — the queue's
-//! non-blocking hot path is untouched and the frontend never adds a
-//! lock. Futures are cancellation-safe (dropping one deregisters its
-//! waker slot), `close()` wakes every parked task, and `Stream`/`Sink`
-//! adapters are available behind the `futures-io` feature of
-//! `nbq-async`. See `DESIGN.md` §9 for the registry's wake-token
-//! protocol.
+//! FIFO waiter list per direction. The list's short lock sits on the
+//! parking path only — the queue's non-blocking hot path is untouched
+//! and takes no lock. Futures are cancellation-safe (dropping one
+//! deregisters its waker), `close()` wakes every parked task, and
+//! `Stream`/`Sink` adapters are available behind the `futures-io`
+//! feature of `nbq-async`. See `DESIGN.md` §9 for the registry's
+//! wake-token protocol.
 //!
 //! ```
 //! use nbq::prelude::*;
