@@ -394,7 +394,7 @@ fn net(args: &Args) {
     // 20 stop-and-wait messages per publisher: enough cycles per
     // connection to populate the p999 bucket at the default sweep
     // without dragging out the 4-backbone run.
-    let (tput, lat) = experiments::net(&args.connections, 20);
+    let (tput, lat) = experiments::net(&args.connections, 20, args.config.runs);
     args.emit(&tput);
     args.emit(&lat);
     println!(

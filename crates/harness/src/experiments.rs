@@ -13,6 +13,7 @@ use crate::workload::{
 };
 use nbq_core::LanePolicy::{Mpmc, MpscFastPath, SpmcFastPath, SpscFastPath};
 use nbq_core::{GatePolicy, OpStatsSnapshot};
+use nbq_util::stats::Summary;
 use nbq_util::LatencyHistogram;
 
 /// The paper's §6 loop on the raw queue.
@@ -43,6 +44,15 @@ fn mops(r: &RunReport) -> Cell {
 /// One exact cell per measurement.
 fn cells<R>(measured: &[R], value: impl Fn(&R) -> f64) -> Vec<Cell> {
     measured.iter().map(|m| Cell::exact(value(m))).collect()
+}
+
+/// One cell per column: the mean and spread of `value` over the
+/// column's runs.
+fn spread<R>(columns: &[Vec<R>], value: impl Fn(&R) -> f64) -> Vec<Cell> {
+    columns
+        .iter()
+        .map(|runs| Cell::from(Summary::of(&runs.iter().map(&value).collect::<Vec<_>>())))
+        .collect()
 }
 
 /// Sweeps `algos` over `thread_counts` under the paper workload.
@@ -977,8 +987,13 @@ pub fn arity(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
 /// (`ext-net-lat`: publish→deliver e2e and PUB→ACK RTT p50/p99/p999,
 /// µs) for the four backbones: the paper's CAS and LL/SC queues and the
 /// SCQ/wCQ modern rivals. Lane capacity is fixed at 128 so protocol
-/// backpressure actually engages at the default fan-in.
-pub fn net(connection_counts: &[usize], messages_per_publisher: usize) -> (Table, Table) {
+/// backpressure actually engages at the default fan-in. Every cell is
+/// the mean and standard deviation of `runs` runs (at least one).
+pub fn net(
+    connection_counts: &[usize],
+    messages_per_publisher: usize,
+    runs: usize,
+) -> (Table, Table) {
     use nbq_baselines::{ScqQueue, WcqQueue};
     use nbq_core::{CasQueue, LlScQueue};
     use nbq_net::{run_workload_net, NetConfig, NetMsg, NetReport};
@@ -1019,26 +1034,27 @@ pub fn net(connection_counts: &[usize], messages_per_publisher: usize) -> (Table
     ];
     type HistPick = fn(&NetReport) -> &LatencyHistogram;
     for (name, run) in backbones {
-        let reports: Vec<NetReport> = connection_counts
+        let reports: Vec<Vec<NetReport>> = connection_counts
             .iter()
             .map(|&connections| {
-                run(NetConfig {
+                let cfg = NetConfig {
                     connections,
                     messages_per_publisher,
                     ..NetConfig::default()
-                })
+                };
+                (0..runs.max(1)).map(|_| run(cfg)).collect()
             })
             .collect();
-        let delivered = cells(&reports, |r| r.throughput() / 1e3);
+        let delivered = spread(&reports, |r| r.throughput() / 1e3);
         tput.push_row(&format!("{name} delivered (kmsg/s)"), delivered);
-        let busy = cells(&reports, |r| {
+        let busy = spread(&reports, |r| {
             r.broker.busy as f64 * 1e3 / r.published.max(1) as f64
         });
         tput.push_row(&format!("{name} busy/kmsg"), busy);
         let picks: [(&str, HistPick); 2] = [("e2e", |r| &r.e2e), ("ack rtt", |r| &r.ack_rtt)];
         for (op, pick) in picks {
             for (q_label, q) in [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)] {
-                let us = cells(&reports, |r| pick(r).quantile_ns(q) as f64 / 1e3);
+                let us = spread(&reports, |r| pick(r).quantile_ns(q) as f64 / 1e3);
                 lat.push_row(&format!("{name} {op} {q_label} (us)"), us);
             }
         }
@@ -1406,7 +1422,7 @@ mod tests {
 
     #[test]
     fn net_tables_cover_all_four_backbones() {
-        let (tput, lat) = net(&[8], 3);
+        let (tput, lat) = net(&[8], 3, 2);
         assert_eq!(tput.id, "ext-net");
         assert_eq!(lat.id, "ext-net-lat");
         // 2 throughput rows and 6 quantile rows per backbone.
@@ -1418,6 +1434,9 @@ mod tests {
             let p50 = lat.cell(&format!("{name} e2e p50 (us)"), 8).unwrap();
             let p999 = lat.cell(&format!("{name} e2e p999 (us)"), 8).unwrap();
             assert!(p50.mean <= p999.mean, "{name} quantiles out of order");
+            // Two runs per cell, and two runs never time identically: a
+            // zero spread would mean `runs` was ignored.
+            assert!(row.stddev > 0.0, "{name} throughput has no spread");
         }
     }
 }

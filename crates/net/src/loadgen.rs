@@ -131,10 +131,13 @@ where
         // the small lane capacities spend the whole warmup in BUSY).
         let mut sub_streams: Vec<Arc<Async<TcpStream>>> = Vec::with_capacity(pairs);
         let mut sub_tasks = Vec::with_capacity(pairs);
+        let mut connected = 0;
         for pair in 0..pairs {
             let topic = format!("t{}", pair % topics);
             let stream = Arc::new(
-                Async::connect(reactor.clone(), addr).expect("subscriber connect"),
+                connect_within_backlog(&broker, addr, &mut connected)
+                    .await
+                    .expect("subscriber connect"),
             );
             stream
                 .write_all(&frame::encode(&Frame::Sub { topic }))
@@ -149,7 +152,9 @@ where
         let mut pub_tasks = Vec::with_capacity(pairs);
         for pair in 0..pairs {
             let topic = format!("t{}", pair % topics);
-            let stream = Async::connect(reactor.clone(), addr).expect("publisher connect");
+            let stream = connect_within_backlog(&broker, addr, &mut connected)
+                .await
+                .expect("publisher connect");
             let shared = shared.clone();
             pub_tasks.push(tokio::spawn(publisher(
                 stream,
@@ -209,6 +214,30 @@ where
             broker: broker.stats(),
         }
     })
+}
+
+/// Connections the generator lets run ahead of the broker's accept
+/// loop. `Async::bind` listens with std's backlog of 128; once the accept
+/// queue overflows the kernel drops the SYN and retries it only after
+/// 1 s, so a run would time that retransmit instead of the broker.
+const MAX_UNACCEPTED: u64 = 64;
+
+/// Connects to the broker at `addr` once it has accepted all but
+/// `MAX_UNACCEPTED` of the `connected` connections made so far.
+async fn connect_within_backlog<F>(
+    broker: &Broker<F>,
+    addr: std::net::SocketAddr,
+    connected: &mut u64,
+) -> std::io::Result<Async<TcpStream>>
+where
+    F: LaneFactory<NetMsg> + Send + 'static,
+    F::Lane: Send + Sync + 'static,
+{
+    while *connected >= broker.stats().connections + MAX_UNACCEPTED {
+        tokio::time::sleep(Duration::from_micros(100)).await;
+    }
+    *connected += 1;
+    Async::connect(broker.reactor().clone(), addr)
 }
 
 async fn publisher(

@@ -14,22 +14,33 @@
 //! Registration is once-per-socket with the full interest set
 //! (`IN | OUT | RDHUP`, edge-triggered): there is no `EPOLL_CTL_MOD`
 //! churn on the hot path. Each socket's [`IoEntry`] carries a readiness
-//! word that edge events OR into, and per-direction waker cells. IO
-//! paths consume readiness only when the kernel says `WouldBlock`, so a
-//! spurious edge costs one extra syscall, never a lost event.
+//! word that edge events OR into, and per-direction waker cells. The
+//! word also counts dispatches (a tick, as in tokio's `ScheduledIo`): an
+//! IO path snapshots the word before its syscall and, after a
+//! `WouldBlock` or a short transfer, clears its bit only if no edge was
+//! dispatched since the snapshot. A clear bit then parks without a
+//! syscall, a stale edge costs at most one failed syscall, and no event
+//! is lost. Hang-up and error edges also set a sticky read-closed bit,
+//! so EOF that arrived with the data a short read consumed still
+//! resolves.
 
 use crate::sys;
 use std::collections::HashMap;
 use std::io;
 use std::os::unix::io::RawFd;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::Waker;
 use std::time::Duration;
 
 /// Readiness bits in [`IoEntry::readiness`].
-pub(crate) const READ_READY: u32 = 0b01;
-pub(crate) const WRITE_READY: u32 = 0b10;
+pub(crate) const READ_READY: u64 = 0b001;
+pub(crate) const WRITE_READY: u64 = 0b010;
+/// Sticky: the peer hung up or the socket errored, so reads never block
+/// again (they return EOF or the error). Never cleared.
+pub(crate) const READ_CLOSED: u64 = 0b100;
+/// One dispatch in the tick field above the readiness bits.
+const TICK: u64 = 1 << 8;
 
 /// The eventfd's reserved token; sockets start at 1.
 const WAKE_TOKEN: u64 = 0;
@@ -39,17 +50,24 @@ const WAKE_TOKEN: u64 = 0;
 ///
 /// [`Async`]: crate::conn::Async
 pub(crate) struct IoEntry {
-    /// OR-accumulated edge readiness; IO paths clear bits only after a
-    /// `WouldBlock`, then retry if the bit was set (the edge raced in).
-    readiness: AtomicU32,
+    /// OR-accumulated edge readiness in the low bits, the dispatch tick
+    /// above them. IO paths clear a bit only while the tick still equals
+    /// their pre-syscall snapshot's.
+    readiness: AtomicU64,
     read_waker: Mutex<Option<Waker>>,
     write_waker: Mutex<Option<Waker>>,
 }
 
 impl IoEntry {
-    /// Sets readiness bits and wakes the parked sides. Dispatch-side.
-    fn dispatch(&self, bits: u32) {
-        self.readiness.fetch_or(bits, Ordering::Release);
+    /// Sets readiness bits, advances the tick and wakes the parked sides.
+    /// Dispatch-side. Bits and tick move in one RMW: a clear that sees
+    /// the old tick happens before it and so cannot erase its bits.
+    fn dispatch(&self, bits: u64) {
+        let _ = self
+            .readiness
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |r| {
+                Some((r | bits).wrapping_add(TICK))
+            });
         if bits & READ_READY != 0 {
             let w = self
                 .read_waker
@@ -72,19 +90,37 @@ impl IoEntry {
         }
     }
 
-    /// Consumes a readiness bit after a `WouldBlock`. Returns whether it
-    /// was set — i.e. whether an edge arrived since the failed syscall
-    /// and the caller should retry instead of parking.
-    pub(crate) fn clear_ready(&self, bit: u32) -> bool {
-        self.readiness.fetch_and(!bit, Ordering::AcqRel) & bit != 0
+    /// The readiness word, taken before an IO attempt.
+    pub(crate) fn snapshot(&self) -> u64 {
+        self.readiness.load(Ordering::Acquire)
     }
 
-    /// Parks `waker` on one direction. The caller must re-try the IO
-    /// after this (two-phase, same shape as the channel futures): an
-    /// edge dispatched between the `WouldBlock` and this registration
-    /// has already set the readiness bit, which the retry's
-    /// [`clear_ready`](IoEntry::clear_ready) observes.
-    pub(crate) fn register(&self, bit: u32, waker: &Waker) {
+    /// Whether `snapshot` lets direction `bit` try a syscall: its edge
+    /// bit is set, or (for reads) the peer has hung up.
+    pub(crate) fn is_ready(snapshot: u64, bit: u64) -> bool {
+        let sticky = if bit == READ_READY { READ_CLOSED } else { 0 };
+        snapshot & (bit | sticky) != 0
+    }
+
+    /// Consumes `bit` after a `WouldBlock` or a short transfer that
+    /// started at `snapshot`. Returns `false`, leaving the bit set, when
+    /// an edge was dispatched since the snapshot: the caller must retry
+    /// rather than park, since the syscall may predate that edge's data.
+    pub(crate) fn clear_ready(&self, bit: u64, snapshot: u64) -> bool {
+        let tick = snapshot & !(TICK - 1);
+        self.readiness
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |r| {
+                (r & !(TICK - 1) == tick).then_some(r & !bit)
+            })
+            .is_ok()
+    }
+
+    /// Parks `waker` on one direction. The caller must re-check readiness
+    /// after this (two-phase, same shape as the channel futures): an edge
+    /// dispatched before the registration has already set the bit and
+    /// advanced the tick, which the re-check observes; one dispatched
+    /// after it finds the waker.
+    pub(crate) fn register(&self, bit: u64, waker: &Waker) {
         let cell = if bit == READ_READY {
             &self.read_waker
         } else {
@@ -151,7 +187,7 @@ impl Reactor {
             // Born ready: the first IO attempt goes straight to the
             // syscall anyway, and an already-readable socket registered
             // after its data arrived produces no future edge.
-            readiness: AtomicU32::new(READ_READY | WRITE_READY),
+            readiness: AtomicU64::new(READ_READY | WRITE_READY),
             read_waker: Mutex::new(None),
             write_waker: Mutex::new(None),
         });
@@ -185,6 +221,8 @@ impl Reactor {
     /// path and the tests.
     fn turn(&self, timeout: Option<Duration>) {
         let timeout_ms: i32 = match timeout {
+            // A spinning worker's non-blocking turn.
+            Some(t) if t.is_zero() => 0,
             // Round up so a 100µs deadline doesn't spin at timeout 0.
             Some(t) => t.as_millis().saturating_add(1).min(i32::MAX as u128) as i32,
             None => -1,
@@ -215,6 +253,9 @@ impl Reactor {
             let mut bits = 0;
             if events & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
                 bits |= READ_READY;
+            }
+            if events & (sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
+                bits |= READ_CLOSED;
             }
             if events & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
                 bits |= WRITE_READY;
@@ -300,8 +341,10 @@ mod tests {
         let (_token, entry) = reactor.register(server.as_raw_fd()).expect("register");
         // Drain the born-ready bits so the next READ_READY can only come
         // from a dispatched edge.
-        entry.clear_ready(READ_READY);
-        entry.clear_ready(WRITE_READY);
+        let born = entry.snapshot();
+        assert!(entry.clear_ready(READ_READY, born));
+        assert!(entry.clear_ready(WRITE_READY, born));
+        assert!(!IoEntry::is_ready(entry.snapshot(), READ_READY));
 
         let woken = Arc::new(std::sync::atomic::AtomicBool::new(false));
         struct FlagWake(Arc<std::sync::atomic::AtomicBool>);
@@ -317,7 +360,14 @@ mod tests {
         // One reactor turn must pick up the edge and fire the waker.
         reactor.turn(Some(Duration::from_secs(5)));
         assert!(woken.load(Ordering::Acquire), "read waker fired");
-        assert!(entry.clear_ready(READ_READY), "readiness bit was set");
+        assert!(
+            IoEntry::is_ready(entry.snapshot(), READ_READY),
+            "readiness bit was set"
+        );
+        assert!(
+            !entry.clear_ready(READ_READY, born),
+            "a clear from before the edge keeps its bit"
+        );
         let mut buf = [0u8; 8];
         let mut sref = &server;
         assert_eq!(sref.read(&mut buf).expect("read"), 4);

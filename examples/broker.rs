@@ -192,6 +192,8 @@ fn main() {
             stats.busy
         );
         println!("per-publisher FIFO preserved through the wire ✓");
-        println!("\n(sweep this stack with `repro net --connections 256,1024 --csv results`)");
+        println!(
+            "\n(sweep this stack with `repro net --connections 256,1024 --runs 5 --csv results`)"
+        );
     });
 }
