@@ -14,10 +14,11 @@
 //!   touched only *after* a failed attempt, mirroring the blocking
 //!   adapter's "lock only after failure" structure; a notifier takes
 //!   the lock only after it has seen a waiter counted.
-//! * The lost-wakeup race is closed with the classic two-phase protocol:
-//!   a future that fails registers its waker, issues a `SeqCst` fence,
-//!   and re-tries once before returning `Pending`; a successful operation
-//!   issues the same fence before scanning for a waiter to wake.
+//! * The lost-wakeup race is closed with the classic two-phase protocol,
+//!   written once for all four futures (`future.rs`): a future that
+//!   fails registers its waker, issues a `SeqCst` fence, and re-tries
+//!   once before returning `Pending`; a successful operation issues the
+//!   same fence before scanning for a waiter to wake.
 //! * Dropping a pending future deregisters its waker entry. If the drop
 //!   races a wake, the consumed wake token is passed to a peer, so
 //!   cancellation (`tokio::time::timeout`, `select`, task aborts) never
@@ -32,51 +33,74 @@
 //! experiments is a genuine **work-stealing** runtime (per-worker run
 //! queues + LIFO slots, injection queue for external spawns — DESIGN.md
 //! §11), so the `ext-async*` numbers measure the queue, not a
-//! single-queue executor bottleneck; its scheduler counters can be folded
-//! into a queue's [`OpStats`] via
-//! [`AsyncQueue::record_executor_counters`].
+//! single-queue executor bottleneck; its scheduler counters are read
+//! from the runtime itself (`Runtime::metrics`), not from this crate.
 
 #![warn(missing_docs)]
 
 mod future;
-mod waiters;
-
-#[cfg(feature = "futures-io")]
 mod sinkstream;
+mod waiters;
 
 pub use future::{RecvBatchFuture, RecvFuture, SendBatchFuture, SendFuture};
 pub use nbq_util::queue::{BatchFull, Closed, Full, TrySendError};
-#[cfg(feature = "futures-io")]
 pub use sinkstream::{RecvStream, SendSink};
 
+use crate::future::{Op, OpFuture, RecvBatch, RecvOne, SendBatch, SendOne, Side};
 use crate::waiters::{dekker_fence, WaitKey, WaiterRegistry};
-use nbq_core::OpStats;
-use nbq_util::queue::{ConcurrentQueue, QueueHandle};
+use nbq_util::queue::ConcurrentQueue;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::task::Waker;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::task::{Poll, Waker};
 
-/// Outcome of one non-blocking receive attempt (internal three-way split;
-/// the public `try_recv` collapses `Closed` and `Empty` into `None`).
-pub(crate) enum RecvAttempt<T> {
-    /// An item was dequeued.
-    Item(T),
-    /// The queue was empty but the channel is open.
-    Empty,
-    /// The channel was closed *before* the attempt and the attempt found
-    /// nothing — i.e. closed and drained.
-    Closed,
+/// Waker-traffic counters of one [`AsyncQueue`], enabled by
+/// [`AsyncQueue::with_stats`]. Relaxed increments, on the parking path
+/// only: a send or receive that never parks touches none of them.
+#[derive(Debug, Default)]
+pub struct AsyncStats {
+    /// Waiter entries registered (a future failed an attempt and parked
+    /// its waker).
+    pub waker_registrations: AtomicU64,
+    /// Wakes issued to parked futures by the opposite side, by a token
+    /// handoff, or by `close`.
+    pub waker_wakes: AtomicU64,
+    /// Polls of a parked future that still found the queue unavailable
+    /// (another task won the race) and parked again.
+    pub spurious_polls: AtomicU64,
+}
+
+/// A point-in-time copy of [`AsyncStats`] (absolute counts).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AsyncStatsSnapshot {
+    /// Waiter entries registered.
+    pub waker_registrations: u64,
+    /// Wakes issued to parked futures.
+    pub waker_wakes: u64,
+    /// Polls that re-parked after a wake.
+    pub spurious_polls: u64,
+}
+
+impl AsyncStats {
+    /// The counters' current values.
+    pub fn snapshot(&self) -> AsyncStatsSnapshot {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        AsyncStatsSnapshot {
+            waker_registrations: load(&self.waker_registrations),
+            waker_wakes: load(&self.waker_wakes),
+            spurious_polls: load(&self.spurious_polls),
+        }
+    }
 }
 
 /// An async MPMC channel over any [`ConcurrentQueue`].
 pub struct AsyncQueue<T: Send, Q: ConcurrentQueue<T>> {
     inner: Q,
     /// Futures parked on a full queue.
-    pub(crate) senders: WaiterRegistry,
+    senders: WaiterRegistry,
     /// Futures parked on an empty queue.
-    pub(crate) receivers: WaiterRegistry,
+    receivers: WaiterRegistry,
     closed: AtomicBool,
-    stats: Option<Box<OpStats>>,
+    stats: Option<Box<AsyncStats>>,
     _marker: PhantomData<fn(T) -> T>,
 }
 
@@ -98,7 +122,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
             senders: WaiterRegistry::new(),
             receivers: WaiterRegistry::new(),
             closed: AtomicBool::new(false),
-            stats: stats.then(|| Box::new(OpStats::default())),
+            stats: stats.then(|| Box::new(AsyncStats::default())),
             _marker: PhantomData,
         }
     }
@@ -108,33 +132,9 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
         &self.inner
     }
 
-    /// Waker-traffic counters, if built via [`AsyncQueue::with_stats`]:
-    /// `waker_registrations`, `waker_wakes`, and `spurious_polls` (polls
-    /// that lost the post-wake race and re-parked), plus the executor
-    /// scheduler counters folded in via
-    /// [`AsyncQueue::record_executor_counters`].
-    pub fn stats(&self) -> Option<&OpStats> {
+    /// Waker-traffic counters, if built via [`AsyncQueue::with_stats`].
+    pub fn stats(&self) -> Option<&AsyncStats> {
         self.stats.as_deref()
-    }
-
-    /// Folds one run's executor scheduler counters (the work-stealing
-    /// runtime's `steals`/`steal_batches`/`lifo_hits`/`injection_polls`/
-    /// `parks`, i.e. `tokio::runtime::RuntimeMetrics`) into this queue's
-    /// stats block, so scheduler behaviour lands next to waker traffic in
-    /// one snapshot. No-op when stats are disabled. Plain integers keep
-    /// this crate free of a runtime dependency — the harness reads the
-    /// metrics and passes them through.
-    pub fn record_executor_counters(
-        &self,
-        steals: u64,
-        steal_batches: u64,
-        lifo_hits: u64,
-        injection_polls: u64,
-        parks: u64,
-    ) {
-        if let Some(s) = self.stats() {
-            s.record_executor_counters(steals, steal_batches, lifo_hits, injection_polls, parks);
-        }
     }
 
     /// Capacity of the wrapped queue, if bounded. For a sharded backbone
@@ -198,8 +198,8 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
         let was_closed = self.closed.swap(true, Ordering::SeqCst);
         if !was_closed {
             dekker_fence();
-            self.broadcast(&self.senders);
-            self.broadcast(&self.receivers);
+            self.broadcast(Side::Senders);
+            self.broadcast(Side::Receivers);
         }
         !was_closed
     }
@@ -207,7 +207,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     /// Non-blocking send through a fresh per-call handle. Prefer the
     /// futures (which hold one handle across retries) on hot paths.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        self.try_send_with(&mut self.inner.handle(), value)
+        self.try_send_with_handle(&mut self.inner.handle(), value)
     }
 
     /// Non-blocking send through a caller-built handle (the synchronous
@@ -219,7 +219,13 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
         handle: &mut Q::Handle<'_>,
         value: T,
     ) -> Result<(), TrySendError<T>> {
-        self.try_send_with(handle, value)
+        let mut op = SendOne(Some(value));
+        match op.attempt(self, handle) {
+            Poll::Ready(sent) => sent.map_err(|Closed(v)| TrySendError::Closed(v)),
+            Poll::Pending => Err(TrySendError::Full(
+                op.0.take().expect("a full attempt keeps its value"),
+            )),
+        }
     }
 
     /// Non-blocking receive through a fresh per-call handle. `None`
@@ -233,22 +239,22 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     /// synchronous twin of [`AsyncQueue::recv_with_handle`]), with
     /// [`AsyncQueue::try_recv`]'s `None`.
     pub fn try_recv_with_handle(&self, handle: &mut Q::Handle<'_>) -> Option<T> {
-        match self.try_recv_with(handle) {
-            RecvAttempt::Item(v) => Some(v),
-            RecvAttempt::Empty | RecvAttempt::Closed => None,
+        match RecvOne.attempt(self, handle) {
+            Poll::Ready(item) => item,
+            Poll::Pending => None,
         }
     }
 
     /// Sends `value`, resolving once it is enqueued; resolves to
     /// `Err(Closed(value))` if the channel is (or becomes) closed first.
     pub fn send(&self, value: T) -> SendFuture<'_, T, Q> {
-        SendFuture::new(self, value)
+        self.send_with_handle(self.inner.handle(), value)
     }
 
     /// Receives one item, resolving to `None` only when the channel is
     /// closed and drained.
     pub fn recv(&self) -> RecvFuture<'_, T, Q> {
-        RecvFuture::new(self)
+        self.recv_with_handle(self.inner.handle())
     }
 
     /// Like [`AsyncQueue::send`], but through a caller-built handle on
@@ -260,13 +266,13 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     /// unconditional (a pinned handle never steals or spills), and lets
     /// MPSC fast-path lanes see a stable producer set.
     pub fn send_with_handle<'q>(&'q self, handle: Q::Handle<'q>, value: T) -> SendFuture<'q, T, Q> {
-        SendFuture::with_handle(self, handle, value)
+        OpFuture::new(self, handle, SendOne(Some(value)))
     }
 
     /// Like [`AsyncQueue::recv`], but through a caller-built handle (see
     /// [`AsyncQueue::send_with_handle`]).
     pub fn recv_with_handle<'q>(&'q self, handle: Q::Handle<'q>) -> RecvFuture<'q, T, Q> {
-        RecvFuture::with_handle(self, handle)
+        OpFuture::new(self, handle, RecvOne)
     }
 
     /// Sends a whole batch through the wrapped queue's amortized batch
@@ -274,20 +280,20 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     /// the channel closes mid-batch the error carries the unsent suffix
     /// (`enqueued = original_len - remaining.len()` items stay enqueued).
     pub fn send_batch(&self, items: Vec<T>) -> SendBatchFuture<'_, T, Q> {
-        SendBatchFuture::new(self, items)
+        let op = SendBatch { items, enqueued: 0 };
+        OpFuture::new(self, self.inner.handle(), op)
     }
 
     /// Receives up to `max` items, resolving once at least one is
     /// available (or to an empty `Vec` when the channel is closed and
     /// drained, or when `max == 0`).
     pub fn recv_batch(&self, max: usize) -> RecvBatchFuture<'_, T, Q> {
-        RecvBatchFuture::new(self, max)
+        OpFuture::new(self, self.inner.handle(), RecvBatch { max })
     }
 
     /// A [`futures::Stream`] view of the receive side. Ends when the
     /// channel is closed and drained. Multiple streams may run
     /// concurrently (each item goes to exactly one).
-    #[cfg(feature = "futures-io")]
     pub fn stream(&self) -> RecvStream<'_, T, Q> {
         RecvStream::new(self)
     }
@@ -295,47 +301,23 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     /// A [`futures::Sink`] view of the send side. Closing the sink
     /// closes the *channel* (the single-producer idiom); with several
     /// producers, close only the last sink.
-    #[cfg(feature = "futures-io")]
     pub fn sink(&self) -> SendSink<'_, T, Q> {
         SendSink::new(self)
     }
 
     // ----- internals shared with the futures -----
 
-    pub(crate) fn try_send_with(
-        &self,
-        h: &mut Q::Handle<'_>,
-        value: T,
-    ) -> Result<(), TrySendError<T>> {
-        if self.is_closed() {
-            return Err(TrySendError::Closed(value));
-        }
-        match h.enqueue(value) {
-            Ok(()) => {
-                self.notify(&self.receivers, 1);
-                Ok(())
-            }
-            Err(Full(v)) => Err(TrySendError::Full(v)),
+    /// The waiter list of `side`.
+    pub(crate) fn waiters(&self, side: Side) -> &WaiterRegistry {
+        match side {
+            Side::Senders => &self.senders,
+            Side::Receivers => &self.receivers,
         }
     }
 
-    pub(crate) fn try_recv_with(&self, h: &mut Q::Handle<'_>) -> RecvAttempt<T> {
-        // Flag before attempt: if `closed` was set and the attempt still
-        // finds nothing, every pre-close item has been consumed.
-        let closed = self.is_closed();
-        match h.dequeue() {
-            Some(v) => {
-                self.notify(&self.senders, 1);
-                RecvAttempt::Item(v)
-            }
-            None if closed => RecvAttempt::Closed,
-            None => RecvAttempt::Empty,
-        }
-    }
-
-    /// Wakes up to `n` futures parked in `registry` after `n` successful
+    /// Wakes up to `n` futures parked on `side` after `n` successful
     /// operations freed items (receivers) or capacity (senders).
-    pub(crate) fn notify(&self, registry: &WaiterRegistry, n: usize) {
+    pub(crate) fn notify(&self, side: Side, n: usize) {
         if n == 0 {
             return;
         }
@@ -344,13 +326,14 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
         // before the registry's waiting count. With no waiter counted,
         // the first `wake_one` returns at once, without the lock.
         dekker_fence();
-        let woke = (0..n).take_while(|_| registry.wake_one()).count() as u64;
+        let waiters = self.waiters(side);
+        let woke = (0..n).take_while(|_| waiters.wake_one()).count() as u64;
         self.record_wakes(woke);
     }
 
-    /// Wakes every future parked in `registry`.
-    fn broadcast(&self, registry: &WaiterRegistry) {
-        self.record_wakes(registry.wake_all());
+    /// Wakes every future parked on `side`.
+    fn broadcast(&self, side: Side) {
+        self.record_wakes(self.waiters(side).wake_all());
     }
 
     fn record_wakes(&self, woke: u64) {
@@ -361,65 +344,58 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
         }
     }
 
-    /// Parks a future in `registry` (senders or receivers).
-    pub(crate) fn register(&self, registry: &WaiterRegistry, waker: &Waker) -> WaitKey {
+    /// Parks a future on `side`.
+    pub(crate) fn register(&self, side: Side, waker: &Waker) -> WaitKey {
         if let Some(s) = self.stats() {
-            s.record_waker_registration();
+            s.waker_registrations.fetch_add(1, Ordering::Relaxed);
         }
-        registry.register(waker.clone())
+        self.waiters(side).register(waker.clone())
     }
 
     /// Retires the entry of a future that resolved or dropped. If a wake
     /// beat the cancellation, the consumed token is passed to a peer so
     /// no other waiter sleeps through the freed item or capacity.
-    pub(crate) fn resolve(&self, registry: &WaiterRegistry, key: WaitKey) {
-        if !registry.cancel(key) {
-            self.notify(registry, 1);
+    pub(crate) fn resolve(&self, side: Side, key: WaitKey) {
+        if !self.waiters(side).cancel(key) {
+            self.notify(side, 1);
         }
     }
 
     pub(crate) fn record_spurious_poll(&self) {
         if let Some(s) = self.stats() {
-            s.record_spurious_poll();
+            s.spurious_polls.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Rescues a wake token that would otherwise die with work still
-    /// visible: called by a *notified* receiver that re-parks while the
-    /// queue observably holds items.
+    /// visible: called by a *notified* future that re-parks while the
+    /// queue observably holds items (receivers) or spare capacity
+    /// (senders).
     ///
-    /// Under lane-pinned handles or fast-path ring policies, an item can
-    /// be reachable only by one specific parked future — the handle
-    /// pinned to that lane, or the handle holding the lane ring's single
-    /// consumer seat ([`ShardedQueue`]'s claim rules) — and `notify`
-    /// picks a waiter with no knowledge of which future that is. When
-    /// the token lands on a waiter that cannot make progress, a one-shot
-    /// handoff would visit the stuck peers one reschedule at a time, and
-    /// cycle among them while the capable future is not parked, so the
-    /// rescue is a broadcast: every parked receiver re-polls, the capable
-    /// one drains the item, and the broadcast cannot recur once `len()`
-    /// reads empty. The cost is a thundering herd on a path that requires
-    /// a mis-delivered token to reach at all.
+    /// Under lane-pinned handles or fast-path ring policies, an item or
+    /// a free slot can be reachable only by one specific parked future —
+    /// the handle pinned to that lane, or the handle holding the lane
+    /// ring's single consumer or producer seat ([`ShardedQueue`]'s claim
+    /// rules) — and `notify` picks a waiter with no knowledge of which
+    /// future that is. When the token lands on a waiter that cannot make
+    /// progress, a one-shot handoff would visit the stuck peers one
+    /// reschedule at a time, and cycle among them while the capable
+    /// future is not parked, so the rescue is a broadcast: every parked
+    /// future on `side` re-polls, the capable one proceeds, and the
+    /// broadcast cannot recur once the queue reads empty (receivers) or
+    /// full (senders). The cost is a thundering herd on a path that
+    /// requires a mis-delivered token to reach at all.
     ///
     /// [`ShardedQueue`]: nbq_core::ShardedQueue
-    pub(crate) fn forward_receiver_token(&self) {
-        if self.len().is_some_and(|n| n > 0) {
-            self.broadcast(&self.receivers);
-        }
-    }
-
-    /// Sender-side analogue of [`AsyncQueue::forward_receiver_token`]:
-    /// a *notified* sender that still sees `Full` while the queue
-    /// observably has spare capacity broadcasts to its peers. The
-    /// freed slot may live in a lane only one specific parked sender
-    /// can reach (lane-pinned handles, a fan-out ring's single producer
-    /// seat), and that sender may not be the one the dequeue's token
-    /// landed on.
-    pub(crate) fn forward_sender_token(&self) {
-        if let (Some(len), Some(cap)) = (self.len(), self.capacity()) {
-            if len < cap {
-                self.broadcast(&self.senders);
+    pub(crate) fn forward_token(&self, side: Side) {
+        let stuck_beside_work = match side {
+            Side::Receivers => self.len().is_some_and(|n| n > 0),
+            Side::Senders => {
+                matches!((self.len(), self.capacity()), (Some(len), Some(cap)) if len < cap)
             }
+        };
+        if stuck_beside_work {
+            self.broadcast(side);
         }
     }
 }

@@ -1,5 +1,4 @@
-//! `futures::Stream` / `futures::Sink` adapters (behind the `futures-io`
-//! feature).
+//! `futures::Stream` / `futures::Sink` adapters.
 //!
 //! Both are thin state machines over the crate's own futures: a stream is
 //! a `RecvFuture` re-created per item; a sink holds at most one in-flight

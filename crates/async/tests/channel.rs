@@ -309,6 +309,26 @@ fn works_over_sharded_and_llsc_backends() {
     });
 }
 
+/// The broker spawns these futures, and the stream and sink adapters
+/// poll them through `Pin::new`, so all four must be `Send + Unpin` over
+/// both backbones. Checked at compile time.
+#[test]
+fn every_future_is_send_and_unpin() {
+    use nbq_async::{RecvBatchFuture, RecvFuture, SendBatchFuture, SendFuture};
+    use nbq_core::ShardedQueue;
+
+    fn send_unpin<F: std::future::Future + Send + Unpin>() {}
+    type Sharded = ShardedQueue<u64, CasQueue<u64>>;
+    send_unpin::<SendFuture<'static, u64, CasQueue<u64>>>();
+    send_unpin::<RecvFuture<'static, u64, CasQueue<u64>>>();
+    send_unpin::<SendBatchFuture<'static, u64, CasQueue<u64>>>();
+    send_unpin::<RecvBatchFuture<'static, u64, CasQueue<u64>>>();
+    send_unpin::<SendFuture<'static, u64, Sharded>>();
+    send_unpin::<RecvFuture<'static, u64, Sharded>>();
+    send_unpin::<SendBatchFuture<'static, u64, Sharded>>();
+    send_unpin::<RecvBatchFuture<'static, u64, Sharded>>();
+}
+
 #[test]
 fn advisory_occupancy_and_is_full_watermark() {
     let q = channel(4);
@@ -410,30 +430,106 @@ fn poll_once<F: std::future::Future + Unpin>(
     std::pin::Pin::new(fut).poll(&mut std::task::Context::from_waker(waker))
 }
 
+/// The channel's four futures, so one protocol test body runs over each.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Send,
+    Recv,
+    SendBatch,
+    RecvBatch,
+}
+
+/// A future with its output printed, so one test body can compare the
+/// four futures' different output types.
+type Printed<'q> = Box<dyn std::future::Future<Output = String> + Unpin + 'q>;
+
+struct Print<F>(F);
+
+impl<F: std::future::Future + Unpin> std::future::Future for Print<F>
+where
+    F::Output: std::fmt::Debug,
+{
+    type Output = String;
+
+    fn poll(
+        mut self: std::pin::Pin<&mut Self>,
+        cx: &mut std::task::Context<'_>,
+    ) -> std::task::Poll<String> {
+        std::pin::Pin::new(&mut self.0)
+            .poll(cx)
+            .map(|out| format!("{out:?}"))
+    }
+}
+
+impl Kind {
+    const ALL: [Kind; 4] = [Kind::Send, Kind::Recv, Kind::SendBatch, Kind::RecvBatch];
+
+    fn sends(self) -> bool {
+        matches!(self, Kind::Send | Kind::SendBatch)
+    }
+
+    /// A channel this kind's future parks on: full for senders, empty
+    /// for receivers.
+    fn blocked_channel(self, cap: usize) -> Arc<AsyncQueue<u64, CasQueue<u64>>> {
+        let q = channel(cap);
+        if self.sends() {
+            while q.try_send(0).is_ok() {}
+        }
+        q
+    }
+
+    /// This kind's future: it sends the one value 1, or receives one item.
+    fn future(self, q: &AsyncQueue<u64, CasQueue<u64>>) -> Printed<'_> {
+        match self {
+            Kind::Send => Box::new(Print(q.send(1))),
+            Kind::Recv => Box::new(Print(q.recv())),
+            Kind::SendBatch => Box::new(Print(q.send_batch(vec![1]))),
+            Kind::RecvBatch => Box::new(Print(q.recv_batch(1))),
+        }
+    }
+
+    /// Frees one slot (senders) or sends the item 7 (receivers): the
+    /// operation that wakes one parked future of this kind.
+    fn unblock(self, q: &AsyncQueue<u64, CasQueue<u64>>) {
+        if self.sends() {
+            q.try_recv().expect("a full channel");
+        } else {
+            q.try_send(7).expect("open channel with room");
+        }
+    }
+
+    /// What this kind's future resolves to after [`Kind::unblock`].
+    fn unblocked(self) -> &'static str {
+        match self {
+            Kind::Send => "Ok(())",
+            Kind::Recv => "Some(7)",
+            Kind::SendBatch => "Ok(1)",
+            Kind::RecvBatch => "[7]",
+        }
+    }
+}
+
 /// A future that parks and is then dropped, or re-polled without a wake,
 /// cancels its slot; the slot must leave the registry with it even
 /// though no wake path ever runs again (nobody else is waiting, so every
 /// notify takes the no-waiter fast path).
 #[test]
 fn cancelled_slots_leave_the_registry_at_once() {
-    let q = channel(2);
     let (wake, waker) = CountWake::pair();
-    for round in 0..100 {
-        let mut recv = q.recv();
-        assert!(poll_once(&mut recv, &waker).is_pending());
-        assert_eq!(q.live_waiters(), 1);
-        drop(recv);
-        assert_eq!(q.live_waiters(), 0, "round {round}: dropped recv");
-    }
-    while q.try_send(0).is_ok() {}
-    for round in 0..100 {
-        let mut send = q.send(1);
-        assert!(poll_once(&mut send, &waker).is_pending());
-        // A poll without a wake cancels the old slot and parks anew.
-        assert!(poll_once(&mut send, &waker).is_pending());
-        assert_eq!(q.live_waiters(), 1, "round {round}: re-polled send");
-        drop(send);
-        assert_eq!(q.live_waiters(), 0, "round {round}: dropped send");
+    for kind in Kind::ALL {
+        let q = kind.blocked_channel(2);
+        for round in 0..100 {
+            let mut fut = kind.future(&q);
+            assert!(poll_once(&mut fut, &waker).is_pending());
+            assert_eq!(q.live_waiters(), 1, "{kind:?} round {round}: parked");
+            if round % 2 == 1 {
+                // A poll without a wake cancels the old slot and parks anew.
+                assert!(poll_once(&mut fut, &waker).is_pending());
+                assert_eq!(q.live_waiters(), 1, "{kind:?} round {round}: re-polled");
+            }
+            drop(fut);
+            assert_eq!(q.live_waiters(), 0, "{kind:?} round {round}: dropped");
+        }
     }
     assert_eq!(wake.count(), 0, "nothing was ever notified");
 }
@@ -463,25 +559,32 @@ fn parked_receivers_wake_in_fifo_order() {
 
 /// A future dropped after it was woken but before it re-polled (a
 /// `select` loser) holds a wake token; its drop must pass the token on,
-/// or the other parked receiver sleeps beside the item.
+/// or the other parked future sleeps beside the item (or free slot).
 #[test]
 fn a_dropped_woken_receiver_passes_its_token_on() {
-    let q = channel(8);
-    let (wake_a, waker_a) = CountWake::pair();
-    let (wake_b, waker_b) = CountWake::pair();
-    let mut fut_a = q.recv();
-    let mut fut_b = q.recv();
-    assert!(poll_once(&mut fut_a, &waker_a).is_pending());
-    assert!(poll_once(&mut fut_b, &waker_b).is_pending());
-    q.try_send(7).expect("open channel with room");
-    assert_eq!((wake_a.count(), wake_b.count()), (1, 0), "A parked first");
-    drop(fut_a);
-    assert_eq!(wake_b.count(), 1, "A's drop must hand its token to B");
-    match poll_once(&mut fut_b, &waker_b) {
-        std::task::Poll::Ready(Some(v)) => assert_eq!(v, 7),
-        other => panic!("B should take the item, got {other:?}"),
+    for kind in Kind::ALL {
+        let q = kind.blocked_channel(8);
+        let (wake_a, waker_a) = CountWake::pair();
+        let (wake_b, waker_b) = CountWake::pair();
+        let mut fut_a = kind.future(&q);
+        let mut fut_b = kind.future(&q);
+        assert!(poll_once(&mut fut_a, &waker_a).is_pending());
+        assert!(poll_once(&mut fut_b, &waker_b).is_pending());
+        kind.unblock(&q);
+        let woken = (wake_a.count(), wake_b.count());
+        assert_eq!(woken, (1, 0), "{kind:?}: A parked first");
+        drop(fut_a);
+        assert_eq!(
+            wake_b.count(),
+            1,
+            "{kind:?}: A's drop must hand its token to B"
+        );
+        match poll_once(&mut fut_b, &waker_b) {
+            std::task::Poll::Ready(out) => assert_eq!(out, kind.unblocked(), "{kind:?}"),
+            std::task::Poll::Pending => panic!("{kind:?}: B should proceed"),
+        }
+        assert_eq!(q.live_waiters(), 0, "{kind:?}");
     }
-    assert_eq!(q.live_waiters(), 0);
 }
 
 /// A wake token delivered to a receiver that cannot reach the item (its

@@ -11,6 +11,12 @@
 //! Counters are `Relaxed` and live behind an `Option`, so queues built
 //! through the normal constructors pay one well-predicted branch; the
 //! benchmark constructors never enable them.
+//!
+//! The block holds only queue-level events: the backbone's CAS/FAA
+//! traffic, node-pool traffic, and the SCQ/wCQ ring events of
+//! `nbq-baselines`. Layers above count their own events where they
+//! happen — waker traffic in `nbq-async`'s `AsyncStats`, scheduler
+//! events in the runtime's `RuntimeMetrics`.
 
 use nbq_util::pool::{AcquireSource, ReleaseTarget};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,26 +63,6 @@ pub struct OpStats {
     /// Acquisitions that pulled a batch from the spill stack into the
     /// handle cache.
     pub pool_refills: AtomicU64,
-    /// Async-frontend waiter-slot registrations (a future went Pending
-    /// and parked its waker; see `nbq-async`).
-    pub waker_registrations: AtomicU64,
-    /// Wakes issued to parked async waiters by the opposite side.
-    pub waker_wakes: AtomicU64,
-    /// Async polls that found the queue still unavailable after a wake
-    /// (another task won the race) and re-registered.
-    pub spurious_polls: AtomicU64,
-    /// Tasks moved between executor run queues by steal operations
-    /// during the run (mirrored from the runtime's scheduler counters by
-    /// the harness; see `tokio::runtime::RuntimeMetrics`).
-    pub executor_steals: AtomicU64,
-    /// Successful executor steal-half batches.
-    pub executor_steal_batches: AtomicU64,
-    /// Tasks the executor polled straight from a worker's LIFO slot.
-    pub executor_lifo_hits: AtomicU64,
-    /// Tasks the executor polled out of its shared injection queue.
-    pub executor_injection_polls: AtomicU64,
-    /// Times an executor worker parked during the run.
-    pub executor_parks: AtomicU64,
     /// Ring-position cycle wraps in the modern-rival baselines (SCQ/wCQ):
     /// a fetch-and-add ticket crossed into a new lap of the index ring.
     pub cycle_wraps: AtomicU64,
@@ -123,22 +109,6 @@ pub struct OpStatsSnapshot {
     pub pool_spills: u64,
     /// Total batch refills from the shared stack (absolute count).
     pub pool_refills: u64,
-    /// Total async waker registrations (absolute count).
-    pub waker_registrations: u64,
-    /// Total async wakes issued (absolute count).
-    pub waker_wakes: u64,
-    /// Total spurious async polls (absolute count).
-    pub spurious_polls: u64,
-    /// Total tasks moved by executor steals (absolute count).
-    pub executor_steals: u64,
-    /// Total executor steal batches (absolute count).
-    pub executor_steal_batches: u64,
-    /// Total executor LIFO-slot polls (absolute count).
-    pub executor_lifo_hits: u64,
-    /// Total executor injection-queue polls (absolute count).
-    pub executor_injection_polls: u64,
-    /// Total executor worker parks (absolute count).
-    pub executor_parks: u64,
     /// Ring cycle wraps per completed operation (SCQ/wCQ).
     pub cycle_wraps: f64,
     /// Threshold resets per completed operation (SCQ/wCQ).
@@ -174,14 +144,6 @@ impl OpStats {
             pool_recycle_hits: self.pool_recycle_hits.load(Ordering::Relaxed),
             pool_spills: self.pool_spills.load(Ordering::Relaxed),
             pool_refills: self.pool_refills.load(Ordering::Relaxed),
-            waker_registrations: self.waker_registrations.load(Ordering::Relaxed),
-            waker_wakes: self.waker_wakes.load(Ordering::Relaxed),
-            spurious_polls: self.spurious_polls.load(Ordering::Relaxed),
-            executor_steals: self.executor_steals.load(Ordering::Relaxed),
-            executor_steal_batches: self.executor_steal_batches.load(Ordering::Relaxed),
-            executor_lifo_hits: self.executor_lifo_hits.load(Ordering::Relaxed),
-            executor_injection_polls: self.executor_injection_polls.load(Ordering::Relaxed),
-            executor_parks: self.executor_parks.load(Ordering::Relaxed),
             cycle_wraps: per(&self.cycle_wraps),
             threshold_resets: per(&self.threshold_resets),
             catchups: per(&self.catchups),
@@ -189,55 +151,10 @@ impl OpStats {
         }
     }
 
-    /// Records an async waiter parking its waker. Public (unlike the
-    /// `pub(crate)` recorders above) because the async frontend lives in
-    /// its own crate and borrows the queue's stats block.
-    #[inline]
-    pub fn record_waker_registration(&self) {
-        Self::bump(&self.waker_registrations);
-    }
-
-    /// Records a wake issued to a parked async waiter.
-    #[inline]
-    pub fn record_waker_wake(&self) {
-        Self::bump(&self.waker_wakes);
-    }
-
-    /// Records an async poll that lost the post-wake race and parked
-    /// again.
-    #[inline]
-    pub fn record_spurious_poll(&self) {
-        Self::bump(&self.spurious_polls);
-    }
-
-    /// Folds one run's executor scheduler counters (steals, steal
-    /// batches, LIFO-slot hits, injection-queue polls, worker parks)
-    /// into the stats block. Public for the same reason as the waker
-    /// recorders: the runtime and harness live outside this crate and
-    /// mirror `tokio::runtime::RuntimeMetrics` in after each run.
-    #[inline]
-    pub fn record_executor_counters(
-        &self,
-        steals: u64,
-        steal_batches: u64,
-        lifo_hits: u64,
-        injection_polls: u64,
-        parks: u64,
-    ) {
-        self.executor_steals.fetch_add(steals, Ordering::Relaxed);
-        self.executor_steal_batches
-            .fetch_add(steal_batches, Ordering::Relaxed);
-        self.executor_lifo_hits
-            .fetch_add(lifo_hits, Ordering::Relaxed);
-        self.executor_injection_polls
-            .fetch_add(injection_polls, Ordering::Relaxed);
-        self.executor_parks.fetch_add(parks, Ordering::Relaxed);
-    }
-
     /// Records a completed queue operation (the per-op denominator).
-    /// Public (like the waker/executor recorders) because the
-    /// modern-rival baselines live in `nbq-baselines`, outside this
-    /// crate, and drive the counters through these methods.
+    /// Public (unlike the `pub(crate)` recorders) because the modern-rival
+    /// baselines live in `nbq-baselines`, outside this crate, and drive
+    /// the counters through these methods.
     #[inline]
     pub fn record_operation(&self) {
         Self::bump(&self.operations);

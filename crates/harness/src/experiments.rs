@@ -11,6 +11,7 @@ use crate::report::{Cell, Table};
 use crate::workload::{
     run_once, Driven, Frontend, LatencyReport, RunReport, Shape, Workload, WorkloadConfig,
 };
+use nbq_async::AsyncStatsSnapshot;
 use nbq_core::LanePolicy::{Mpmc, MpscFastPath, SpmcFastPath, SpscFastPath};
 use nbq_core::{GatePolicy, OpStatsSnapshot};
 use nbq_util::stats::Summary;
@@ -722,7 +723,7 @@ pub fn async_wakers(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
         };
         Algo::CasQueue.run(&fan, &cfg)
     });
-    type Events = fn(&OpStatsSnapshot) -> u64;
+    type Events = fn(&AsyncStatsSnapshot) -> u64;
     let events: [(&str, Events); 3] = [
         ("waker registrations", |s| s.waker_registrations),
         ("wakes issued", |s| s.waker_wakes),

@@ -20,18 +20,13 @@ pub(super) fn runtime(cfg: &WorkloadConfig, injection_only: bool) -> Runtime {
 }
 
 impl Workload {
-    /// One run through the async frontend: (seconds, ops, capture). If the
-    /// queue was built `with_stats`, the runtime's scheduler-counter
-    /// deltas for the run (steals, steal batches, LIFO hits, injection
-    /// polls, parks) are folded into its [`nbq_core::OpStats`], so one
-    /// snapshot shows waker traffic next to the scheduling it caused.
+    /// One run through the async frontend: (seconds, ops, capture).
     pub(super) fn on_async<C: Clock, Q: ConcurrentQueue<u64> + 'static>(
         &self,
         queue: &Arc<AsyncQueue<u64, Q>>,
         rt: &Runtime,
         cfg: &WorkloadConfig,
     ) -> (f64, u64, C) {
-        let before = rt.metrics();
         let per = (cfg.iterations * cfg.burst) as u64;
         let out = match self.shape {
             Shape::Mixed => {
@@ -46,14 +41,6 @@ impl Workload {
             }
             shape => panic!("the async frontend runs the Mixed and Fan shapes, not {shape:?}"),
         };
-        let after = rt.metrics();
-        queue.record_executor_counters(
-            after.steals - before.steals,
-            after.steal_batches - before.steal_batches,
-            after.lifo_hits - before.lifo_hits,
-            after.injection_polls - before.injection_polls,
-            after.parks - before.parks,
-        );
         assert_eq!(queue.live_waiters(), 0, "runs must not leak waiter slots");
         out
     }

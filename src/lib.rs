@@ -102,9 +102,9 @@
 //! parking path only — the queue's non-blocking hot path is untouched
 //! and takes no lock. Futures are cancellation-safe (dropping one
 //! deregisters its waker), `close()` wakes every parked task, and
-//! `Stream`/`Sink` adapters are available behind the `futures-io`
-//! feature of `nbq-async`. See `DESIGN.md` §9 for the registry's
-//! wake-token protocol.
+//! `stream()`/`sink()` give `Stream`/`Sink` views. See `DESIGN.md` §9
+//! for the park protocol, written once for all four futures, and the
+//! registry's wake-token protocol.
 //!
 //! ```
 //! use nbq::prelude::*;
