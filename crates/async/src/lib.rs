@@ -9,7 +9,7 @@
 //! The design keeps wakeups entirely off the lock-free hot path:
 //!
 //! * `try_send`/`try_recv` and the first attempt of every future go
-//!   straight to the wrapped queue. A waiter registry (see [`waiters`],
+//!   straight to the wrapped queue. A waiter registry (the `waiters` module,
 //!   one FIFO list of wakers per direction behind a short lock) is
 //!   touched only *after* a failed attempt, mirroring the blocking
 //!   adapter's "lock only after failure" structure; a notifier takes
@@ -375,8 +375,8 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     /// Under lane-pinned handles or fast-path ring policies, an item or
     /// a free slot can be reachable only by one specific parked future —
     /// the handle pinned to that lane, or the handle holding the lane
-    /// ring's single consumer or producer seat ([`ShardedQueue`]'s claim
-    /// rules) — and `notify` picks a waiter with no knowledge of which
+    /// ring's single consumer or producer seat (`nbq_core::ShardedQueue`'s
+    /// claim rules) — and `notify` picks a waiter with no knowledge of which
     /// future that is. When the token lands on a waiter that cannot make
     /// progress, a one-shot handoff would visit the stuck peers one
     /// reschedule at a time, and cycle among them while the capable
@@ -385,8 +385,6 @@ impl<T: Send, Q: ConcurrentQueue<T>> AsyncQueue<T, Q> {
     /// broadcast cannot recur once the queue reads empty (receivers) or
     /// full (senders). The cost is a thundering herd on a path that
     /// requires a mis-delivered token to reach at all.
-    ///
-    /// [`ShardedQueue`]: nbq_core::ShardedQueue
     pub(crate) fn forward_token(&self, side: Side) {
         let stuck_beside_work = match side {
             Side::Receivers => self.len().is_some_and(|n| n > 0),

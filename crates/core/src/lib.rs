@@ -80,4 +80,4 @@ pub use cas_queue::{CasHandle, CasQueue, CasQueueConfig, GatePolicy};
 pub use llsc_queue::{LlScHandle, LlScQueue, LlScQueueConfig};
 pub use opstats::{OpStats, OpStatsSnapshot};
 pub use registry::ArityRegistry;
-pub use sharded::{BatchPolicy, LanePolicy, ShardedConfig, ShardedHandle, ShardedQueue};
+pub use sharded::{LanePolicy, ShardedConfig, ShardedHandle, ShardedQueue};

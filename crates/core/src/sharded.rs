@@ -20,12 +20,11 @@
 //!   of a producer's items pass through that single FIFO lane and are
 //!   therefore dequeued in enqueue order — machine-checked by
 //!   `nbq_lincheck::check_per_producer_fifo` on recorded histories.
-//!   Handles created with [`ShardedQueue::handle_pinned`] (or with
-//!   `steal_attempts == 0`) never leave their lane, so their per-producer
-//!   order is unconditional.
-//! * **Bounded work-stealing relaxes order only at migration points.**
-//!   A default handle that finds its lane `Full` (enqueue) or empty
-//!   (dequeue) probes up to `steal_attempts` neighboring lanes and
+//!   Handles created with [`ShardedQueue::handle_pinned`] never leave
+//!   their lane, so their per-producer order is unconditional.
+//! * **Work-stealing relaxes order only at migration points.** A handle
+//!   from [`ConcurrentQueue::handle`] that finds its lane `Full`
+//!   (enqueue) or empty (dequeue) probes every other lane in turn and
 //!   *migrates* its cursor to the lane that served it. Items enqueued
 //!   after a migration are ordered after the migration only within the
 //!   new lane; the two lane-resident runs may interleave at the
@@ -102,7 +101,7 @@
 //! queue) and its producer and consumer roles there. The *home* lane's
 //! state (the affinity lane at construction) is stored inline; the table
 //! for every other lane is allocated the first time the handle touches
-//! one of them (a steal probe, a striped batch, a migrated cursor). A
+//! one of them (a steal probe, a spilled batch, a migrated cursor). A
 //! pinned handle, or any handle on a one-lane queue, therefore never
 //! allocates, so a caller that builds a handle per operation (the async
 //! frontend's `send`/`recv`, the broker's per-message paths) pays what a
@@ -120,15 +119,10 @@
 //! overrides forward to the lanes' own native batch paths, so the
 //! amortized index publication from the batch API composes with the
 //! sharded frontend (on a ring fast path that is the ring's
-//! single-release-store batched publication). [`BatchPolicy`] selects how
-//! a batch maps to lanes:
-//!
-//! * [`BatchPolicy::Pin`] (default) hands the whole batch to the
-//!   affinity lane (overflowing into stolen lanes only on `Full`),
-//!   keeping the batch contiguous per lane and per-producer order exact.
-//! * [`BatchPolicy::Stripe`] splits a batch into contiguous chunks round-
-//!   robined across all lanes, maximizing lane parallelism for bulk
-//!   loads at the cost of cross-chunk ordering.
+//! single-release-store batched publication). A batch enqueue hands the
+//! whole batch to the affinity lane and spills its leftover suffix into
+//! the next lanes only on `Full`, so a batch stays contiguous on its lane
+//! and per-producer order stays exact.
 
 use core::fmt;
 use core::marker::PhantomData;
@@ -144,19 +138,6 @@ use nbq_util::{
 
 /// Ring capacity used for fast-path lanes whose MPMC queue is unbounded.
 const DEFAULT_RING_CAPACITY: usize = 1024;
-
-/// How a batch call maps onto lanes. See the [module docs](self).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchPolicy {
-    /// Whole batch to the affinity lane; overflow spills into stolen
-    /// lanes only on `Full`. Preserves per-producer batch contiguity.
-    #[default]
-    Pin,
-    /// Split the batch into contiguous chunks striped across all lanes
-    /// starting at the affinity lane. Chunks stay internally ordered;
-    /// cross-chunk order is advisory.
-    Stripe,
-}
 
 /// Which queue kinds a lane composes. See the
 /// [module docs](self#fast-path-lanes-one-ring-per-lane).
@@ -186,26 +167,16 @@ pub enum LanePolicy {
 pub struct ShardedConfig {
     /// Number of independent lanes (≥ 1).
     pub lanes: usize,
-    /// How many neighboring lanes an operation may probe after its
-    /// affinity lane reports `Full`/empty. `0` pins every handle to its
-    /// lane (strict per-producer FIFO, but a full/empty lane surfaces
-    /// immediately as `Full`/`None`). Values ≥ `lanes - 1` probe every
-    /// other lane.
-    pub steal_attempts: usize,
-    /// Batch-to-lane mapping policy.
-    pub batch_policy: BatchPolicy,
     /// Which queue kinds each lane composes.
     pub lane_policy: LanePolicy,
 }
 
 impl ShardedConfig {
-    /// A config with `lanes` lanes, full stealing, pinned batches, and
-    /// pure-MPMC lanes — the setup the `ext-sharding` experiment sweeps.
+    /// A config with `lanes` pure-MPMC lanes — the setup the
+    /// `ext-sharding` experiment sweeps.
     pub fn with_lanes(lanes: usize) -> Self {
         Self {
             lanes,
-            steal_attempts: lanes.saturating_sub(1),
-            batch_policy: BatchPolicy::Pin,
             lane_policy: LanePolicy::Mpmc,
         }
     }
@@ -417,8 +388,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> ShardedQueue<T, Q> {
         }
     }
 
-    /// [`ShardedQueue::with_config`] with the default full-steal,
-    /// pin-batch, pure-MPMC configuration for `lanes` lanes.
+    /// [`ShardedQueue::with_config`] with pure-MPMC lanes.
     pub fn with_lanes<F>(lanes: usize, factory: F) -> Self
     where
         F: LaneFactory<T, Lane = Q>,
@@ -468,15 +438,16 @@ impl<T: Send, Q: ConcurrentQueue<T>> ShardedQueue<T, Q> {
         self.make_handle(lane, 0)
     }
 
-    fn make_handle(&self, cursor: usize, steal_attempts: usize) -> ShardedHandle<'_, T, Q> {
+    /// A handle homed on lane `cursor` that probes `probes` (< lanes)
+    /// other lanes after its affinity lane reports `Full`/empty.
+    fn make_handle(&self, cursor: usize, probes: usize) -> ShardedHandle<'_, T, Q> {
         ShardedHandle {
             home_lane: cursor,
             home: LaneState::new(),
             others: None,
             lanes: &self.lanes,
             cursor,
-            steal_attempts,
-            batch_policy: self.config.batch_policy,
+            probes,
         }
     }
 }
@@ -605,8 +576,9 @@ pub struct ShardedHandle<'q, T: Send, Q: ConcurrentQueue<T> + 'q> {
     lanes: &'q [CachePadded<ShardLane<T, Q>>],
     /// Affinity lane; migrates to the serving lane on successful steals.
     cursor: usize,
-    steal_attempts: usize,
-    batch_policy: BatchPolicy,
+    /// Lanes probed after the affinity lane: every other lane, or none
+    /// for a pinned handle.
+    probes: usize,
 }
 
 impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
@@ -649,13 +621,12 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
             .get_or_insert_with(|| lanes[lane].mpmc.handle())
     }
 
-    /// Lane probe order: affinity lane first, then up to
-    /// `steal_attempts` neighbors, wrapping.
+    /// Lane probe order: affinity lane first, then `probes` neighbors,
+    /// wrapping.
     fn probe_order(&self) -> impl Iterator<Item = usize> {
         let lanes = self.lanes.len();
         let cursor = self.cursor;
-        let probes = self.steal_attempts.min(lanes - 1);
-        (0..=probes).map(move |i| (cursor + i) % lanes)
+        (0..=self.probes).map(move |i| (cursor + i) % lanes)
     }
 
     /// This handle's ring producer endpoint on `lane` if it still rides
@@ -663,6 +634,11 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
     /// hands the lane over to MPMC service at the producer's switch
     /// point — the lane promoted and everything this producer pushed
     /// drained, so its ring values all precede its first MPMC value.
+    ///
+    /// Forced inline: with a second caller (`lane_enqueue_batch`) the
+    /// compiler outlines it, and every scalar `enqueue` then pays a call
+    /// on its fast path.
+    #[inline(always)]
     fn ring_producer(&mut self, lane: usize) -> Option<&mut RingProducer<'q, T>> {
         let lanes = self.lanes;
         let ring = lanes[lane].ring.as_ref()?;
@@ -815,80 +791,37 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> QueueHandle<T> for ShardedHandle<'
         &mut self,
         items: impl ExactSizeIterator<Item = T>,
     ) -> Result<usize, BatchFull<T>> {
-        match self.batch_policy {
-            BatchPolicy::Pin => {
-                // Whole batch to the affinity lane's native batch path;
-                // on Full, spill the leftover suffix into stolen lanes.
-                let mut lanes = self.probe_order();
-                let first = lanes.next().expect("at least one lane");
-                let mut total = 0usize;
-                let mut remaining = match self.lane_enqueue_batch(first, items) {
-                    Ok(n) => return Ok(n),
-                    Err(e) => {
-                        total += e.enqueued;
-                        e.remaining
-                    }
-                };
-                for lane in lanes {
-                    match self.lane_enqueue_batch(lane, remaining.into_iter()) {
-                        Ok(n) => {
-                            // Sticky affinity: the batch's tail landed
-                            // here, so follow it (a migration point in
-                            // the relaxed-FIFO contract).
-                            self.cursor = lane;
-                            return Ok(total + n);
-                        }
-                        Err(e) => {
-                            total += e.enqueued;
-                            remaining = e.remaining;
-                        }
-                    }
-                }
-                Err(BatchFull {
-                    enqueued: total,
-                    remaining,
-                })
+        // Whole batch to the affinity lane's native batch path; on Full,
+        // spill the leftover suffix into stolen lanes.
+        let mut lanes = self.probe_order();
+        let first = lanes.next().expect("at least one lane");
+        let mut total = 0usize;
+        let mut remaining = match self.lane_enqueue_batch(first, items) {
+            Ok(n) => return Ok(n),
+            Err(e) => {
+                total += e.enqueued;
+                e.remaining
             }
-            BatchPolicy::Stripe => {
-                // Contiguous chunks round-robined across all lanes
-                // starting at the affinity lane. Leftovers of filled
-                // lanes come back in their original relative order.
-                let lanes = self.lanes.len();
-                let len = items.len();
-                if len == 0 {
-                    return Ok(0);
+        };
+        for lane in lanes {
+            match self.lane_enqueue_batch(lane, remaining.into_iter()) {
+                Ok(n) => {
+                    // Sticky affinity: the batch's tail landed here, so
+                    // follow it (a migration point in the relaxed-FIFO
+                    // contract).
+                    self.cursor = lane;
+                    return Ok(total + n);
                 }
-                let chunk = len.div_ceil(lanes);
-                let mut iter = items;
-                let mut total = 0usize;
-                let mut leftovers: Vec<T> = Vec::new();
-                let start = self.cursor;
-                for k in 0..lanes {
-                    let chunk_items: Vec<T> = iter.by_ref().take(chunk).collect();
-                    if chunk_items.is_empty() {
-                        break;
-                    }
-                    let lane = (start + k) % lanes;
-                    match self.lane_enqueue_batch(lane, chunk_items.into_iter()) {
-                        Ok(n) => total += n,
-                        Err(e) => {
-                            total += e.enqueued;
-                            leftovers.extend(e.remaining);
-                        }
-                    }
-                }
-                // Rotate so successive striped batches start one lane on.
-                self.cursor = (start + 1) % lanes;
-                if leftovers.is_empty() {
-                    Ok(total)
-                } else {
-                    Err(BatchFull {
-                        enqueued: total,
-                        remaining: leftovers,
-                    })
+                Err(e) => {
+                    total += e.enqueued;
+                    remaining = e.remaining;
                 }
             }
         }
+        Err(BatchFull {
+            enqueued: total,
+            remaining,
+        })
     }
 
     fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
@@ -918,7 +851,7 @@ impl<T: Send, Q: ConcurrentQueue<T>> ConcurrentQueue<T> for ShardedQueue<T, Q> {
         // Relaxed ticket is only a load-balancing hint, never a
         // correctness input.
         let cursor = self.next_handle.fetch_add(1, Ordering::Relaxed) % self.lanes.len();
-        self.make_handle(cursor, self.config.steal_attempts)
+        self.make_handle(cursor, self.lanes.len() - 1)
     }
 
     fn capacity(&self) -> Option<usize> {
@@ -1083,36 +1016,6 @@ mod tests {
     }
 
     #[test]
-    fn striped_batches_spread_across_lanes() {
-        let q = ShardedQueue::with_config(
-            ShardedConfig {
-                lanes: 4,
-                steal_attempts: 3,
-                batch_policy: BatchPolicy::Stripe,
-                lane_policy: LanePolicy::Mpmc,
-            },
-            |_| CasQueue::<u64>::with_capacity(16),
-        );
-        let mut h = q.handle();
-        assert_eq!(
-            h.enqueue_batch((0..8u64).collect::<Vec<_>>().into_iter())
-                .unwrap(),
-            8
-        );
-        for lane in 0..4 {
-            assert_eq!(
-                ConcurrentQueue::len(q.lane(lane)),
-                Some(2),
-                "stripe must balance lanes"
-            );
-        }
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 8), 8);
-        out.sort_unstable();
-        assert_eq!(out, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn batch_full_returns_leftovers_in_order() {
         let q = sharded_cas(2, 2);
         let mut h = q.handle();
@@ -1154,15 +1057,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one lane")]
     fn zero_lanes_rejected() {
-        let _ = ShardedQueue::with_config(
-            ShardedConfig {
-                lanes: 0,
-                steal_attempts: 0,
-                batch_policy: BatchPolicy::Pin,
-                lane_policy: LanePolicy::Mpmc,
-            },
-            |_| CasQueue::<u64>::with_capacity(4),
-        );
+        let _ = ShardedQueue::with_config(ShardedConfig::with_lanes(0), |_| {
+            CasQueue::<u64>::with_capacity(4)
+        });
     }
 
     #[test]

@@ -378,12 +378,6 @@ macro_rules! counted {
 counted!(CasQueue<u64>, LlScQueue<u64>, ScqQueue<u64>, WcqQueue<u64>);
 
 impl<L: ConcurrentQueue<u64> + 'static> Driven for ShardedQueue<u64, L> {
-    // Its batch calls follow the BatchPolicy across lanes, which no
-    // experiment drives through the paper loop; left out of the build, the
-    // batch paths keep the compiler inlining the lane helpers into the
-    // single-op fast path that `ext-spsc` measures.
-    const BATCHES: bool = false;
-
     fn lanes(&self) -> usize {
         ShardedQueue::lanes(self)
     }

@@ -213,11 +213,6 @@ pub struct RunReport {
 /// pinned shapes can pin each thread's handle to one; every other queue
 /// is a single lane, over which a pinned shape runs unpinned.
 pub trait Driven: ConcurrentQueue<u64> + 'static {
-    /// Whether [`Shape::Batched`] runs on this queue. `false` also keeps
-    /// the batched loop, and with it the queue's batch entry points, out of
-    /// the build for this type.
-    const BATCHES: bool = true;
-
     /// Lanes a pinned shape spreads its threads over.
     fn lanes(&self) -> usize {
         1
@@ -298,8 +293,7 @@ impl Workload {
     fn on_raw<C: Clock, Q: Driven>(&self, queue: &Q, cfg: &WorkloadConfig) -> (f64, u64, C) {
         let split = match self.shape {
             Shape::Mixed => return balanced::<C, Q, false>(queue, cfg),
-            Shape::Batched if Q::BATCHES => return balanced::<C, Q, true>(queue, cfg),
-            Shape::Batched => panic!("{} does not run the batched loop", queue.algorithm_name()),
+            Shape::Batched => return balanced::<C, Q, true>(queue, cfg),
             shape => Split::plan(shape, cfg, queue.lanes()),
         };
         let (secs, clock) = on_threads(cfg.threads, |t, barrier| {
@@ -929,10 +923,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not run the batched loop")]
-    fn batched_shape_skips_sharded_queues() {
-        let sharded = || ShardedQueue::with_lanes(2, |_| CasQueue::<u64>::with_capacity(64));
-        Workload::raw(Shape::Batched).run(sharded, &tiny());
+    fn batched_shape_runs_on_sharded_queues() {
+        let cfg = tiny();
+        let batched = Workload::raw(Shape::Batched);
+        for config in [
+            ShardedConfig::with_lanes(2),
+            ShardedConfig::with_lanes(2).mpsc_fast_path(),
+        ] {
+            let sharded = || ShardedQueue::with_config(config, |_| CasQueue::with_capacity(64));
+            assert_eq!(batched.run(sharded, &cfg).ops, cfg.total_ops());
+        }
     }
 
     #[test]

@@ -83,8 +83,8 @@ pub fn record_run<Q: ConcurrentQueue<u64>>(queue: &Q, config: DriverConfig) -> H
 /// linearization point lies inside it, so the real-time checks stay
 /// sound — they just see more overlap than actually occurred). Partially
 /// accepted batches record the rejected elements as failed enqueues by
-/// membership in the returned `remaining` (batch frontends such as the
-/// sharded stripe policy may accept a non-prefix subset).
+/// membership in the returned `remaining`, not by position, so the
+/// recording stays exact for a frontend that accepts a non-prefix subset.
 pub fn record_batch_run<Q: ConcurrentQueue<u64>>(
     queue: &Q,
     config: DriverConfig,

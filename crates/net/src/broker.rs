@@ -41,12 +41,19 @@ use crate::conn::Async;
 use crate::frame::{self, Decoder, Frame};
 use crate::reactor::Reactor;
 use nbq_async::AsyncQueue;
-use nbq_core::{BatchPolicy, CasQueue, LanePolicy, ShardedConfig, ShardedQueue};
+use nbq_core::{CasQueue, LanePolicy, ShardedConfig, ShardedQueue};
 use nbq_util::queue::{ConcurrentQueue, LaneFactory, TrySendError};
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Per-connection outbox capacity, in frames.
+const OUTBOX_CAPACITY: usize = 256;
+/// Read-buffer size per connection.
+const READ_BUFFER: usize = 16 * 1024;
+/// Coalesce up to this many bytes per `write_all`.
+const WRITE_BATCH: usize = 32 * 1024;
 
 /// One message crossing a topic queue.
 pub struct NetMsg {
@@ -62,21 +69,15 @@ pub struct BrokerConfig {
     /// business — the queues it builds bound each lane, and that bound
     /// is the backpressure limit `BUSY` enforces.
     pub lanes: usize,
-    /// Per-connection outbox capacity, in frames.
-    pub outbox_capacity: usize,
     /// Which fast-path rings each topic lane composes.
     pub lane_policy: LanePolicy,
-    /// Read-buffer size per connection.
-    pub read_buffer: usize,
 }
 
 impl Default for BrokerConfig {
     fn default() -> Self {
         BrokerConfig {
             lanes: 2,
-            outbox_capacity: 256,
             lane_policy: LanePolicy::MpscFastPath,
-            read_buffer: 16 * 1024,
         }
     }
 }
@@ -249,8 +250,6 @@ where
             let mut factory = self.factory.lock().unwrap_or_else(|e| e.into_inner());
             let config = ShardedConfig {
                 lanes: self.config.lanes,
-                steal_attempts: self.config.lanes.saturating_sub(1),
-                batch_policy: BatchPolicy::Pin,
                 lane_policy: self.config.lane_policy,
             };
             ShardedQueue::with_config(config, |lane| factory.make_lane(lane))
@@ -288,7 +287,7 @@ where
         let conn_id = self.next_conn.fetch_add(1, Ordering::Relaxed);
         let conn = Arc::new(Conn {
             stream,
-            outbox: AsyncQueue::new(CasQueue::with_capacity(self.config.outbox_capacity)),
+            outbox: AsyncQueue::new(CasQueue::with_capacity(OUTBOX_CAPACITY)),
             stop: AsyncQueue::new(CasQueue::with_capacity(1)),
             dirty: AtomicBool::new(false),
         });
@@ -312,7 +311,7 @@ where
 
     async fn reader(self: &Arc<Self>, conn: &Arc<Conn<F::Lane>>, conn_id: u64) {
         let mut decoder = Decoder::new();
-        let mut buf = vec![0u8; self.config.read_buffer.max(512)];
+        let mut buf = vec![0u8; READ_BUFFER];
         let mut acks: u64 = 0;
         'conn: loop {
             let n = match conn.stream.read(&mut buf).await {
@@ -465,8 +464,6 @@ where
     /// The writer task: batches outbox frames into one buffer per wake,
     /// honors dirty teardown, republishes on write failure.
     async fn writer(self: Arc<Self>, conn: Arc<Conn<F::Lane>>) {
-        /// Coalesce up to this many bytes per `write_all`.
-        const WRITE_BATCH: usize = 32 * 1024;
         let mut buf: Vec<u8> = Vec::with_capacity(WRITE_BATCH);
         loop {
             let Some(first) = conn.outbox.recv().await else {

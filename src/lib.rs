@@ -139,8 +139,8 @@ pub use nbq_async as aio;
 pub use nbq_async::AsyncQueue;
 pub use nbq_baselines as baselines;
 pub use nbq_core::{
-    ArityRegistry, BatchPolicy, CasQueue, LanePolicy, LlScQueue, MpscRing, ShardedConfig,
-    ShardedQueue, SpmcRing, SpscRing,
+    ArityRegistry, CasQueue, LanePolicy, LlScQueue, MpscRing, ShardedConfig, ShardedQueue,
+    SpmcRing, SpscRing,
 };
 pub use nbq_harness as harness;
 pub use nbq_hazard as hazard;
@@ -167,8 +167,7 @@ pub use nbq_util::{
 pub mod prelude {
     pub use nbq_async::AsyncQueue;
     pub use nbq_core::{
-        BatchPolicy, CasQueue, LanePolicy, LlScQueue, MpscRing, ShardedConfig, ShardedQueue,
-        SpmcRing, SpscRing,
+        CasQueue, LanePolicy, LlScQueue, MpscRing, ShardedConfig, ShardedQueue, SpmcRing, SpscRing,
     };
     pub use nbq_util::{
         Arity, BatchFull, ConcurrentQueue, Full, LaneFactory, QueueHandle, QueueKind, TrySendError,

@@ -16,10 +16,7 @@ use nbq::lincheck::{
     check_history, check_linearizable, check_value_integrity, History, Op, OpKind, SearchResult,
 };
 use nbq::llsc::{FaultPlan, LlScCell, OracleCell, VersionedCell, WeakCell};
-use nbq::{
-    BatchPolicy, CasQueue, ConcurrentQueue, LanePolicy, LlScQueue, QueueHandle, ShardedConfig,
-    ShardedQueue,
-};
+use nbq::{CasQueue, ConcurrentQueue, LlScQueue, QueueHandle, ShardedQueue};
 use nbq_util::ring_slot;
 use proptest::prelude::*;
 use std::collections::{HashSet, VecDeque};
@@ -267,20 +264,11 @@ proptest! {
         script in batch_script_strategy(60),
         lanes in 1usize..5,
         per_lane_cap in 1usize..8,
-        stripe in any::<bool>(),
     ) {
         // The sharded frontend reorders across lanes, so it cannot be
         // held to the single-FIFO model; what it must never do is lose
-        // or duplicate a value, under either batch policy.
-        let config = ShardedConfig {
-            lanes,
-            steal_attempts: lanes.saturating_sub(1),
-            batch_policy: if stripe { BatchPolicy::Stripe } else { BatchPolicy::Pin },
-            lane_policy: LanePolicy::Mpmc,
-        };
-        let q = ShardedQueue::with_config(config, |_| {
-            CasQueue::<u64>::with_capacity(per_lane_cap)
-        });
+        // or duplicate a value, including when a batch spills on Full.
+        let q = ShardedQueue::with_lanes(lanes, |_| CasQueue::<u64>::with_capacity(per_lane_cap));
         let mut h = q.handle();
         let mut tag = 0u64;
         let mut accepted: HashSet<u64> = HashSet::new();

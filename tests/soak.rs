@@ -17,9 +17,7 @@ use nbq::lincheck::{
     check_history, check_per_producer_fifo, check_value_integrity, record_batch_run,
     record_paper_workload, record_run, DriverConfig,
 };
-use nbq::{
-    BatchPolicy, CasQueue, ConcurrentQueue, LanePolicy, LlScQueue, ShardedConfig, ShardedQueue,
-};
+use nbq::{CasQueue, ConcurrentQueue, LlScQueue, ShardedQueue};
 
 fn soak_cfg(threads: usize, iterations: usize) -> WorkloadConfig {
     WorkloadConfig {
@@ -166,29 +164,16 @@ fn sharded_recorded_histories() {
 #[test]
 #[ignore = "soak: minutes of runtime"]
 fn sharded_batch_recorded_histories() {
-    // Pin-policy batches keep whole batches on one lane (spilling only on
-    // Full, which ample capacity rules out), so per-producer FIFO must
-    // survive batching; Stripe trades exactly that away, so it is held to
-    // value integrity only.
+    // Batches stay whole on one lane (spilling only on Full, which ample
+    // capacity rules out), so per-producer FIFO must survive batching.
     let cfg = DriverConfig {
         threads: 8,
         ops_per_thread: 2_000,
         enqueue_percent: 50,
         seed: 0x0BA7_C5AD_u64,
     };
-    for policy in [BatchPolicy::Pin, BatchPolicy::Stripe] {
-        let config = ShardedConfig {
-            lanes: 4,
-            steal_attempts: 3,
-            batch_policy: policy,
-            lane_policy: LanePolicy::Mpmc,
-        };
-        let q = ShardedQueue::with_config(config, |_| CasQueue::<u64>::with_capacity(4096));
-        let h = record_batch_run(&q, cfg, 5);
-        check_value_integrity(&h).unwrap_or_else(|v| panic!("sharded {policy:?} batch: {v}"));
-        if policy == BatchPolicy::Pin {
-            check_per_producer_fifo(&h)
-                .unwrap_or_else(|v| panic!("sharded Pin batch producer order: {v}"));
-        }
-    }
+    let q = ShardedQueue::with_lanes(4, |_| CasQueue::<u64>::with_capacity(4096));
+    let h = record_batch_run(&q, cfg, 5);
+    check_value_integrity(&h).unwrap_or_else(|v| panic!("sharded batch: {v}"));
+    check_per_producer_fifo(&h).unwrap_or_else(|v| panic!("sharded batch producer order: {v}"));
 }
