@@ -65,10 +65,12 @@
 //! `Full` or `None` rather than waiting. The single end never touches
 //! `granted`: the shared end checks its grants against the single end's
 //! cursor, the way the single end checks its own moves against a shadow
-//! of the shared end's. When a registrant's own tickets already reach
-//! the bound, one fresh load of the opposite cursor decides `Full` or
-//! `None` with no RMW at all — exactly, since the end's own cursor has
-//! already passed those tickets.
+//! of the shared end's. When the tickets already issued reach the bound
+//! (a producer's own; for a consumer, a fresh `head`, which also counts
+//! the positions its peers took), one fresh load of the opposite cursor
+//! decides `Full` or `None` with no RMW at all — exactly, since the end's
+//! own cursor has already passed those tickets. An idle fan-out consumer
+//! therefore probes with loads alone.
 //!
 //! After moving its value, the registrant stores the slot's `seq`: `pos +
 //! 1` publishes position `pos` to a single consumer, `pos + slots`
@@ -604,21 +606,29 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
                 shadow
             }
         };
-        // Our own tickets reach the bound: if a fresh load agrees, the
-        // ring is exactly full (empty) and no RMW is needed to say so.
-        if bound(marks.shadow) <= marks.last && {
+        // The tickets already issued reach the bound: a producer's own, or
+        // for a consumer every registrant's, read from a fresh `head` (a
+        // peer may have taken the positions past our last ticket). If a
+        // fresh load of the opposite cursor agrees, the ring is exactly
+        // full (empty) and no RMW is needed to say so.
+        let issued = if PUSH {
+            marks.last
+        } else {
+            own.load(mem::SPSC_CURSOR_LOAD)
+        };
+        if bound(marks.shadow) <= issued && {
             marks.shadow = opposite.load(mem::SPSC_CURSOR_LOAD);
-            bound(marks.shadow) <= marks.last
+            bound(marks.shadow) <= issued
         } {
             return 0;
         }
-        let t = self.granted.fetch_add(want, mem::RING_GATE);
+        let t = self.draw(want);
         let mut granted = bound(marks.shadow).saturating_sub(t).min(want);
         if granted < want {
             marks.shadow = opposite.load(mem::SPSC_CURSOR_LOAD);
             granted = bound(marks.shadow).saturating_sub(t).min(want);
             if granted < want {
-                self.granted.fetch_sub(want - granted, mem::RING_GATE);
+                self.refund(want - granted);
             }
         }
         let mut moved = 0;
@@ -654,9 +664,24 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
         if moved < granted {
             // The iterator's `len()` over-reported: refund the units that
             // never became tickets.
-            self.granted.fetch_sub(granted - moved, mem::RING_GATE);
+            self.refund(granted - moved);
         }
         moved as usize
+    }
+
+    /// Draws `units` from the shared end's grant counter; returns the
+    /// count before the draw.
+    fn draw(&self, units: u64) -> u64 {
+        #[cfg(test)]
+        tests::GATE_RMWS.with(|n| n.set(n.get() + 1));
+        self.granted.fetch_add(units, mem::RING_GATE)
+    }
+
+    /// Returns drawn `units` that will never become tickets.
+    fn refund(&self, units: u64) {
+        #[cfg(test)]
+        tests::GATE_RMWS.with(|n| n.set(n.get() + 1));
+        self.granted.fetch_sub(units, mem::RING_GATE);
     }
 }
 
@@ -1064,6 +1089,43 @@ mod tests {
     #[should_panic(expected = "second concurrent producer")]
     fn second_spmc_producer_panics() {
         second_claimant_on_a_single_end_panics::<Single, Shared, true>();
+    }
+
+    thread_local! {
+        /// RMWs this thread made on any ring's grant counter, so a test
+        /// can check that a probe decided without one.
+        pub(super) static GATE_RMWS: core::cell::Cell<u64> = const { core::cell::Cell::new(0) };
+    }
+
+    /// A shared consumer whose last ticket fell behind `head` (a peer took
+    /// the newer positions) reads the drained ring as empty from loads
+    /// alone: no draw and refund on the grant counter.
+    #[test]
+    fn drained_fan_out_ring_reads_empty_without_a_grant_rmw() {
+        let ring = SpmcRing::<u64>::with_capacity(8);
+        let mut producer = ring.claim_producer().unwrap();
+        let (mut a, mut b) = (
+            ring.claim_consumer().unwrap(),
+            ring.claim_consumer().unwrap(),
+        );
+        for v in 0..4 {
+            producer.push(v).unwrap();
+        }
+        assert_eq!(a.pop(), Some(0));
+        let mut out = Vec::new();
+        assert_eq!(b.pop_batch(&mut out, 8), 3, "B drains the rest");
+        let granted = ring.granted.load(Ordering::Relaxed);
+        let rmws = GATE_RMWS.with(|n| n.get());
+        assert_eq!(a.pop(), None);
+        assert_eq!(ring.granted.load(Ordering::Relaxed), granted);
+        assert_eq!(
+            GATE_RMWS.with(|n| n.get()),
+            rmws,
+            "the empty probe drew from the grant counter"
+        );
+        // The load-only probe still sees a value pushed after it.
+        producer.push(4).unwrap();
+        assert_eq!(a.pop(), Some(4));
     }
 
     /// Threads to run on an end: several on a shared one, else one.
