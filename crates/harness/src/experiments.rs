@@ -760,10 +760,12 @@ pub fn async_wakers(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
 /// or µs).
 ///
 /// `ext-steal` reports, from the same pipe runs, steals, steal batches,
-/// LIFO-slot hits, injection-queue polls and parks per 1000 completed
+/// LIFO-slot hits, injection-queue polls, overflow spills (tasks a full
+/// local run queue sent to the injection queue, which its polls would
+/// otherwise pass off as external spawns) and parks per 1000 completed
 /// queue operations, per scheduler mode. The injection-only control's
-/// rows pin the baseline: zero steals and LIFO hits by construction,
-/// every poll through the shared queue.
+/// rows pin the baseline: zero steals, LIFO hits and spills by
+/// construction, every poll through the shared queue.
 ///
 /// Under a `--features injection-only` build the work-stealing scheduler
 /// does not exist, so its rows are omitted rather than silently measuring
@@ -798,11 +800,12 @@ pub fn async_latency(thread_counts: &[usize], base: &WorkloadConfig) -> (Table, 
         frontends.push((format!("async ({mode})"), runs));
     }
     type Count = fn(&RuntimeMetrics) -> u64;
-    let counters: [(&str, Count); 5] = [
+    let counters: [(&str, Count); 6] = [
         ("steals", |m| m.steals),
         ("steal batches", |m| m.steal_batches),
         ("lifo hits", |m| m.lifo_hits),
         ("injection polls", |m| m.injection_polls),
+        ("overflow spills", |m| m.overflow_spills),
         ("parks", |m| m.parks),
     ];
     for &(mode, injection_only) in &modes {
@@ -1329,12 +1332,17 @@ mod tests {
         } else {
             2
         };
-        assert_eq!(t.rows.len(), 5 * modes);
+        assert_eq!(t.rows.len(), 6 * modes);
         assert!(t.cell("parks [injection-only]", 2).is_some());
         assert_eq!(
             t.cell("steals [injection-only]", 2).unwrap().mean,
             0.0,
             "the control scheduler must never steal"
+        );
+        assert_eq!(
+            t.cell("overflow spills [injection-only]", 2).unwrap().mean,
+            0.0,
+            "the control scheduler has no local ring to spill"
         );
         for (label, cells) in &t.rows {
             assert!(

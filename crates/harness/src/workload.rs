@@ -198,8 +198,9 @@ pub struct RunReport {
     /// the run's wall clock (one clock spans both roles; per-role times
     /// would double-count the overlap).
     pub summary: Summary,
-    /// Queue operations in one run: every value is enqueued once and
-    /// dequeued once.
+    /// Queue operations the threads (or tasks) completed in the last run,
+    /// as they counted them: every value is enqueued once and dequeued
+    /// once, so a run that returned without doing its work reads short.
     pub ops: u64,
     /// All runs' captures merged, when the workload is timed.
     pub latency: Option<LatencyReport>,
@@ -296,12 +297,11 @@ impl Workload {
             Shape::Batched => return balanced::<C, Q, true>(queue, cfg),
             shape => Split::plan(shape, cfg, queue.lanes()),
         };
-        let (secs, clock) = on_threads(cfg.threads, |t, barrier| {
+        on_threads(cfg.threads, |t, barrier| {
             let (lane, role) = split.roles[t];
             let handle = lane.map_or_else(|| queue.handle(), |lane| queue.pinned(lane));
             split.drive(handle, role, barrier)
-        });
-        (secs, split.ops(), clock)
+        })
     }
 
     /// One run through the condvar frontend: (seconds, ops, capture).
@@ -313,10 +313,9 @@ impl Workload {
         let mixed = self.shape == Shape::Mixed;
         assert!(mixed, "the blocking frontend runs the Mixed shape");
         assert_live(queue.inner().capacity(), cfg);
-        let (secs, clock) = on_threads(cfg.threads, |t, barrier| {
+        on_threads(cfg.threads, |t, barrier| {
             paper_loop::<C, _, false>(Park(queue.handle()), t, cfg, barrier)
-        });
-        (secs, cfg.total_ops(), clock)
+        })
     }
 }
 
@@ -343,15 +342,15 @@ fn assert_live(capacity: Option<usize>, cfg: &WorkloadConfig) {
 
 /// The thread scaffold every thread-based run shares: spawns `threads`
 /// scoped threads running `body(t, barrier)` — which sets up, waits on the
-/// barrier (the paper's "initialization phase") and returns its seconds
-/// and capture — joins them, and returns the mean seconds and the merged
-/// capture.
+/// barrier (the paper's "initialization phase") and returns its seconds,
+/// the operations it completed and its capture — joins them, and returns
+/// the mean seconds, the summed operations and the merged capture.
 fn on_threads<C: Clock>(
     threads: usize,
-    body: impl Fn(usize, &Barrier) -> (f64, C) + Sync,
-) -> (f64, C) {
+    body: impl Fn(usize, &Barrier) -> (f64, u64, C) + Sync,
+) -> (f64, u64, C) {
     let barrier = Barrier::new(threads);
-    let mut secs = 0.0;
+    let (mut secs, mut ops) = (0.0, 0);
     let mut clock = C::default();
     std::thread::scope(|s| {
         let joins: Vec<_> = (0..threads)
@@ -361,12 +360,14 @@ fn on_threads<C: Clock>(
             })
             .collect();
         for j in joins {
-            let (thread_secs, thread_clock) = j.join().expect("workload thread panicked");
+            let (thread_secs, thread_ops, thread_clock) =
+                j.join().expect("workload thread panicked");
             secs += thread_secs;
+            ops += thread_ops;
             clock.absorb(thread_clock);
         }
     });
-    (secs / threads as f64, clock)
+    (secs / threads as f64, ops, clock)
 }
 
 /// The balanced shapes on the raw queue.
@@ -375,10 +376,9 @@ fn balanced<C: Clock, Q: ConcurrentQueue<u64>, const BATCHED: bool>(
     cfg: &WorkloadConfig,
 ) -> (f64, u64, C) {
     assert_live(queue.capacity(), cfg);
-    let (secs, clock) = on_threads(cfg.threads, |t, barrier| {
+    on_threads(cfg.threads, |t, barrier| {
         paper_loop::<C, _, BATCHED>(queue.handle(), t, cfg, barrier)
-    });
-    (secs, cfg.total_ops(), clock)
+    })
 }
 
 /// The condvar frontend as a handle whose operations park instead of
@@ -402,13 +402,15 @@ impl<Q: ConcurrentQueue<u64>> QueueHandle<u64> for Park<'_, Q> {
 /// call). A full enqueue or empty dequeue retries after `yield_now`:
 /// bounded queues may transiently report Full under oversubscription, and
 /// another thread may have taken "our" items, but global counts match.
+/// Returns the seconds, the values this thread moved and its capture.
 fn paper_loop<C: Clock, H: QueueHandle<u64>, const BATCHED: bool>(
     mut handle: H,
     t: usize,
     cfg: &WorkloadConfig,
     barrier: &Barrier,
-) -> (f64, C) {
+) -> (f64, u64, C) {
     let mut clock = C::default();
+    let mut ops: u64 = 0;
     let mut seq: u64 = 0;
     let mut next = || {
         seq += 1;
@@ -423,16 +425,27 @@ fn paper_loop<C: Clock, H: QueueHandle<u64>, const BATCHED: bool>(
             let mut batch: Vec<u64> = (0..cfg.burst).map(|_| next()).collect();
             let op = C::mark();
             // Retry the leftover suffix only.
-            while let Err(e) = handle.enqueue_batch(batch.into_iter()) {
-                batch = e.remaining;
-                std::thread::yield_now();
+            loop {
+                match handle.enqueue_batch(batch.into_iter()) {
+                    Ok(enqueued) => {
+                        ops += enqueued as u64;
+                        break;
+                    }
+                    Err(e) => {
+                        ops += e.enqueued as u64;
+                        batch = e.remaining;
+                        std::thread::yield_now();
+                    }
+                }
             }
             clock.record(Op::Enqueue, op);
             out.clear();
             let op = C::mark();
             while out.len() < cfg.burst {
                 let want = cfg.burst - out.len();
-                if handle.dequeue_batch(&mut out, want) == 0 {
+                let dequeued = handle.dequeue_batch(&mut out, want);
+                ops += dequeued as u64;
+                if dequeued == 0 {
                     std::thread::yield_now();
                 }
             }
@@ -444,6 +457,7 @@ fn paper_loop<C: Clock, H: QueueHandle<u64>, const BATCHED: bool>(
                 while handle.enqueue(value).is_err() {
                     std::thread::yield_now();
                 }
+                ops += 1;
                 clock.record(Op::Enqueue, op);
             }
             for _ in 0..cfg.burst {
@@ -451,12 +465,13 @@ fn paper_loop<C: Clock, H: QueueHandle<u64>, const BATCHED: bool>(
                 while handle.dequeue().is_none() {
                     std::thread::yield_now();
                 }
+                ops += 1;
                 clock.record(Op::Dequeue, op);
             }
         }
         clock.record(Op::Echo, iteration);
     }
-    (start.elapsed().as_secs_f64(), clock)
+    (start.elapsed().as_secs_f64(), ops, clock)
 }
 
 /// One thread's part in a split shape.
@@ -527,20 +542,16 @@ impl Split {
         Split { per, counts, roles }
     }
 
-    /// Operations one run performs: each produced value is enqueued once
-    /// and dequeued once, whichever side is the wide one.
-    fn ops(&self) -> u64 {
-        let produces = |(_, role): &&(Option<usize>, Role)| matches!(role, Role::Produce(_));
-        self.roles.iter().filter(produces).count() as u64 * self.per * 2
-    }
-
+    /// One thread's part: returns the seconds, the values it moved and
+    /// its capture.
     fn drive<C: Clock, H: QueueHandle<u64>>(
         &self,
         mut handle: H,
         role: Role,
         barrier: &Barrier,
-    ) -> (f64, C) {
+    ) -> (f64, u64, C) {
         let mut clock = C::default();
+        let mut ops: u64 = 0;
         barrier.wait();
         let start = Instant::now();
         match role {
@@ -551,6 +562,7 @@ impl Split {
                     while handle.enqueue(value).is_err() {
                         std::thread::yield_now();
                     }
+                    ops += 1;
                     clock.record(Op::Enqueue, op);
                 }
             }
@@ -560,6 +572,7 @@ impl Split {
                     while handle.dequeue().is_none() {
                         std::thread::yield_now();
                     }
+                    ops += 1;
                     clock.record(Op::Dequeue, op);
                 }
             }
@@ -569,6 +582,7 @@ impl Split {
                     let op = C::mark();
                     if handle.dequeue().is_some() {
                         remaining.fetch_sub(1, Ordering::AcqRel);
+                        ops += 1;
                         clock.record(Op::Dequeue, op);
                     } else {
                         std::thread::yield_now();
@@ -576,7 +590,7 @@ impl Split {
                 }
             }
         }
-        (start.elapsed().as_secs_f64(), clock)
+        (start.elapsed().as_secs_f64(), ops, clock)
     }
 }
 

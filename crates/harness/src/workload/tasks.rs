@@ -31,13 +31,11 @@ impl Workload {
         let out = match self.shape {
             Shape::Mixed => {
                 assert_live(queue.capacity(), cfg);
-                let (secs, clock) = rt.block_on(async_mixed(queue, *cfg));
-                (secs, cfg.total_ops(), clock)
+                rt.block_on(async_mixed(queue, *cfg))
             }
             Shape::Fan { producers } => {
                 let consumers = cfg.threads.saturating_sub(producers).max(1);
-                let (secs, clock) = rt.block_on(async_fan(queue, producers, consumers, per));
-                (secs, producers as u64 * per * 2, clock)
+                rt.block_on(async_fan(queue, producers, consumers, per))
             }
             shape => panic!("the async frontend runs the Mixed and Fan shapes, not {shape:?}"),
         };
@@ -49,11 +47,12 @@ impl Workload {
 /// The paper's loop as one task per thread. The start barrier is a
 /// cooperative countdown — tasks `yield_now` until every task has been
 /// spawned and polled once — so it cannot deadlock even when the runtime
-/// has fewer workers than there are tasks.
+/// has fewer workers than there are tasks. Returns the mean seconds, the
+/// values the tasks moved and the merged capture.
 async fn async_mixed<C: Clock, Q: ConcurrentQueue<u64> + 'static>(
     queue: &Arc<AsyncQueue<u64, Q>>,
     cfg: WorkloadConfig,
-) -> (f64, C) {
+) -> (f64, u64, C) {
     let tasks = cfg.threads;
     let arrived = Arc::new(AtomicUsize::new(0));
     let handles: Vec<_> = (0..tasks)
@@ -66,7 +65,7 @@ async fn async_mixed<C: Clock, Q: ConcurrentQueue<u64> + 'static>(
                     tokio::task::yield_now().await;
                 }
                 let start = Instant::now();
-                let mut seq: u64 = 0;
+                let (mut seq, mut ops): (u64, u64) = (0, 0);
                 let mut clock = C::default();
                 for _ in 0..cfg.iterations {
                     let iteration = C::mark();
@@ -75,27 +74,30 @@ async fn async_mixed<C: Clock, Q: ConcurrentQueue<u64> + 'static>(
                         seq += 1;
                         let op = C::mark();
                         q.send(value).await.expect("queue closed mid-run");
+                        ops += 1;
                         clock.record(Op::Enqueue, op);
                     }
                     for _ in 0..cfg.burst {
                         let op = C::mark();
                         q.recv().await.expect("queue closed mid-run");
+                        ops += 1;
                         clock.record(Op::Dequeue, op);
                     }
                     clock.record(Op::Echo, iteration);
                 }
-                (start.elapsed().as_secs_f64(), clock)
+                (start.elapsed().as_secs_f64(), ops, clock)
             })
         })
         .collect();
-    let mut total = 0.0;
+    let (mut total, mut ops) = (0.0, 0);
     let mut clock = C::default();
     for h in handles {
-        let (secs, task_clock) = h.await.expect("workload task panicked");
+        let (secs, task_ops, task_clock) = h.await.expect("workload task panicked");
         total += secs;
+        ops += task_ops;
         clock.absorb(task_clock);
     }
-    (total / tasks as f64, clock)
+    (total / tasks as f64, ops, clock)
 }
 
 /// The fan as sender and receiver tasks: the channel shape where the
@@ -103,27 +105,29 @@ async fn async_mixed<C: Clock, Q: ConcurrentQueue<u64> + 'static>(
 /// every rate mismatch parks a task, so each value's delivery rides a
 /// waker → scheduler → re-poll round trip. No start barrier is needed
 /// (the queue itself rendezvouses the two sides); receivers stop when the
-/// queue closes after the last send.
+/// queue closes after the last send. Returns the wall clock, the values
+/// the tasks moved and the merged capture.
 async fn async_fan<C: Clock, Q: ConcurrentQueue<u64> + 'static>(
     queue: &Arc<AsyncQueue<u64, Q>>,
     producers: usize,
     consumers: usize,
     per: u64,
-) -> (f64, C) {
+) -> (f64, u64, C) {
     // Send stamps count from the run's start.
     let start = Instant::now();
     let senders: Vec<_> = (0..producers as u64)
         .map(|id| {
             let q = Arc::clone(queue);
             tokio::spawn(async move {
-                let mut clock = C::default();
+                let (mut ops, mut clock) = (0, C::default());
                 for seq in 0..per {
                     let op = C::mark();
                     let value = C::stamp(start, (id << 40) | seq);
                     q.send(value).await.expect("closed only after producers");
+                    ops += 1;
                     clock.record(Op::Enqueue, op);
                 }
-                clock
+                (ops, clock)
             })
         })
         .collect();
@@ -131,24 +135,29 @@ async fn async_fan<C: Clock, Q: ConcurrentQueue<u64> + 'static>(
         .map(|_| {
             let q = Arc::clone(queue);
             tokio::spawn(async move {
-                let mut clock = C::default();
+                let (mut ops, mut clock) = (0, C::default());
                 loop {
                     let op = C::mark();
                     let Some(value) = q.recv().await else { break };
+                    ops += 1;
                     clock.record(Op::Dequeue, op);
                     clock.transit(start, value);
                 }
-                clock
+                (ops, clock)
             })
         })
         .collect();
-    let mut clock = C::default();
+    let (mut ops, mut clock) = (0, C::default());
     for s in senders {
-        clock.absorb(s.await.expect("producer panicked"));
+        let (sent, sender_clock) = s.await.expect("producer panicked");
+        ops += sent;
+        clock.absorb(sender_clock);
     }
     queue.close();
     for r in receivers {
-        clock.absorb(r.await.expect("consumer panicked"));
+        let (received, receiver_clock) = r.await.expect("consumer panicked");
+        ops += received;
+        clock.absorb(receiver_clock);
     }
-    (start.elapsed().as_secs_f64(), clock)
+    (start.elapsed().as_secs_f64(), ops, clock)
 }
