@@ -1,5 +1,5 @@
 //! Algorithm registry: every queue the experiments build, keyed by an
-//! enum so the `repro` binary and the Criterion benches share one list.
+//! enum so every `repro` experiment draws from one list.
 //!
 //! An [`Algo`] names only what gets built — the queue, and for the
 //! sharded frontend its lanes and lane policy. The experiment rows supply

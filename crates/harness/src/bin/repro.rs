@@ -19,6 +19,7 @@
 //!                                    fans (--threads >= 4)
 //!   net                              loopback broker per queue backbone
 //!                                    (--connections to sweep)
+//!   handles                          queue handles held vs built per call
 //!   all                              every experiment above, in order,
 //!                                    with the same parameters
 //!
@@ -128,6 +129,10 @@ const EXPERIMENTS: &[Entry] = &[
     ("spsc", spsc),
     ("arity", arity),
     ("net", net),
+    ("handles", |a| {
+        let items = (a.config.iterations as u64 * 100).max(100_000);
+        a.emit(&experiments::handles(items, a.config.runs));
+    }),
 ];
 
 /// The experiments `name` runs, in order; empty for an unknown name.
@@ -323,20 +328,13 @@ fn latency(args: &Args) {
     let (latency, steal) = experiments::async_latency(&args.threads, &args.config);
     args.emit(&latency);
     args.emit(&steal);
-    if tokio::runtime::injection_only_build() {
-        println!(
-            "this binary was built with --features injection-only: only the \
-             control scheduler exists, so the work-stealing rows are omitted"
-        );
-    } else {
-        println!(
-            "async rows run one task per paper thread on the vendored \
-             work-stealing runtime (per-worker run queues + LIFO slots, \
-             DESIGN.md §11); the injection-only rows force every task \
-             through the shared queue — the pre-work-stealing scheduler, \
-             kept as the control"
-        );
-    }
+    println!(
+        "async rows run one task per paper thread on the vendored \
+         work-stealing runtime (per-worker run queues + LIFO slots, \
+         DESIGN.md §11); the injection-only rows force every task \
+         through the shared queue — the pre-work-stealing scheduler, \
+         kept as the control"
+    );
 }
 
 /// `--threads` restricted to the counts `keep` admits, with a note on
@@ -440,7 +438,7 @@ mod tests {
     #[test]
     fn all_runs_every_registry_entry_in_order() {
         assert_eq!(names(plan("all")), names(EXPERIMENTS.to_vec()));
-        assert_eq!(EXPERIMENTS.len(), 21);
+        assert_eq!(EXPERIMENTS.len(), 22);
     }
 
     #[test]

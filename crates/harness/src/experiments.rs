@@ -763,13 +763,10 @@ pub fn async_wakers(thread_counts: &[usize], base: &WorkloadConfig) -> Table {
 /// LIFO-slot hits, injection-queue polls, overflow spills (tasks a full
 /// local run queue sent to the injection queue, which its polls would
 /// otherwise pass off as external spawns) and parks per 1000 completed
-/// queue operations, per scheduler mode. The injection-only control's
-/// rows pin the baseline: zero steals, LIFO hits and spills by
-/// construction, every poll through the shared queue.
-///
-/// Under a `--features injection-only` build the work-stealing scheduler
-/// does not exist, so its rows are omitted rather than silently measuring
-/// the control twice.
+/// queue operations, per scheduler mode; each cell is the mean and spread
+/// of the runs' counter deltas. The injection-only control's rows pin the
+/// baseline: zero steals, LIFO hits and spills by construction, every
+/// poll through the shared queue.
 pub fn async_latency(thread_counts: &[usize], base: &WorkloadConfig) -> (Table, Table) {
     use tokio::runtime::RuntimeMetrics;
 
@@ -786,10 +783,7 @@ pub fn async_latency(thread_counts: &[usize], base: &WorkloadConfig) -> (Table, 
         "events/kop",
         thread_counts,
     );
-    let mut modes = vec![("injection-only", true)];
-    if !tokio::runtime::injection_only_build() {
-        modes.insert(0, ("work-stealing", false));
-    }
+    let modes = [("work-stealing", false), ("injection-only", true)];
     let timed =
         |workload: Workload| move |cfg: &WorkloadConfig| Algo::CasQueue.run(&workload.timed(), cfg);
     let blocking = sweep(thread_counts, base, timed(PAPER.via(Frontend::Blocking)));
@@ -818,12 +812,15 @@ pub fn async_latency(thread_counts: &[usize], base: &WorkloadConfig) -> (Table, 
         };
         let runs = sweep(thread_counts, base, pipe);
         for (label, count) in counters {
-            // Counters are cumulative over all runs on the one runtime.
-            let per_kop = |r: &RunReport| {
-                let kops = (r.ops * r.summary.n as u64) as f64 / 1e3;
-                count(&r.executor.expect("async run")) as f64 / kops
-            };
-            steal.push_row(&format!("{label} [{mode}]"), cells(&runs, per_kop));
+            // Every run of a column moves the same items.
+            let per_kop: Vec<Vec<f64>> = runs
+                .iter()
+                .map(|r| {
+                    let kops = r.ops as f64 / 1e3;
+                    r.executor.iter().map(|m| count(m) as f64 / kops).collect()
+                })
+                .collect();
+            steal.push_row(&format!("{label} [{mode}]"), spread(&per_kop, |&v| v));
         }
         frontends.push((format!("async pipe ({mode})"), runs));
     }
@@ -1066,6 +1063,121 @@ pub fn net(
     (tput, lat)
 }
 
+/// `ext-handles`: what a queue handle built for one operation costs
+/// against one held across operations, on one thread.
+///
+/// Each item is one enqueue and then one dequeue. The `held` rows reuse
+/// one handle per side for every item; the `per-call` rows build and drop
+/// a handle for each operation, the way a caller without a place to keep
+/// one does (the async frontend's plain `send`/`recv`, the broker's
+/// per-message paths). Three subjects:
+///
+/// * **`CasQueue`**: a handle registers an `LLSCvar` and opens a node-pool
+///   cache, so a per-call handle pays `Register`/`Deregister` plus what it
+///   takes from and returns to the pool's spill stack.
+/// * **pinned sharded lane**: `handle_pinned(0)` on a 4-lane fan-in
+///   (`MpscFastPath`) `ShardedQueue`, which serves the pair from the
+///   lane's wait-free ring; a per-call handle pays for its construction
+///   and for claiming and releasing the ring endpoints.
+/// * **`AsyncQueue`** over that sharded queue: `send`/`recv` futures on
+///   per-call pinned handles, polled once (the queue never parks here),
+///   against `try_send_with_handle`/`try_recv_with_handle` on held ones.
+///
+/// Each run moves `items` items through a fresh queue; each cell is the
+/// mean and spread of `runs` runs, in ns per item.
+pub fn handles(items: u64, runs: usize) -> Table {
+    use nbq_async::AsyncQueue;
+    use nbq_core::{CasQueue, ShardedConfig, ShardedQueue};
+    use nbq_util::QueueHandle;
+    use std::future::Future;
+    use std::hint::black_box;
+    use std::task::{Context, Poll, Waker};
+    use std::time::Instant;
+
+    /// Nanoseconds per call of `item`.
+    fn ns_per_item(items: u64, mut item: impl FnMut()) -> f64 {
+        let start = Instant::now();
+        for _ in 0..items {
+            item();
+        }
+        start.elapsed().as_nanos() as f64 / items as f64
+    }
+    /// Polls a future that must resolve at once (nothing here parks).
+    fn ready<F: Future>(fut: F) -> F::Output {
+        match std::pin::pin!(fut).poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(out) => out,
+            Poll::Pending => panic!("an ext-handles queue never parks"),
+        }
+    }
+    let lanes = || {
+        ShardedQueue::with_config(ShardedConfig::with_lanes(4).mpsc_fast_path(), |_| {
+            CasQueue::<u64>::with_capacity(64)
+        })
+    };
+    const MOVED: &str = "one item in, one out";
+
+    let mut table = by_threads(
+        "ext-handles",
+        "Queue handles: held vs built per call, one enqueue + one dequeue per item",
+        "ns",
+        &[1],
+    );
+    type Run<'a> = &'a dyn Fn() -> f64;
+    let rows: [(&str, Run); 6] = [
+        ("CasQueue [held]", &|| {
+            let q = CasQueue::<u64>::with_capacity(64);
+            let (mut p, mut c) = (q.handle(), q.handle());
+            ns_per_item(items, || {
+                p.enqueue(black_box(1)).expect(MOVED);
+                black_box(c.dequeue().expect(MOVED));
+            })
+        }),
+        ("CasQueue [per-call]", &|| {
+            let q = CasQueue::<u64>::with_capacity(64);
+            ns_per_item(items, || {
+                q.handle().enqueue(black_box(1)).expect(MOVED);
+                black_box(q.handle().dequeue().expect(MOVED));
+            })
+        }),
+        ("pinned sharded lane [held]", &|| {
+            let q = lanes();
+            let (mut p, mut c) = (q.handle_pinned(0), q.handle_pinned(0));
+            ns_per_item(items, || {
+                p.enqueue(black_box(1)).expect(MOVED);
+                black_box(c.dequeue().expect(MOVED));
+            })
+        }),
+        ("pinned sharded lane [per-call]", &|| {
+            let q = lanes();
+            ns_per_item(items, || {
+                q.handle_pinned(0).enqueue(black_box(1)).expect(MOVED);
+                black_box(q.handle_pinned(0).dequeue().expect(MOVED));
+            })
+        }),
+        ("AsyncQueue send+recv [held]", &|| {
+            let q = AsyncQueue::new(lanes());
+            let (mut p, mut c) = (q.inner().handle_pinned(0), q.inner().handle_pinned(0));
+            ns_per_item(items, || {
+                q.try_send_with_handle(&mut p, black_box(1)).expect(MOVED);
+                black_box(q.try_recv_with_handle(&mut c).expect(MOVED));
+            })
+        }),
+        ("AsyncQueue send+recv [per-call]", &|| {
+            let q = AsyncQueue::new(lanes());
+            ns_per_item(items, || {
+                let pinned = || q.inner().handle_pinned(0);
+                ready(q.send_with_handle(pinned(), black_box(1))).expect(MOVED);
+                black_box(ready(q.recv_with_handle(pinned())).expect(MOVED));
+            })
+        }),
+    ];
+    for (label, run) in rows {
+        let samples: Vec<f64> = (0..runs.max(1)).map(|_| run()).collect();
+        table.push_row(label, vec![Cell::from(Summary::of(&samples))]);
+    }
+    table
+}
+
 /// In-text T3 helper: LL/SC-vs-CAS speed ratio out of a fig6a table.
 pub fn llsc_vs_cas_ratio(fig6a: &Table) -> Vec<(u64, f64)> {
     let (llsc, cas) = (Algo::LlScQueue.name(), Algo::CasQueue.name());
@@ -1291,15 +1403,9 @@ mod tests {
     #[test]
     fn async_latency_table_has_throughput_and_quantile_rows() {
         let (t, _) = async_latency(&[1, 2], &tiny());
-        // 8 rows per frontend: blocking + two injection-only shapes
-        // always, plus two work-stealing shapes unless this build forces
-        // the control.
-        let frontends = if tokio::runtime::injection_only_build() {
-            3
-        } else {
-            5
-        };
-        assert_eq!(t.rows.len(), 8 * frontends);
+        // 8 rows per frontend: blocking, plus the balanced and pipe shapes
+        // on each of the two schedulers.
+        assert_eq!(t.rows.len(), 8 * 5);
         assert!(t
             .cell("async pipe (injection-only) echo p99 (us)", 2)
             .is_some());
@@ -1327,12 +1433,7 @@ mod tests {
     #[test]
     fn steal_table_reports_every_counter_per_mode() {
         let (_, t) = async_latency(&[2], &tiny());
-        let modes = if tokio::runtime::injection_only_build() {
-            1
-        } else {
-            2
-        };
-        assert_eq!(t.rows.len(), 6 * modes);
+        assert_eq!(t.rows.len(), 6 * 2);
         assert!(t.cell("parks [injection-only]", 2).is_some());
         assert_eq!(
             t.cell("steals [injection-only]", 2).unwrap().mean,
@@ -1427,6 +1528,23 @@ mod tests {
     #[should_panic(expected = ">= 4 threads")]
     fn arity_rejects_undersized_thread_counts() {
         arity(&[2], &tiny());
+    }
+
+    #[test]
+    fn handles_table_reports_held_and_per_call_rows() {
+        let t = handles(2_000, 2);
+        assert_eq!(t.id, "ext-handles");
+        assert_eq!(t.rows.len(), 6);
+        for subject in ["CasQueue", "pinned sharded lane", "AsyncQueue send+recv"] {
+            for mode in ["held", "per-call"] {
+                let cell = t.cell(&format!("{subject} [{mode}]"), 1).unwrap();
+                assert!(
+                    cell.mean > 0.0 && cell.mean.is_finite(),
+                    "{subject} [{mode}]: {cell:?}"
+                );
+                assert!(cell.stddev.is_finite() && cell.stddev >= 0.0);
+            }
+        }
     }
 
     #[test]

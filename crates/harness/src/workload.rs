@@ -34,7 +34,7 @@ use nbq_util::{BlockingHandle, BlockingQueue, ConcurrentQueue, Full, QueueHandle
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
-use tokio::runtime::RuntimeMetrics;
+use tokio::runtime::{Runtime, RuntimeMetrics};
 
 /// Parameters of one experiment cell.
 #[derive(Debug, Clone, Copy)]
@@ -204,8 +204,12 @@ pub struct RunReport {
     pub ops: u64,
     /// All runs' captures merged, when the workload is timed.
     pub latency: Option<LatencyReport>,
-    /// The async frontend's cumulative executor counters.
-    pub executor: Option<RuntimeMetrics>,
+    /// The async frontend's executor counters, one delta per run: each
+    /// holds the events since the previous run's end (the first, since
+    /// the runtime was built), so together they sum to the runtime's
+    /// cumulative counters at the last run's end. Empty for the other
+    /// frontends.
+    pub executor: Vec<RuntimeMetrics>,
     /// The async channel's waiter-registry traffic in the last run.
     pub counters: Option<nbq_async::AsyncStatsSnapshot>,
 }
@@ -260,15 +264,29 @@ impl Workload {
             Frontend::Async { injection_only } => Some(tasks::runtime(cfg, injection_only)),
             _ => None,
         };
+        self.run_on::<C, Q, F>(rt.as_ref(), factory, cfg)
+    }
+
+    /// The runs of [`Workload::run`], the async ones on `rt`.
+    fn run_on<C: Clock, Q: Driven, F: Fn() -> Q>(
+        &self,
+        rt: Option<&Runtime>,
+        factory: F,
+        cfg: &WorkloadConfig,
+    ) -> RunReport {
         let (mut clock, mut ops, mut counters) = (C::default(), 0, None);
+        let (mut executor, mut seen) = (Vec::new(), RuntimeMetrics::default());
         let samples: Vec<f64> = (0..cfg.runs)
             .map(|_| {
                 let queue = factory();
-                let (secs, run_ops, run_clock) = match &rt {
+                let (secs, run_ops, run_clock) = match rt {
                     Some(rt) => {
                         let queue = Arc::new(AsyncQueue::with_stats(queue));
                         let run = self.on_async(&queue, rt, cfg);
                         counters = queue.stats().map(|s| s.snapshot());
+                        let now = rt.metrics();
+                        executor.push(since(&now, &seen));
+                        seen = now;
                         run
                     }
                     None if self.frontend == Frontend::Blocking => {
@@ -285,7 +303,7 @@ impl Workload {
             summary: Summary::of(&samples),
             ops,
             latency: clock.report(),
-            executor: rt.map(|rt| rt.metrics()),
+            executor,
             counters,
         }
     }
@@ -316,6 +334,21 @@ impl Workload {
         on_threads(cfg.threads, |t, barrier| {
             paper_loop::<C, _, false>(Park(queue.handle()), t, cfg, barrier)
         })
+    }
+}
+
+/// The counter events of `now` that `earlier` had not yet seen.
+fn since(now: &RuntimeMetrics, earlier: &RuntimeMetrics) -> RuntimeMetrics {
+    RuntimeMetrics {
+        steals: now.steals - earlier.steals,
+        steal_batches: now.steal_batches - earlier.steal_batches,
+        lifo_hits: now.lifo_hits - earlier.lifo_hits,
+        injection_polls: now.injection_polls - earlier.injection_polls,
+        overflow_spills: now.overflow_spills - earlier.overflow_spills,
+        parks: now.parks - earlier.parks,
+        io_parks: now.io_parks - earlier.io_parks,
+        spin_hits: now.spin_hits - earlier.spin_hits,
+        ..*now
     }
 }
 
@@ -656,7 +689,7 @@ mod tests {
         assert_eq!(s.n, 2);
         assert!(s.mean > 0.0);
         assert!(s.min <= s.mean && s.mean <= s.max);
-        assert!(r.latency.is_none() && r.executor.is_none() && r.counters.is_none());
+        assert!(r.latency.is_none() && r.executor.is_empty() && r.counters.is_none());
     }
 
     #[test]
@@ -756,13 +789,43 @@ mod tests {
         assert_eq!(report.enqueue.count(), per_side);
         assert_eq!(report.dequeue.count(), per_side);
         assert!(r.counters.is_some(), "the channel counts its waker traffic");
-        // The runtime lives for this one `run`, so its cumulative
-        // counters are the run's delta. Every task is spawned from
-        // outside the pool and so is popped off the injection queue once.
-        let m = r.executor.expect("async run");
-        assert!(m.injection_polls >= (cfg.runs * cfg.threads) as u64);
-        // Each steal batch moves at least one task.
-        assert!(m.steals >= m.steal_batches);
+        assert_eq!(r.executor.len(), cfg.runs, "one counter delta per run");
+        for m in &r.executor {
+            // Every task is spawned from outside the pool and so is
+            // popped off the injection queue once in its run.
+            assert!(m.injection_polls >= cfg.threads as u64);
+            // Each steal batch moves at least one task.
+            assert!(m.steals >= m.steal_batches);
+        }
+    }
+
+    #[test]
+    fn async_runs_report_executor_deltas_that_sum_to_the_runtime() {
+        let cfg = WorkloadConfig {
+            runs: 3,
+            ..threads(2)
+        };
+        let rt = tasks::runtime(&cfg, false);
+        let pipe = Workload::raw(Shape::pipe(2)).via(Frontend::Async {
+            injection_only: false,
+        });
+        let r = pipe.run_on::<(), _, _>(Some(&rt), || CasQueue::<u64>::with_capacity(8), &cfg);
+        assert_eq!(r.executor.len(), 3, "one delta per run");
+        let total = rt.metrics();
+        let sum = |count: fn(&RuntimeMetrics) -> u64| r.executor.iter().map(count).sum::<u64>();
+        // The tasks are done, so no more of these can happen...
+        assert_eq!(sum(|m| m.steals), total.steals);
+        assert_eq!(sum(|m| m.steal_batches), total.steal_batches);
+        assert_eq!(sum(|m| m.lifo_hits), total.lifo_hits);
+        assert_eq!(sum(|m| m.injection_polls), total.injection_polls);
+        assert_eq!(sum(|m| m.overflow_spills), total.overflow_spills);
+        // ...but the idle workers may park (and spin) again since.
+        assert!(sum(|m| m.parks) <= total.parks);
+        assert!(sum(|m| m.io_parks) <= total.io_parks);
+        assert!(sum(|m| m.spin_hits) <= total.spin_hits);
+        for m in &r.executor {
+            assert!(m.injection_polls >= 2, "each run spawns its 2 tasks");
+        }
     }
 
     #[test]
@@ -773,13 +836,11 @@ mod tests {
             let r = timed.run(|| CasQueue::<u64>::with_capacity(cfg.capacity), &cfg);
             assert_eq!(r.summary.n, cfg.runs);
             assert!(!r.latency.expect("timed run").echo.is_empty());
-            let metrics = r.executor.expect("async run");
-            assert_eq!(
-                metrics.injection_only,
-                injection_only || tokio::runtime::injection_only_build()
-            );
-            if metrics.injection_only {
-                assert_eq!(metrics.steals, 0, "control mode must never steal");
+            for metrics in &r.executor {
+                assert_eq!(metrics.injection_only, injection_only);
+                if injection_only {
+                    assert_eq!(metrics.steals, 0, "control mode must never steal");
+                }
             }
         }
     }
