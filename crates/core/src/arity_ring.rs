@@ -111,9 +111,10 @@
 //!
 //! # Arity
 //!
-//! Pushes and pops go through owned [`Endpoint`]s, each holding the
-//! ring's [`ArityRegistry`] claim on a single end, or one registration on
-//! a shared end, and releasing it on drop. The standalone
+//! Pushes and pops go through owned [`Endpoint`]s. An endpoint on a single
+//! end holds that end's seat in the ring's [`ArityRegistry`] and releases
+//! it on drop; an endpoint on a shared end holds nothing and costs no RMW
+//! to take or drop. The standalone
 //! [`ConcurrentQueue`] facade claims lazily per handle and **panics** when
 //! a second concurrent claimant reaches a single end — misuse caught
 //! loudly rather than corrupting the ring. Inside [`crate::ShardedQueue`]
@@ -407,61 +408,47 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
         self.arity.promoted()
     }
 
-    /// Whether no producer can ever push again: the lane promoted (so
-    /// producer claims are blocked) and every producer claim or
-    /// registration released. Emptiness observed *after* this holds
-    /// forever.
-    pub(crate) fn writers_gone(&self) -> bool {
-        self.arity.promoted()
-            && if P::SHARED {
-                self.arity.multi_count() == 0
-            } else {
-                !self.arity.producer_claimed()
-            }
-    }
-
-    /// Claims the producer end: the single producer's claim, or one
-    /// registration among the shared producers. `None` if the single end
-    /// is held or the ring's lane was promoted — a promoted lane takes no
-    /// new ring writer (see [`ArityRegistry::try_claim_producer`]).
+    /// Claims the producer end: the single producer's seat, or on a
+    /// shared end an endpoint admitted by one load of the promotion flag.
+    /// `None` if the seat is held or the ring's lane was promoted: a
+    /// promoted lane takes no new ring writer once the promotion is
+    /// visible (see [`ArityRegistry`]).
     pub fn claim_producer(&self) -> Option<Endpoint<'_, T, P, C, true>> {
         let claimed = if P::SHARED {
-            self.arity.try_register_multi()
+            !self.arity.promoted()
         } else {
             self.arity.try_claim_producer()
         };
         claimed.then(|| self.endpoint())
     }
 
-    /// Claims the consumer end: the single consumer's claim (`None` if it
-    /// is held or the ring's lane was promoted), or one registration
-    /// among the shared consumers, which never fails and never promotes —
-    /// a reader only drains.
+    /// Claims the consumer end: the single consumer's seat (`None` if it
+    /// is held or the ring's lane was promoted), or an endpoint on the
+    /// shared end, which is never refused and never promotes — a reader
+    /// only drains.
     pub fn claim_consumer(&self) -> Option<Endpoint<'_, T, P, C, false>> {
         self.consumer(false)
     }
 
-    /// As [`ArityRing::claim_consumer`], but the single consumer's claim
-    /// also succeeds on a promoted lane, to drain residue (see
+    /// As [`ArityRing::claim_consumer`], but the single consumer's seat
+    /// can also be taken on a promoted lane, to drain residue (see
     /// [`ArityRegistry::try_reclaim_consumer`]).
     pub fn reclaim_consumer(&self) -> Option<Endpoint<'_, T, P, C, false>> {
         self.consumer(true)
     }
 
     fn consumer(&self, on_promoted: bool) -> Option<Endpoint<'_, T, P, C, false>> {
-        let claimed = if C::SHARED {
-            self.arity.register_multi_drain();
-            true
-        } else if on_promoted {
-            self.arity.try_reclaim_consumer()
-        } else {
-            self.arity.try_claim_consumer()
-        };
+        let claimed = C::SHARED
+            || if on_promoted {
+                self.arity.try_reclaim_consumer()
+            } else {
+                self.arity.try_claim_consumer()
+            };
         claimed.then(|| self.endpoint())
     }
 
     /// A fresh endpoint: its shadow starts at the opposite cursor's
-    /// current value, and a shared-end registration has no ticket yet.
+    /// current value, and a shared-end endpoint has no ticket yet.
     fn endpoint<const PUSH: bool>(&self) -> Endpoint<'_, T, P, C, PUSH> {
         Endpoint {
             ring: self,
@@ -500,8 +487,8 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
     ///
     /// # Safety
     ///
-    /// The caller holds that end — its claim, or one registration — and
-    /// `marks` are the holding endpoint's.
+    /// The caller holds an endpoint on that end — a single end's seat, or
+    /// any shared-end endpoint — and `marks` are that endpoint's.
     unsafe fn transfer<const PUSH: bool>(
         &self,
         marks: &mut Marks,
@@ -584,8 +571,8 @@ impl<T, P: End, C: End> ArityRing<T, P, C> {
     ///
     /// # Safety
     ///
-    /// The caller holds one of this end's registrations, and `marks` are
-    /// that registration's.
+    /// The caller holds one of this end's endpoints, and `marks` are that
+    /// endpoint's.
     unsafe fn shared<const PUSH: bool>(
         &self,
         marks: &mut Marks,
@@ -814,8 +801,8 @@ impl<T, I: Iterator<Item = T>> Values<T, true> for Staged<'_, I> {
 }
 
 /// An owned endpoint on the producer end (`PUSH`) or the consumer end of
-/// an [`ArityRing`]: holds the end's claim (a single end) or one
-/// registration (a shared end) for its lifetime and releases it on drop.
+/// an [`ArityRing`]: on a single end it holds the end's seat for its
+/// lifetime and releases it on drop; on a shared end it holds no seat.
 /// Holding one is what makes pushing or popping safe, so endpoints are
 /// the only way to do either.
 pub struct Endpoint<'q, T, P: End, C: End, const PUSH: bool> {
@@ -827,7 +814,7 @@ pub struct Endpoint<'q, T, P: End, C: End, const PUSH: bool> {
 struct Marks {
     /// Lower bound of the opposite cursor.
     shadow: u64,
-    /// A shared-end registration's position one past its last ticket (0:
+    /// A shared-end endpoint's position one past its last ticket (0:
     /// none yet); unused by a single end.
     last: u64,
 }
@@ -836,13 +823,13 @@ struct Marks {
 pub type SpscProducer<'q, T> = Endpoint<'q, T, Single, Single, true>;
 /// The consumer endpoint of an [`SpscRing`].
 pub type SpscConsumer<'q, T> = Endpoint<'q, T, Single, Single, false>;
-/// A producer registration on an [`MpscRing`]'s shared end.
+/// A producer endpoint on an [`MpscRing`]'s shared end.
 pub type MpscProducer<'q, T> = Endpoint<'q, T, Shared, Single, true>;
 /// The single consumer endpoint of an [`MpscRing`].
 pub type MpscConsumer<'q, T> = Endpoint<'q, T, Shared, Single, false>;
 /// The single producer endpoint of an [`SpmcRing`].
 pub type SpmcProducer<'q, T> = Endpoint<'q, T, Single, Shared, true>;
-/// A consumer registration on an [`SpmcRing`]'s shared end.
+/// A consumer endpoint on an [`SpmcRing`]'s shared end.
 pub type SpmcConsumer<'q, T> = Endpoint<'q, T, Single, Shared, false>;
 
 impl<T, P: End, C: End> Endpoint<'_, T, P, C, true> {
@@ -902,13 +889,14 @@ impl<T, P: End, C: End> Endpoint<'_, T, P, C, false> {
 
 impl<T, P: End, C: End, const PUSH: bool> Drop for Endpoint<'_, T, P, C, PUSH> {
     fn drop(&mut self) {
-        let arity = &self.ring.arity;
+        // A shared end's endpoint holds no seat.
         if ArityRing::<T, P, C>::is_shared::<PUSH>() {
-            arity.release_multi();
-        } else if PUSH {
-            arity.release_producer();
+            return;
+        }
+        if PUSH {
+            self.ring.arity.release_producer();
         } else {
-            arity.release_consumer();
+            self.ring.arity.release_consumer();
         }
     }
 }
@@ -1065,6 +1053,8 @@ mod tests {
         stalling_single_end_conserves_values,
         slots_start_on_a_cache_line,
         zero_sized_values_round_trip,
+        endpoints_take_one_seat_rmw_per_single_end,
+        promoted_ring_admits_no_new_producer,
     );
 
     #[test]
@@ -1137,16 +1127,47 @@ mod tests {
         }
     }
 
-    /// Whether the producer end (`PUSH`) or the consumer end is held:
-    /// its claim (a single end) or any registration (a shared end).
-    fn occupied<T, P: End, C: End, const PUSH: bool>(ring: &ArityRing<T, P, C>) -> bool {
-        if ArityRing::<T, P, C>::is_shared::<PUSH>() {
-            ring.arity.multi_count() > 0
-        } else if PUSH {
+    /// Whether the producer seat (`PUSH`) or the consumer seat is held.
+    /// Only a single end's endpoint takes its seat, so on a shared end
+    /// this stays `false` however many endpoints are live.
+    fn seat_held<T, P: End, C: End, const PUSH: bool>(ring: &ArityRing<T, P, C>) -> bool {
+        if PUSH {
             ring.arity.producer_claimed()
         } else {
             ring.arity.consumer_claimed()
         }
+    }
+
+    /// Seat RMWs this thread has made so far.
+    fn seat_rmws() -> u64 {
+        crate::registry::SEAT_RMWS.with(|n| n.get())
+    }
+
+    fn endpoints_take_one_seat_rmw_per_single_end<P: End, C: End>() {
+        // A single end's endpoint costs one CAS to claim and a plain store
+        // to release; a shared end's costs no RMW at all.
+        let ring = ArityRing::<u64, P, C>::with_capacity(4);
+        let before = seat_rmws();
+        drop(ring.claim_producer().unwrap());
+        assert_eq!(seat_rmws() - before, u64::from(!P::SHARED), "producer");
+        let before = seat_rmws();
+        drop(ring.claim_consumer().unwrap());
+        assert_eq!(seat_rmws() - before, u64::from(!C::SHARED), "consumer");
+        assert!(!seat_held::<_, P, C, true>(&ring) && !seat_held::<_, P, C, false>(&ring));
+    }
+
+    fn promoted_ring_admits_no_new_producer<P: End, C: End>() {
+        // Once the promotion is visible, no producer joins the ring, and
+        // only a shared end or the reclaim path takes a new consumer.
+        let ring = ArityRing::<u64, P, C>::with_capacity(4);
+        let mut held = ring.claim_producer().unwrap();
+        ring.promote();
+        assert!(ring.claim_producer().is_none());
+        assert_eq!(ring.claim_consumer().is_some(), C::SHARED);
+        held.push(1).unwrap();
+        assert_eq!(ring.reclaim_consumer().unwrap().pop(), Some(1));
+        drop(held);
+        assert!(ring.claim_producer().is_none(), "promotion is sticky");
     }
 
     fn trait_facade_round_trips_and_reports_kind<P: End, C: End>() {
@@ -1167,14 +1188,12 @@ mod tests {
         let mut h = ring.handle();
         h.enqueue(7).unwrap();
         assert_eq!(h.dequeue(), Some(7));
-        assert!(occupied::<_, P, C, true>(&ring));
-        assert!(occupied::<_, P, C, false>(&ring));
-        if P::SHARED || C::SHARED {
-            assert_eq!(ring.arity.multi_count(), 1);
-        }
+        assert_eq!(seat_held::<_, P, C, true>(&ring), !P::SHARED);
+        assert_eq!(seat_held::<_, P, C, false>(&ring), !C::SHARED);
+        assert!(!ring.promoted(), "a lone handle never promotes");
         drop(h);
-        assert!(!occupied::<_, P, C, true>(&ring));
-        assert!(!occupied::<_, P, C, false>(&ring));
+        assert!(!seat_held::<_, P, C, true>(&ring));
+        assert!(!seat_held::<_, P, C, false>(&ring));
     }
 
     fn single_thread_round_trip<P: End, C: End>() {
@@ -1544,10 +1563,10 @@ mod tests {
         let mut producer = ring.handle();
         let mut consumer = ring.handle();
         producer.enqueue(7).unwrap();
-        assert!(occupied::<_, P, C, true>(&ring));
-        assert!(!occupied::<_, P, C, false>(&ring));
+        assert_eq!(seat_held::<_, P, C, true>(&ring), !P::SHARED);
+        assert!(!seat_held::<_, P, C, false>(&ring));
         assert_eq!(consumer.dequeue(), Some(7));
-        assert!(occupied::<_, P, C, false>(&ring));
+        assert_eq!(seat_held::<_, P, C, false>(&ring), !C::SHARED);
     }
 
     fn drop_releases_in_flight_values<P: End, C: End>() {

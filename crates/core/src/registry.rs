@@ -39,7 +39,7 @@
 //!   slot (`LL` lines L7/L14).
 
 use core::ptr;
-use core::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use nbq_util::mem;
 
 /// A thread-owned simulated-LL/SC variable (paper `struct LLSCvar`).
@@ -207,180 +207,114 @@ impl Registry {
     }
 }
 
-/// Arity accounting for a single-producer/single-consumer lane: which
-/// endpoints are claimed, and whether the lane has been *promoted* to its
-/// MPMC fallback.
+/// Arity accounting for a lane ring: which of its single ends are
+/// claimed, and whether the lane has been *promoted* to its MPMC fallback.
 ///
 /// This is the registration half of the mixed-lane protocol
-/// (`nbq_core::sharded`, DESIGN.md §10): the SPSC ring admits exactly one
-/// pusher and one popper, so each side is a single claimable slot. The
-/// first enqueuer (resp. dequeuer) to claim a free slot becomes the ring
-/// endpoint; a registrant that finds its slot already held sets the sticky
-/// `PROMOTED` flag instead and uses the MPMC lane — *promotion rather than
-/// corruption*. All transitions are CAS edges on one byte; the hot paths
-/// only load it.
+/// (`nbq_core::sharded`, DESIGN.md §10): a single ring end admits exactly
+/// one holder, so each single end is a claimable *seat*. The first
+/// enqueuer (resp. dequeuer) to claim a free seat becomes the ring
+/// endpoint; a registrant that finds its seat held promotes the lane
+/// instead and uses the MPMC lane — *promotion rather than corruption*.
+/// A shared end (fan-in producers, fan-out consumers) has no seat: any
+/// number of holders is its normal operating mode, so it needs no
+/// accounting here.
 ///
-/// Promotion is one-way and conservative: slots can be *released* (an
-/// endpoint handle dropping with nothing left to do) and re-claimed by a
-/// later thread, but once two registrants have raced for one side the lane
-/// stays promoted for the queue's lifetime. On a promoted lane the plain
-/// claims fail — the `PROMOTED` check rides in the claim CAS loop itself,
-/// so claim-vs-promote is decided atomically — and only the consumer side
-/// may be re-claimed (via [`ArityRegistry::try_reclaim_consumer`]) to
-/// drain residue: a post-promotion *producer* claim would strand values
-/// behind consumers that already cached the ring as dead.
+/// The two seats and the sticky `promoted` flag are separate flags. A
+/// claim is one CAS on its seat, a release one store, a promotion one
+/// store; the hot paths only load them.
 ///
-/// The half-relaxed rings (`MpscRing`, `SpmcRing`) reuse the same word:
-/// their *single* side is the ordinary claimable slot above, while their
-/// *multi* side is a registrant **count** in the upper bits. Multi-side
-/// registration never promotes — any number of peers is the ring's normal
-/// operating mode — but it is promotion-blocked when the counted side
-/// writes into the ring (an MPSC producer joining a promoted lane would
-/// invalidate cached deadness, exactly like a post-promotion SPSC
-/// producer claim), and unconditional when it only drains
-/// ([`ArityRegistry::register_multi_drain`]).
+/// Promotion is one-way: seats can be *released* (an endpoint dropping)
+/// and re-claimed by a later thread, but once two registrants have raced
+/// for one seat the lane stays promoted for the queue's lifetime. Plain
+/// claims load `promoted` first and fail on a promoted lane; only the
+/// consumer seat may be re-claimed there (via
+/// [`ArityRegistry::try_reclaim_consumer`]) to drain residue. The load
+/// and the CAS are two steps, so a claim racing a promotion may still
+/// win: the frontends tolerate a ring writer on a promoted lane because
+/// no consumer ever caches a ring as dead.
 pub struct ArityRegistry {
-    state: AtomicU32,
+    producer: AtomicBool,
+    consumer: AtomicBool,
+    promoted: AtomicBool,
 }
 
-/// Producer endpoint slot held.
-const ARITY_PROD: u32 = 1;
-/// Consumer endpoint slot held.
-const ARITY_CONS: u32 = 1 << 1;
-/// Sticky promotion flag: the lane has fallen back to its MPMC queue.
-const ARITY_PROMOTED: u32 = 1 << 2;
-/// One multi-side registrant (the count lives in the bits above the
-/// flags; 24 bits of headroom bound nothing real).
-const ARITY_MULTI_ONE: u32 = 1 << 8;
+#[cfg(test)]
+thread_local! {
+    /// Seat RMWs this thread made on any registry, so a test can count
+    /// what an endpoint costs.
+    pub(crate) static SEAT_RMWS: core::cell::Cell<u64> = const { core::cell::Cell::new(0) };
+}
 
 impl ArityRegistry {
-    /// An empty registry: both endpoint slots free, not promoted.
+    /// An empty registry: both seats free, not promoted.
     pub const fn new() -> Self {
         Self {
-            state: AtomicU32::new(0),
+            producer: AtomicBool::new(false),
+            consumer: AtomicBool::new(false),
+            promoted: AtomicBool::new(false),
         }
     }
 
-    /// Claim CAS loop. `allow_promoted` selects whether a set `PROMOTED`
-    /// flag rejects the claim: the check rides in the same CAS retry
-    /// loop as the endpoint bit, so claim-vs-promote ordering is decided
-    /// by a single CAS on the shared word — a claim can never slip in
-    /// between a promotion check and its CAS.
-    fn try_claim(&self, bit: u32, allow_promoted: bool) -> bool {
-        let mut s = self.state.load(mem::ARITY_LOAD);
-        loop {
-            if s & bit != 0 || (!allow_promoted && s & ARITY_PROMOTED != 0) {
-                return false;
-            }
-            match self
-                .state
-                .compare_exchange_weak(s, s | bit, mem::ARITY_CAS, mem::ARITY_CAS_FAIL)
-            {
-                Ok(_) => return true,
-                Err(cur) => s = cur,
-            }
+    /// Claims `seat` with one CAS; a set `promoted` flag refuses the
+    /// claim first unless `allow_promoted`.
+    fn claim(&self, seat: &AtomicBool, allow_promoted: bool) -> bool {
+        if !allow_promoted && self.promoted() {
+            return false;
         }
+        #[cfg(test)]
+        SEAT_RMWS.with(|n| n.set(n.get() + 1));
+        seat.compare_exchange(false, true, mem::ARITY_CAS, mem::ARITY_CAS_FAIL)
+            .is_ok()
     }
 
-    fn release(&self, bit: u32) {
-        self.state.fetch_and(!bit, mem::ARITY_CAS);
-    }
-
-    /// Claims the producer endpoint slot; `false` if already held **or
-    /// the lane is promoted**. Promotion-blocking is load-bearing: once
-    /// a consumer has observed `promoted && !producer_claimed` plus an
-    /// empty ring it may cache the ring as dead forever, so no new ring
-    /// producer may ever appear on a promoted lane.
+    /// Claims the producer seat; `false` if it is held or the lane is
+    /// promoted.
     pub fn try_claim_producer(&self) -> bool {
-        self.try_claim(ARITY_PROD, false)
+        self.claim(&self.producer, false)
     }
 
-    /// Claims the consumer endpoint slot; `false` if already held or the
-    /// lane is promoted (see [`ArityRegistry::try_claim_producer`]).
+    /// Claims the consumer seat; `false` if it is held or the lane is
+    /// promoted.
     pub fn try_claim_consumer(&self) -> bool {
-        self.try_claim(ARITY_CONS, false)
+        self.claim(&self.consumer, false)
     }
 
-    /// Claims the consumer endpoint slot even on a promoted lane;
-    /// `false` only if already held. Consumer-side claims are safe after
-    /// promotion — a consumer can only *drain* the ring, so it can never
-    /// invalidate another consumer's cached ring-deadness — and the
-    /// mixed-lane reclaim path needs exactly this to pick up residue a
-    /// departed endpoint holder left behind.
+    /// Claims the consumer seat even on a promoted lane; `false` only if
+    /// it is held. The mixed-lane reclaim path needs exactly this to pick
+    /// up residue a departed endpoint holder left behind.
     pub fn try_reclaim_consumer(&self) -> bool {
-        self.try_claim(ARITY_CONS, true)
+        self.claim(&self.consumer, true)
     }
 
-    /// Releases the producer endpoint slot. Callers must hold it.
+    /// Releases the producer seat. Callers must hold it.
     pub fn release_producer(&self) {
-        self.release(ARITY_PROD)
+        self.producer.store(false, mem::SEAT_RELEASE)
     }
 
-    /// Releases the consumer endpoint slot. Callers must hold it.
+    /// Releases the consumer seat. Callers must hold it.
     pub fn release_consumer(&self) {
-        self.release(ARITY_CONS)
+        self.consumer.store(false, mem::SEAT_RELEASE)
     }
 
-    /// Whether the producer endpoint slot is currently held.
+    /// Whether the producer seat is currently held.
     pub fn producer_claimed(&self) -> bool {
-        self.state.load(mem::ARITY_LOAD) & ARITY_PROD != 0
+        self.producer.load(mem::ARITY_LOAD)
     }
 
-    /// Whether the consumer endpoint slot is currently held.
+    /// Whether the consumer seat is currently held.
     pub fn consumer_claimed(&self) -> bool {
-        self.state.load(mem::ARITY_LOAD) & ARITY_CONS != 0
+        self.consumer.load(mem::ARITY_LOAD)
     }
 
     /// Sets the sticky promotion flag.
     pub fn promote(&self) {
-        self.state.fetch_or(ARITY_PROMOTED, mem::ARITY_CAS);
+        self.promoted.store(true, mem::PROMOTE_STORE)
     }
 
     /// Whether the lane has been promoted to its MPMC fallback.
     pub fn promoted(&self) -> bool {
-        self.state.load(mem::ARITY_LOAD) & ARITY_PROMOTED != 0
-    }
-
-    /// Registers one multi-side peer (an `MpscRing` producer); `false`
-    /// if the lane is promoted. The promotion check rides in the CAS
-    /// loop, so register-vs-promote is decided by one CAS — mirroring
-    /// [`ArityRegistry::try_claim_producer`]: once a consumer has
-    /// observed `promoted && multi_count() == 0` plus an empty ring it
-    /// may cache the ring as dead, so no new writer may slip in.
-    pub fn try_register_multi(&self) -> bool {
-        let mut s = self.state.load(mem::ARITY_LOAD);
-        loop {
-            if s & ARITY_PROMOTED != 0 {
-                return false;
-            }
-            match self.state.compare_exchange_weak(
-                s,
-                s + ARITY_MULTI_ONE,
-                mem::ARITY_CAS,
-                mem::ARITY_CAS_FAIL,
-            ) {
-                Ok(_) => return true,
-                Err(cur) => s = cur,
-            }
-        }
-    }
-
-    /// Registers one multi-side peer even on a promoted lane. Safe only
-    /// for *draining* peers (`SpmcRing` consumers): a reader can never
-    /// invalidate cached ring-deadness, which keys on the producer slot.
-    pub fn register_multi_drain(&self) {
-        self.state.fetch_add(ARITY_MULTI_ONE, mem::ARITY_CAS);
-    }
-
-    /// Releases one multi-side registration. Callers must hold one.
-    pub fn release_multi(&self) {
-        let prev = self.state.fetch_sub(ARITY_MULTI_ONE, mem::ARITY_CAS);
-        debug_assert!(prev >= ARITY_MULTI_ONE, "multi-side release underflow");
-    }
-
-    /// Number of currently registered multi-side peers.
-    pub fn multi_count(&self) -> u32 {
-        self.state.load(mem::ARITY_LOAD) >> 8
+        self.promoted.load(mem::ARITY_LOAD)
     }
 }
 
@@ -464,9 +398,9 @@ mod tests {
 
     #[test]
     fn arity_promote_races_claim_to_one_outcome() {
-        // Promote and claim race on the same word: whatever interleaving
-        // the scheduler picks, a successful claim on a promoted registry
-        // is impossible to observe afterwards.
+        // Promote and claim race: whatever interleaving the scheduler
+        // picks, the claim's outcome and the seat agree afterwards (a
+        // claim that loaded `promoted` before the store may still win).
         for _ in 0..200 {
             let a = ArityRegistry::new();
             let claimed = std::thread::scope(|s| {
@@ -476,8 +410,7 @@ mod tests {
             });
             assert!(a.promoted());
             if claimed {
-                // The claim won the race: it must have landed before the
-                // promotion edge, never after it.
+                // The claim won the race: the seat is held.
                 assert!(a.producer_claimed());
             } else {
                 assert!(!a.producer_claimed());

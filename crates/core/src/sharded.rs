@@ -49,20 +49,23 @@
 //! (one registrant per side), an [`MpscRing`] (fan-in: any number of
 //! FAA-ticketing producers, one consumer) or an [`SpmcRing`] (fan-out:
 //! one producer, FAA-arbitrated consumers), each an `ArityRing`. A ring
-//! end is either *single* (claimed by one handle through the ring's
-//! [`crate::ArityRegistry`]) or *shared* (any number of them).
-//! A handle holds what it claimed or registered as an owned endpoint
-//! value that releases itself on drop, so handle turnover (thread
-//! pools) keeps the fast path alive. The protocol has four rules:
+//! end is either *single* (a seat one handle claims through the ring's
+//! [`crate::ArityRegistry`]) or *shared* (any number of handles, with no
+//! registration at all). A handle holds its ring access as an owned
+//! endpoint value that releases its seat, if any, on drop, so handle
+//! turnover (thread pools) keeps the fast path alive. The protocol has
+//! three rules:
 //!
 //! * **Claim-or-promote.** A handle's first operation on a lane takes
 //!   the ring endpoint of its side. A *second* registrant on a single
-//!   side *promotes* the lane (a sticky registry flag) and takes the
-//!   MPMC queue instead: misuse degrades to the paper's lock-free
-//!   algorithm, never to corruption. Claims are promotion-blocked, so
-//!   every MPMC enqueue on a ring lane follows its promotion: an
-//!   *unpromoted* lane's MPMC queue is empty, and a consumer that finds
-//!   the ring empty returns `None` without touching it.
+//!   side *promotes* the lane (a sticky flag) and takes the MPMC queue
+//!   instead: misuse degrades to the paper's lock-free algorithm, never
+//!   to corruption. A claim that fails promotes, and a producer (single
+//!   or shared) is admitted only after a load that found the lane
+//!   unpromoted, so every MPMC enqueue on a ring lane follows its
+//!   promotion: an *unpromoted* lane's MPMC queue is empty, and a
+//!   consumer that finds the ring empty returns `None` without touching
+//!   it.
 //! * **The producer's switch point.** After promotion a ring producer
 //!   keeps its wait-free path until everything *it* pushed has drained:
 //!   for a single producer, the exact-empty instant (it owns `tail`); for
@@ -72,15 +75,6 @@
 //!   promotion with no drain/transfer machinery. The same rule keeps a
 //!   dequeue steal from moving the handle's cursor (and so its later
 //!   enqueues) off a lane whose ring still holds its values.
-//! * **The ring-dead transition.** Consumers on a promoted lane drain the
-//!   ring first, then the MPMC queue, re-taking the single consumer
-//!   endpoint while the ring holds residue. A consumer caches the ring
-//!   as dead once it has observed every writer gone — the lane promoted
-//!   and the producer side released — *and then* found the ring empty.
-//!   The order matters: the acquire read of the released claim orders
-//!   every value the departing producer pushed, so emptiness confirmed
-//!   after it holds forever; the opposite order can strand a value
-//!   pushed between the two reads.
 //! * **Stealing probes are read-only.** A handle that merely probes a
 //!   lane (not its affinity lane, consumer role unresolved) never
 //!   claims-or-promotes just for looking: it takes a ring consumer
@@ -88,6 +82,13 @@
 //!   yields a value — else ≥ 2 stealing consumers would promote every
 //!   lane. Producer resolution stays eager: an enqueue probe only
 //!   happens on `Full` and always lands a value.
+//!
+//! Conservation needs no further rule, because every take on a ring lane
+//! checks the ring. Consumers on a promoted lane drain the ring first,
+//! then the MPMC queue, re-taking the single consumer seat while the ring
+//! holds residue, and no consumer ever caches a ring as dead. A producer
+//! admitted just before a promotion became visible may push to the ring
+//! after a consumer found it empty; the next take finds that value.
 //!
 //! Emptiness on an MPSC lane inherits the ring's bounded-stall
 //! relaxation (a ticketed-but-unpublished slot hides later published
@@ -105,7 +106,9 @@
 //! pinned handle, or any handle on a one-lane queue, therefore never
 //! allocates, so a caller that builds a handle per operation (the async
 //! frontend's `send`/`recv`, the broker's per-message paths) pays what a
-//! held handle pays plus the endpoint claim and release.
+//! held handle pays plus its seat claims: one CAS per single end it
+//! reaches, none on a shared end. A per-call round trip on an unpromoted
+//! fan-in lane therefore costs one seat RMW, the consumer's.
 //!
 //! `capacity()` under any fast-path policy reports the conservative
 //! reachable bound — each lane's MPMC capacity, to which the lane's ring
@@ -234,17 +237,17 @@ enum LaneRing<T: Send> {
     Spmc(SpmcRing<T>),
 }
 
-/// A ring producer endpoint held on one lane: the claim on a single
-/// producer end, or a registration on the fan-in ring's shared end.
-/// Dropping it releases the claim or registration.
+/// A ring producer endpoint held on one lane: the seat on a single
+/// producer end, or an endpoint on the fan-in ring's shared end.
+/// Dropping it releases the seat.
 enum RingProducer<'q, T: Send> {
     Spsc(SpscProducer<'q, T>),
     Mpsc(MpscProducer<'q, T>),
     Spmc(SpmcProducer<'q, T>),
 }
 
-/// A ring consumer endpoint held on one lane: the claim on a single
-/// consumer end, or a registration on the fan-out ring's shared end.
+/// A ring consumer endpoint held on one lane: the seat on a single
+/// consumer end, or an endpoint on the fan-out ring's shared end.
 enum RingConsumer<'q, T: Send> {
     Spsc(SpscConsumer<'q, T>),
     Mpsc(MpscConsumer<'q, T>),
@@ -279,7 +282,7 @@ impl<T: Send> LaneRing<T> {
     }
 
     /// Claim-or-promote, producer side: the ring's producer endpoint, or
-    /// `None` after promoting the lane. A fan-in registration fails only
+    /// `None` after promoting the lane. A fan-in producer is refused only
     /// once the lane already promoted (re-promoting is a no-op).
     fn producer(&self) -> Option<RingProducer<'_, T>> {
         each_kind!(self, LaneRing => RingProducer, r => r.claim_producer()).or_else(|| {
@@ -288,8 +291,8 @@ impl<T: Send> LaneRing<T> {
         })
     }
 
-    /// Claim-or-promote, consumer side. A fan-out registration never
-    /// fails, so it never promotes.
+    /// Claim-or-promote, consumer side. A fan-out consumer is never
+    /// refused, so it never promotes.
     fn consumer(&self) -> Option<RingConsumer<'_, T>> {
         each_kind!(self, LaneRing => RingConsumer, r => r.claim_consumer()).or_else(|| {
             self.promote();
@@ -304,12 +307,6 @@ impl<T: Send> LaneRing<T> {
             return None;
         }
         each_kind!(self, LaneRing => RingConsumer, r => r.reclaim_consumer())
-    }
-
-    /// Whether no ring writer can ever push again; emptiness checked
-    /// *after* this holds forever.
-    fn writers_gone(&self) -> bool {
-        each_kind!(self, LaneRing, r => r.writers_gone())
     }
 }
 
@@ -481,8 +478,6 @@ enum ConsRole<'q, T: Send> {
     /// Lost claim-or-promote: dequeues go to the MPMC queue, re-taking
     /// the ring's consumer endpoint while the ring holds residue.
     Mpmc,
-    /// The ring is verified permanently empty, or the lane has none.
-    RingDead,
 }
 
 /// One handle's state on one lane: the inner MPMC handle, built the
@@ -564,9 +559,9 @@ impl<T: Send> Take<T> for Run<'_, T> {
 /// Per-thread handle to a [`ShardedQueue`]: its state on each lane it
 /// touched (inner MPMC handle, ring endpoints and roles) and the
 /// affinity cursor steering lane selection. Dropping it drops the
-/// endpoints, which release their claims and registrations. The home
-/// lane's state is inline and the other lanes' table is allocated on
-/// first touch (see the [module docs](self#handles)).
+/// endpoints, which release their seats. The home lane's state is inline
+/// and the other lanes' table is allocated on first touch (see the
+/// [module docs](self#handles)).
 pub struct ShardedHandle<'q, T: Send, Q: ConcurrentQueue<T> + 'q> {
     /// The affinity lane at construction; its state is `home`.
     home_lane: usize,
@@ -648,7 +643,7 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
         }
         if let ProdRole::Ring(p) = role {
             if ring.promoted() && p.drained() {
-                // Dropping the endpoint releases the claim/registration.
+                // Dropping the endpoint releases its seat, if any.
                 *role = ProdRole::Mpmc;
             }
         }
@@ -701,8 +696,9 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
 
     /// One dequeue step on `lane`, routed by this handle's consumer role
     /// there: the ring drains before the MPMC queue, preserving the ring
-    /// producers' FIFO order across a promotion. Each rule of the module
-    /// docs' fast-path protocol appears here once.
+    /// producers' FIFO order across a promotion, and every take checks
+    /// the ring. Each rule of the module docs' fast-path protocol that
+    /// concerns consumers appears here once.
     fn lane_take<S: Take<T>>(&mut self, lane: usize, s: &mut S) {
         let lanes = self.lanes;
         if let Some(ring) = &lanes[lane].ring {
@@ -722,27 +718,15 @@ impl<'q, T: Send, Q: ConcurrentQueue<T> + 'q> ShardedHandle<'q, T, Q> {
                         }
                     }
                 }
-                // The ring-dead transition: writers observed gone
-                // first, emptiness re-checked second.
                 ConsRole::Ring(c) => {
                     s.ring(c);
-                    if !s.full() && ring.writers_gone() {
-                        s.ring(c);
-                        if !s.full() {
-                            *role = ConsRole::RingDead;
-                        }
-                    }
                 }
                 ConsRole::Mpmc => {
-                    let gone = ring.writers_gone();
                     if let Some(mut c) = ring.reclaim() {
                         s.ring(&mut c);
                         *role = ConsRole::Ring(c);
-                    } else if gone && ring.len() == 0 {
-                        *role = ConsRole::RingDead;
                     }
                 }
-                ConsRole::RingDead => {}
             }
             // An unpromoted ring lane's MPMC queue is empty (see
             // claim-or-promote): skip it and the inner handle it needs.
@@ -1187,8 +1171,8 @@ mod tests {
         drop(a); // residue 1 in the ring, producer side released
         let mut c = q.handle_pinned(0);
         c.enqueue(3).unwrap();
-        // c must have landed on the MPMC queue: a post-promotion ring
-        // producer could strand values behind RingDead-cached consumers.
+        // c must have landed on the MPMC queue: a promoted lane takes no
+        // new ring producer once the promotion is visible.
         assert_eq!(ConcurrentQueue::len(q.lane(0)), Some(2), "2 and 3 on MPMC");
         let got: Vec<u64> = std::iter::from_fn(|| b.dequeue()).collect();
         assert_eq!(got.len(), 3, "ring residue and both MPMC values drain");
@@ -1197,12 +1181,11 @@ mod tests {
 
     #[test]
     fn racing_producer_release_never_strands_ring_values() {
-        // Regression for the stale-emptiness RingDead hazard: a consumer
-        // that observes an empty unpromoted ring, while a producer
-        // pushes, a second producer promotes, and the first drops
-        // (releasing its claim with residue in the ring), must still
-        // drain every value — the deadness check re-verifies emptiness
-        // *after* observing the released producer claim.
+        // Regression for a stale-emptiness hazard: a consumer that
+        // observes an empty unpromoted ring, while a producer pushes, a
+        // second producer promotes, and the first drops (releasing its
+        // seat with residue in the ring), must still drain every value —
+        // every take checks the ring, so no emptiness is ever cached.
         for _ in 0..300 {
             let q = mixed_cas(1, 8);
             std::thread::scope(|s| {
@@ -1483,10 +1466,10 @@ mod tests {
         assert_eq!(c1.dequeue(), Some(2));
         assert_eq!(c1.dequeue(), Some(3));
         // Now head has passed p's last ticket: the next enqueue releases
-        // the registration and lands on the MPMC queue.
+        // the endpoint and lands on the MPMC queue.
         p.enqueue(4).unwrap();
         assert_eq!(ConcurrentQueue::len(q.lane(0)), Some(1), "4 on MPMC");
-        assert_eq!(c1.dequeue(), Some(4), "ring-dead transition finds MPMC");
+        assert_eq!(c1.dequeue(), Some(4), "an empty ring falls through to MPMC");
         assert_eq!(c1.dequeue(), None);
         assert_eq!(c2.dequeue(), None);
     }
@@ -1543,7 +1526,7 @@ mod tests {
         p.enqueue(5).unwrap();
         // A stealing handle homed on lane 1 probes lane 0: the fan-out
         // drain side is FAA-arbitrated, so the probe pops directly —
-        // no claim, no promotion (a drain registration never promotes).
+        // no claim, no promotion (a fan-out consumer never promotes).
         let mut stealer = q.make_handle(1, 1);
         assert_eq!(stealer.dequeue(), Some(5));
         assert_eq!(q.lane_promoted(0), Some(false));
@@ -1552,5 +1535,54 @@ mod tests {
         let mut c = q.handle_pinned(0);
         assert_eq!(c.dequeue(), Some(6));
         assert_eq!(q.lane_promoted(0), Some(false));
+    }
+    #[test]
+    fn per_call_mpsc_round_trip_takes_one_seat_rmw() {
+        // A handle built per operation on an unpromoted fan-in lane: the
+        // producer is admitted by a load, so the consumer's seat claim is
+        // the round trip's only seat RMW (its release is a plain store).
+        let q = mpsc_cas(1, 8);
+        let seat_rmws = || crate::registry::SEAT_RMWS.with(|n| n.get());
+        for v in 0..3 {
+            let before = seat_rmws();
+            q.handle_pinned(0).enqueue(v).unwrap();
+            assert_eq!(seat_rmws(), before, "a fan-in producer takes no seat");
+            assert_eq!(q.handle_pinned(0).dequeue(), Some(v));
+            assert_eq!(seat_rmws(), before + 1, "one consumer seat claim");
+        }
+        assert_eq!(q.lane_promoted(0), Some(false));
+        assert_eq!(q.lane(0).vars_allocated(), 0, "the ring served all");
+    }
+
+    #[test]
+    fn late_mpsc_ring_push_after_promotion_is_dequeued_in_order() {
+        // The hazard a cached ring-dead state would open: a fan-in
+        // producer resolves its ring role, the lane promotes, a consumer
+        // finds the ring empty, and only then does the producer push.
+        // The next take must still find the value, after the earlier
+        // ones — pushed by the same held handle, or by per-call handles
+        // before a fresh one resolves its role.
+        for per_call in [false, true] {
+            let q = mpsc_cas(1, 8);
+            let mut p = q.handle_pinned(0);
+            let (mut c1, mut c2) = (q.handle_pinned(0), q.handle_pinned(0));
+            for v in [1, 2] {
+                if per_call {
+                    q.handle_pinned(0).enqueue(v).unwrap();
+                } else {
+                    p.enqueue(v).unwrap();
+                }
+            }
+            let late = p.ring_producer(0).expect("p rides the ring");
+            assert_eq!(c1.dequeue(), Some(1)); // c1 takes the consumer seat
+            assert_eq!(c2.dequeue(), None); // second consumer: promotes
+            assert_eq!(q.lane_promoted(0), Some(true));
+            assert_eq!(c1.dequeue(), Some(2));
+            assert_eq!(c1.dequeue(), None, "ring empty, lane promoted");
+            late.push(3).unwrap();
+            assert_eq!(c1.dequeue(), Some(3), "the late ring value is found");
+            assert_eq!(c1.dequeue(), None);
+            assert_eq!(c2.dequeue(), None);
+        }
     }
 }

@@ -137,20 +137,34 @@ relaxable! {
     /// claimant is the only writer of that cursor, so it always reads its
     /// own latest store.
     SPSC_OWN_CURSOR = Relaxed;
-    /// Loads of a lane's arity-registration word (claimed-endpoint bits +
-    /// the sticky `PROMOTED` flag). Acquire pairs with [`ARITY_CAS`] so a
-    /// thread that observes a claim/promotion also observes the ring
-    /// state published before it. A stale read is conservative: a missed
-    /// promotion only delays a producer's switch to the MPMC lane, which
-    /// the ring-first dequeue rule tolerates by construction.
+    /// Loads of a lane ring's arity flags (its single ends' seats and the
+    /// sticky `promoted` flag). Acquire pairs with [`ARITY_CAS`],
+    /// [`SEAT_RELEASE`] and [`PROMOTE_STORE`] so a thread that observes a
+    /// claim, release or promotion also observes the ring state published
+    /// before it. A stale read is conservative: a missed promotion only
+    /// admits one more ring producer or delays a producer's switch to the
+    /// MPMC lane, which the ring-first dequeue rule tolerates by
+    /// construction.
     ARITY_LOAD = Acquire;
-    /// CASes on the arity-registration word (endpoint claim/release,
-    /// promotion). Release publishes the claimer's prior state; acquire
-    /// orders it behind the claim it replaces.
+    /// A seat claim's CAS (a lane ring single end's `false -> true`; wCQ's
+    /// thread-id bitmap claims and releases borrow it). Acquire orders
+    /// the new holder behind the last holder's [`SEAT_RELEASE`], so it
+    /// reads the cursor that holder published with its own relaxed
+    /// [`SPSC_OWN_CURSOR`] load; release publishes the claimer's prior
+    /// state.
     ARITY_CAS = AcqRel;
-    /// Failure ordering of arity CASes: the loaded word feeds straight
-    /// back into the claim/promote retry loop.
+    /// Failure ordering of arity CASes: a failed claim takes nothing, and
+    /// the loaded value is discarded or fed back into a retry loop.
     ARITY_CAS_FAIL = Relaxed;
+    /// A seat's release, one plain store when a single end's endpoint
+    /// drops. Release hands the end over: the holder's last cursor store
+    /// and slot moves happen before the next claimant's [`ARITY_CAS`].
+    SEAT_RELEASE = Release;
+    /// The promotion store (`promoted = true`, sticky). Release orders the
+    /// promoting thread's earlier writes before any [`ARITY_LOAD`] that
+    /// sees the flag; every MPMC enqueue on a ring lane comes after it in
+    /// its thread's program order.
+    PROMOTE_STORE = Release;
     /// Plain stores of SCQ/wCQ ring bookkeeping (ring initialization and
     /// the livelock-threshold reset after a successful enqueue, Nikolaev
     /// Fig. 5). Release pairs with the dequeuers' [`INDEX_LOAD`]-class
@@ -251,6 +265,8 @@ mod tests {
             assert_eq!(SPSC_PUBLISH, Ordering::SeqCst);
             assert_eq!(SPSC_CURSOR_LOAD, Ordering::SeqCst);
             assert_eq!(ARITY_CAS, Ordering::SeqCst);
+            assert_eq!(SEAT_RELEASE, Ordering::SeqCst);
+            assert_eq!(PROMOTE_STORE, Ordering::SeqCst);
             assert_eq!(RING_TICKET, Ordering::SeqCst);
             assert_eq!(RING_GATE, Ordering::SeqCst);
             assert_eq!(mode(), "seqcst");
@@ -266,6 +282,8 @@ mod tests {
             assert_eq!(SPSC_OWN_CURSOR, Ordering::Relaxed);
             assert_eq!(ARITY_LOAD, Ordering::Acquire);
             assert_eq!(ARITY_CAS, Ordering::AcqRel);
+            assert_eq!(SEAT_RELEASE, Ordering::Release);
+            assert_eq!(PROMOTE_STORE, Ordering::Release);
             assert_eq!(RING_TICKET, Ordering::AcqRel);
             assert_eq!(RING_GATE, Ordering::AcqRel);
             assert_eq!(mode(), "relaxed");

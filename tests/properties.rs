@@ -737,17 +737,15 @@ fn regression_fixed_scripts() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every `ArityRegistry` transition — the single-side claim bits, the
-    /// sticky promotion flag, and the multi-side registrant count the
-    /// half-relaxed rings use — against a four-field reference model.
-    /// Claim/register outcomes are *predicted* from the model, not just
-    /// observed, so a transition that wrongly succeeds or wrongly fails
-    /// is caught at the op that took it.
+    /// Every `ArityRegistry` transition — the two seat flags and the
+    /// sticky promotion flag — against a three-field reference model.
+    /// Claim outcomes are *predicted* from the model, not just observed,
+    /// so a transition that wrongly succeeds or wrongly fails is caught at
+    /// the op that took it, and each flag is checked to move alone.
     #[test]
-    fn arity_registry_transitions_match_model(ops in prop::collection::vec(0u8..9, 0..64)) {
+    fn arity_registry_transitions_match_model(ops in prop::collection::vec(0u8..6, 0..64)) {
         let reg = nbq::ArityRegistry::new();
         let (mut prod, mut cons, mut promoted) = (false, false, false);
-        let mut multi: u32 = 0;
         for op in ops {
             match op {
                 0 => {
@@ -762,7 +760,7 @@ proptest! {
                 }
                 2 => {
                     // Reclaim ignores promotion (drain-only claims are
-                    // safe) but still respects the endpoint bit.
+                    // safe) but still respects the seat.
                     let want = !cons;
                     prop_assert_eq!(reg.try_reclaim_consumer(), want);
                     cons = true;
@@ -779,32 +777,14 @@ proptest! {
                         cons = false;
                     }
                 }
-                5 => {
+                _ => {
                     reg.promote();
                     promoted = true;
-                }
-                6 => {
-                    // MPSC producers: promotion-blocked, never promoting.
-                    let want = !promoted;
-                    prop_assert_eq!(reg.try_register_multi(), want);
-                    multi += u32::from(want);
-                }
-                7 => {
-                    // SPMC consumers: unconditional drain registration.
-                    reg.register_multi_drain();
-                    multi += 1;
-                }
-                _ => {
-                    if multi > 0 {
-                        reg.release_multi();
-                        multi -= 1;
-                    }
                 }
             }
             prop_assert_eq!(reg.producer_claimed(), prod);
             prop_assert_eq!(reg.consumer_claimed(), cons);
             prop_assert_eq!(reg.promoted(), promoted);
-            prop_assert_eq!(reg.multi_count(), multi);
         }
     }
 }

@@ -1145,3 +1145,84 @@ fn promotion_mid_stream_spmc_lane_conserves_values() {
         LateSide::Producer,
     );
 }
+
+/// The hazard a cached ring-dead state would open, raced: a fan-in
+/// producer whose ring role resolved before the lane promoted may push
+/// after a consumer found the promoted ring empty. A held producer and
+/// per-call producers race a promoting second consumer; every value must
+/// arrive exactly once, and the held producer's in order at each
+/// consumer (its ring values all precede its MPMC ones).
+#[test]
+fn late_ring_push_after_promotion_is_never_stranded() {
+    const PER: u64 = 16;
+    for round in 0..300u64 {
+        let q = ShardedQueue::with_config(ShardedConfig::with_lanes(1).mpsc_fast_path(), |_| {
+            CasQueue::<u64>::with_capacity(8)
+        });
+        let taken = AtomicUsize::new(0);
+        let total = 2 * PER as usize;
+        let collected = std::sync::Mutex::new(Vec::new());
+        // Takes values until all have arrived, or with `stop_early` until
+        // the first `None`, checking the held producer's (id 0) stream
+        // ascends.
+        let consume = |h: &mut LaneHandle<'_>, stop_early: bool| {
+            let (mut got, mut next_held, mut spins) = (Vec::new(), 0, 0u64);
+            while stop_early || taken.load(Ordering::Acquire) < total {
+                match h.dequeue() {
+                    Some(v) => {
+                        if v >> 40 == 0 {
+                            assert!(v >= next_held, "held producer out of order");
+                            next_held = v + 1;
+                        }
+                        got.push(v);
+                        taken.fetch_add(1, Ordering::AcqRel);
+                    }
+                    None if stop_early => break,
+                    None => {
+                        spins += 1;
+                        assert!(spins < 500_000_000, "values stranded");
+                        std::hint::spin_loop();
+                    }
+                }
+            }
+            collected.lock().unwrap().extend(got);
+        };
+        // The ring-role consumer takes the consumer seat first and holds
+        // it past the scope, so the later consumer below always promotes.
+        let mut ring_consumer = q.handle_pinned(0);
+        assert_eq!(ring_consumer.dequeue(), None);
+        std::thread::scope(|s| {
+            s.spawn(|| consume(&mut ring_consumer, false));
+            s.spawn(|| {
+                let mut held = q.handle_pinned(0);
+                for seq in 0..PER {
+                    while held.enqueue(seq).is_err() {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            s.spawn(|| {
+                for seq in 0..PER {
+                    while q.handle_pinned(0).enqueue((1 << 40) | seq).is_err() {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            // Promote at a point that moves from round to round.
+            while taken.load(Ordering::Acquire) < (round as usize % total) / 2 {
+                std::thread::yield_now();
+            }
+            consume(&mut q.handle_pinned(0), true);
+        });
+        assert_eq!(q.lane_promoted(0), Some(true), "round {round}");
+        let mut collected = collected.into_inner().unwrap();
+        collected.sort_unstable();
+        let expected: Vec<u64> = (0..2u64)
+            .flat_map(|id| (0..PER).map(move |seq| (id << 40) | seq))
+            .collect();
+        assert_eq!(
+            collected, expected,
+            "round {round}: values lost or duplicated"
+        );
+    }
+}
